@@ -1,0 +1,90 @@
+"""Plumbing shared by the co-simulation, sweep and safety layers.
+
+One JSON document reader, one file-backed cache, one ordered process
+fan-out and one children-first graph walk.
+"""
+
+from __future__ import annotations
+
+import json
+from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable, Iterable, Mapping, Sequence
+
+from .errors import ConfigError
+
+
+def read_json(source: str | Path | Mapping):
+    """Decode a JSON file; an already-parsed document passes through."""
+    if not isinstance(source, (str, Path)):
+        return source
+    path = Path(source)
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+
+
+def cached_load(loader: Callable, path: str | Path, *args):
+    """``loader(path, *args)``, reused while the file keeps its mtime and size.
+
+    ``args`` must be hashable.  The result is shared between callers, so
+    they must not mutate it.
+    """
+    stat = Path(path).stat()
+    return _load(loader, str(path), args, stat.st_mtime_ns, stat.st_size)
+
+
+@lru_cache(maxsize=64)
+def _load(loader: Callable, path: str, args: tuple, mtime_ns: int, size: int):
+    return loader(path, *args)
+
+
+def fan_out(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """``[fn(task) for task in tasks]`` on up to ``workers`` processes.
+
+    Results come back in task order whatever the worker count.  The pool
+    never has more processes than tasks; with one, the tasks run here.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    chunk = max(1, len(tasks) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunk))
+
+
+def postorder(
+    children: Callable[[str], Iterable[str]], roots: Iterable[str], what: str
+) -> list[str]:
+    """Every node reachable from ``roots``, each after all of its children.
+
+    Walks depth first without recursion, so chains of any depth are
+    fine.  A cycle raises :class:`ConfigError` naming the node where the
+    walk first meets it again.
+    """
+    order: list[str] = []
+    done: dict[str, bool] = {}  # False while on the walk's path, True once emitted
+    for root in roots:
+        if root in done:
+            continue
+        done[root] = False
+        stack = [(root, iter(children(root)))]
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                state = done.get(child)
+                if state is None:
+                    done[child] = False
+                    stack.append((child, iter(children(child))))
+                    break
+                if state is False:
+                    raise ConfigError(f"{what} has a cycle through {child!r}")
+            else:
+                stack.pop()
+                done[node] = True
+                order.append(node)
+    return order

@@ -13,6 +13,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from ._shared import read_json
 from .dse import (
     optimize,
     pareto_rank,
@@ -145,7 +146,7 @@ def _cmd_gsn(args) -> int:
 def _parse_event_states(text: str) -> dict[str, bool]:
     path = Path(text)
     if path.is_file():
-        doc = json.loads(path.read_text())
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: event states must be a JSON object")
         return {str(k): v for k, v in doc.items()}
@@ -250,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownUnitError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, UnknownUnitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError) and exc.diagnostics != [str(exc)]:
             for diagnostic in exc.diagnostics:

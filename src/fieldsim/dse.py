@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from ._shared import cached_load, fan_out, read_json
 from .errors import ConfigError
 from .orchestrator import (
     InstanceSpec,
@@ -151,10 +150,7 @@ def read_dse_config(path: str | Path) -> DseConfig:
     directory.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: sweep config must be a JSON object")
 
@@ -215,17 +211,6 @@ def read_dse_config(path: str | Path) -> DseConfig:
 # --- sweep execution ---------------------------------------------------------
 
 
-def _cached_trace(path_text: str, expect_commands: bool) -> TimedTrace:
-    stat = Path(path_text).stat()
-    return _cached_trace_impl(path_text, expect_commands, stat.st_mtime_ns, stat.st_size)
-
-
-@lru_cache(maxsize=64)
-def _cached_trace_impl(path_text: str, expect_commands: bool, mtime_ns: int, size: int) -> TimedTrace:
-    expected = ["velocity", "delta_f"] if expect_commands else None
-    return read_trace_csv(path_text, expected_channels=expected)
-
-
 def _registry_for(inputs_trace: TimedTrace) -> UnitRegistry:
     registry = default_registry()
     registry.register("replay", replay_factory(inputs_trace))
@@ -236,29 +221,26 @@ def _apply_assignment(mm: MultiModelConfig, assignment: ParameterAssignment) -> 
     instances = dict(mm.instances)
     for ref_text, value in assignment.items():
         ref = PortRef.parse(ref_text)
-        spec = instances.get(ref.instance)
-        if spec is None:
-            raise ConfigError(f"parameter {ref_text!r}: no instance {ref.instance!r} in multi-model")
+        spec = instances[ref.instance]
         instances[ref.instance] = InstanceSpec(
             spec.unit_type, {**dict(spec.parameters), ref.port: value}
         )
     return replace(mm, instances=instances)
 
 
-def _run_point(task) -> tuple[int, int, float, float]:
+def _run_point(task) -> tuple[float, float]:
     """Run one (scenario, assignment) point; used by worker processes too."""
-    si, gi, mm, inputs_path, reference_path, assignment, scenario, artifacts_dir = task
-    inputs_trace = _cached_trace(inputs_path, True)
-    reference = _cached_trace(reference_path, False)
+    mm, inputs_path, reference_path, assignment, run_dir = task
+    inputs_trace = cached_load(read_trace_csv, inputs_path, ("velocity", "delta_f"))
+    reference = cached_load(read_trace_csv, reference_path)
     run_config = _apply_assignment(mm, assignment)
     simulated = run_cosim(run_config, _registry_for(inputs_trace))
     mean_error, max_error = cross_track_error(align(reference, simulated))
-    if artifacts_dir is not None:
-        run_dir = Path(artifacts_dir) / scenario / f"run_{gi:04d}"
+    if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
         write_results_csv(simulated, run_dir / "results.csv")
         write_objectives_json(run_dir / "objectives.json", mean_error, max_error)
-    return si, gi, mean_error, max_error
+    return mean_error, max_error
 
 
 def run_sweep(
@@ -277,8 +259,6 @@ def run_sweep(
     missing = [s for s in config.scenarios if s not in config.scenario_files]
     if missing:
         raise ConfigError(f"no trace files for scenarios: {', '.join(missing)}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
 
     grid = expand_grid(config.parameters)
     for ref_text in config.parameters:
@@ -286,41 +266,27 @@ def run_sweep(
         if ref.instance not in config.multi_model.instances:
             raise ConfigError(f"parameter {ref_text!r}: no instance {ref.instance!r} in multi-model")
 
-    if artifacts_dir is not None:
-        artifacts_dir = str(artifacts_dir)
-
     tasks = []
-    for si, scenario in enumerate(config.scenarios):
+    for scenario in config.scenarios:
         inputs_path, reference_path = config.scenario_files[scenario]
         if not Path(inputs_path).is_file():
             raise ConfigError(f"scenario {scenario!r}: missing inputs file {inputs_path}")
         if not Path(reference_path).is_file():
             raise ConfigError(f"scenario {scenario!r}: missing reference file {reference_path}")
         for gi, assignment in enumerate(grid):
+            run_dir = None
+            if artifacts_dir is not None:
+                run_dir = Path(artifacts_dir) / scenario / f"run_{gi:04d}"
             tasks.append(
-                (si, gi, config.multi_model, str(inputs_path), str(reference_path),
-                 assignment, scenario, artifacts_dir)
+                (config.multi_model, str(inputs_path), str(reference_path), assignment, run_dir)
             )
 
-    if workers == 1:
-        outcomes = [_run_point(task) for task in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_point, tasks, chunksize=chunk))
-
-    rows = []
-    for (si, gi, mean_error, max_error), task in zip(outcomes, tasks):
-        assert (si, gi) == (task[0], task[1])  # map preserves submission order
-        rows.append(
-            SweepRow(
-                scenario=config.scenarios[si],
-                assignment=grid[gi],
-                mean_error=mean_error,
-                max_error=max_error,
-            )
-        )
-    return rows
+    outcomes = fan_out(_run_point, tasks, workers)
+    return [
+        SweepRow(scenario, assignment, mean_error, max_error)
+        for (scenario, assignment), (mean_error, max_error)
+        in zip(product(config.scenarios, grid), outcomes)
+    ]
 
 
 # --- calibration and ranking -------------------------------------------------

@@ -14,15 +14,15 @@ computed from the step index, never by accumulation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
+from ._shared import read_json
 from .errors import ConfigError, ContractViolation, SimulationError, UnknownUnitError
-from .simunit import PortDirection, SimulationUnit, UnitRegistry
+from .simunit import PortDescriptor, PortDirection, SimulationUnit, UnitRegistry
 from .traces import TimedTrace, write_trace_csv
 
 DEFAULT_STEP_SIZE = 0.01
@@ -79,14 +79,7 @@ class MultiModelConfig:
 
 def load_multimodel(source: str | Path | Mapping) -> MultiModelConfig:
     """Build a config from a JSON file path or an already-parsed mapping."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    else:
-        doc = source
+    doc = read_json(source)
     if not isinstance(doc, dict):
         raise ConfigError("multi-model document must be a JSON object")
 
@@ -129,13 +122,6 @@ def load_multimodel(source: str | Path | Mapping) -> MultiModelConfig:
     )
 
 
-def _port_direction(unit: SimulationUnit, port: str) -> PortDirection | None:
-    for p in unit.description.ports:
-        if p.name == port:
-            return p.direction
-    return None
-
-
 def _instantiate_all(
     config: MultiModelConfig, registry: UnitRegistry
 ) -> tuple[dict[str, SimulationUnit], list[str]]:
@@ -174,24 +160,32 @@ def validate_config(config: MultiModelConfig, registry: UnitRegistry) -> list[st
     units, inst_diags = _instantiate_all(config, registry)
     diagnostics.extend(inst_diags)
 
-    def check_endpoint(ref: PortRef, wanted: PortDirection, role: str) -> None:
+    def check_endpoint(ref: PortRef, wanted: PortDirection, role: str) -> PortDescriptor | None:
         unit = units.get(ref.instance)
         if unit is None:
             if ref.instance not in config.instances:
                 diagnostics.append(f"{role} {ref.render()!r}: no instance {ref.instance!r}")
-            return  # instance failed to build; already reported
-        direction = _port_direction(unit, ref.port)
-        if direction is None:
+            return None  # instance failed to build; already reported
+        try:
+            port = unit.description.port(ref.port)
+        except ContractViolation:
             diagnostics.append(f"{role} {ref.render()!r}: no such port")
-        elif direction is not wanted:
+            return None
+        if port.direction is not wanted:
             diagnostics.append(
-                f"{role} {ref.render()!r}: port is {direction.value}, expected {wanted.value}"
+                f"{role} {ref.render()!r}: port is {port.direction.value}, expected {wanted.value}"
             )
+        return port
 
     bound_sinks: set[PortRef] = set()
     for conn in config.connections:
-        check_endpoint(conn.source, PortDirection.OUTPUT, "connection source")
-        check_endpoint(conn.sink, PortDirection.INPUT, "connection sink")
+        source = check_endpoint(conn.source, PortDirection.OUTPUT, "connection source")
+        sink = check_endpoint(conn.sink, PortDirection.INPUT, "connection sink")
+        if source and sink and source.kind is not sink.kind:
+            diagnostics.append(
+                f"connection {conn.source.render()} -> {conn.sink.render()}: "
+                f"source is {source.kind.value}, sink expects {sink.kind.value}"
+            )
         if conn.source.instance == conn.sink.instance:
             diagnostics.append(
                 f"connection {conn.source.render()} -> {conn.sink.render()}: "

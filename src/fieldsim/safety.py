@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from ._shared import cached_load, fan_out, postorder, read_json
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
     Connection,
@@ -71,39 +70,25 @@ class FaultTree:
             for child in event.children:
                 if child not in self.events:
                     raise ConfigError(f"event {name!r} references unknown child {child!r}")
-        # cycle check: depth-first with an explicit in-progress set
-        done: set[str] = set()
-        in_progress: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in done:
-                return
-            if name in in_progress:
-                raise ConfigError(f"fault tree has a cycle through {name!r}")
-            in_progress.add(name)
-            for child in self.events[name].children:
-                visit(child)
-            in_progress.discard(name)
-            done.add(name)
-
-        for name in self.events:
-            visit(name)
+        postorder(lambda name: self.events[name].children, self.events, "fault tree")
 
     def basic_events(self) -> list[str]:
         return [name for name, e in self.events.items() if e.gate == "basic"]
 
 
+def _names(owner: str, key: str, value) -> tuple[str, ...]:
+    """A JSON list of names as a tuple; any other shape is a ConfigError."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{owner}: {key!r} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
 def read_fault_tree(source: str | Path | Mapping) -> FaultTree:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    else:
-        doc = source
+    doc = read_json(source)
     if not isinstance(doc, dict) or set(doc) != {"top", "events"}:
         raise ConfigError("fault tree document needs exactly 'top' and 'events'")
+    if not isinstance(doc["events"], dict):
+        raise ConfigError("fault tree 'events' must be an object")
     events: dict[str, FtEvent] = {}
     for name, entry in doc["events"].items():
         if not isinstance(entry, dict) or "gate" not in entry:
@@ -114,7 +99,7 @@ def read_fault_tree(source: str | Path | Mapping) -> FaultTree:
         events[name] = FtEvent(
             label=entry.get("label", name),
             gate=entry["gate"],
-            children=tuple(entry.get("children", ())),
+            children=_names(f"event {name!r}", "children", entry.get("children", [])),
         )
     tree = FaultTree(top=doc["top"], events=events)
     tree.validate()
@@ -133,22 +118,16 @@ def evaluate_fault_tree(tree: FaultTree, states: Mapping[str, bool]) -> bool:
         if value is not True and value is not False:
             raise ConfigError(f"state for {name!r} must be a boolean, got {value!r}")
 
-    memo: dict[str, bool] = {}
-
-    def value_of(name: str) -> bool:
-        if name in memo:
-            return memo[name]
+    values: dict[str, bool] = {}
+    for name in postorder(lambda n: tree.events[n].children, [tree.top], "fault tree"):
         event = tree.events[name]
         if event.gate == "basic":
-            out = states[name]
+            values[name] = states[name]
         elif event.gate == "and":
-            out = all(value_of(c) for c in event.children)
+            values[name] = all(values[c] for c in event.children)
         else:
-            out = any(value_of(c) for c in event.children)
-        memo[name] = out
-        return out
-
-    return value_of(tree.top)
+            values[name] = any(values[c] for c in event.children)
+    return values[tree.top]
 
 
 def minimal_cut_sets(tree: FaultTree) -> list[frozenset[str]]:
@@ -174,27 +153,23 @@ def minimal_cut_sets(tree: FaultTree) -> list[frozenset[str]]:
                 kept.append(candidate)
         return kept
 
-    memo: dict[str, list[frozenset[str]]] = {}
-
-    def cuts_of(name: str) -> list[frozenset[str]]:
-        if name in memo:
-            return memo[name]
+    cuts: dict[str, list[frozenset[str]]] = {}
+    for name in postorder(lambda n: tree.events[n].children, [tree.top], "fault tree"):
         event = tree.events[name]
         if event.gate == "basic":
             out = [frozenset([name])]
         elif event.gate == "or":
             combined: list[frozenset[str]] = []
             for child in event.children:
-                combined.extend(cuts_of(child))
+                combined.extend(cuts[child])
             out = minimise(combined)
         else:  # and
             out = [frozenset()]
             for child in event.children:
-                out = minimise(a | b for a in out for b in cuts_of(child))
-        memo[name] = out
-        return out
+                out = minimise(a | b for a in out for b in cuts[child])
+        cuts[name] = out
 
-    return sorted(cuts_of(tree.top), key=lambda s: (len(s), sorted(s)))
+    return sorted(cuts[tree.top], key=lambda s: (len(s), sorted(s)))
 
 
 # --- evidence verdicts -------------------------------------------------------
@@ -310,23 +285,7 @@ class GsnGraph:
                     raise ConfigError(
                         f"node {node.node_id!r} references unknown child {child!r}"
                     )
-        # cycle check over child edges
-        done: set[str] = set()
-        in_progress: set[str] = set()
-
-        def visit(node_id: str) -> None:
-            if node_id in done:
-                return
-            if node_id in in_progress:
-                raise ConfigError(f"goal structure has a cycle through {node_id!r}")
-            in_progress.add(node_id)
-            for child in self.by_id[node_id].children:
-                visit(child)
-            in_progress.discard(node_id)
-            done.add(node_id)
-
-        for node in self.nodes:
-            visit(node.node_id)
+        postorder(lambda node_id: self.by_id[node_id].children, self.by_id, "goal structure")
 
     def roots(self) -> list[GsnNode]:
         """Non-context nodes that no other node claims as a child."""
@@ -335,15 +294,8 @@ class GsnGraph:
 
 
 def read_gsn(source: str | Path | Mapping) -> GsnGraph:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    else:
-        doc = source
-    if not isinstance(doc, dict) or set(doc) != {"nodes"}:
+    doc = read_json(source)
+    if not isinstance(doc, dict) or set(doc) != {"nodes"} or not isinstance(doc["nodes"], list):
         raise ConfigError("goal structure document needs exactly a 'nodes' list")
     nodes: list[GsnNode] = []
     for entry in doc["nodes"]:
@@ -352,13 +304,14 @@ def read_gsn(source: str | Path | Mapping) -> GsnGraph:
         extra = set(entry) - {"id", "kind", "text", "children", "evidence_refs", "module_ref", "asserted"}
         if extra:
             raise ConfigError(f"node {entry['id']!r}: unknown keys {', '.join(sorted(extra))}")
+        owner = f"node {entry['id']!r}"
         nodes.append(
             GsnNode(
                 node_id=entry["id"],
                 kind=entry["kind"],
                 text=entry.get("text", ""),
-                children=tuple(entry.get("children", ())),
-                evidence_refs=tuple(entry.get("evidence_refs", ())),
+                children=_names(owner, "children", entry.get("children", [])),
+                evidence_refs=_names(owner, "evidence_refs", entry.get("evidence_refs", [])),
                 module_ref=entry.get("module_ref"),
                 asserted=bool(entry.get("asserted", False)),
             )
@@ -404,10 +357,7 @@ def link_evidence(graph: GsnGraph, verdicts: Mapping[str, EvidenceVerdict]) -> A
         raise ConfigError(f"evidence refs without verdicts: {', '.join(sorted(set(dangling)))}")
 
     statuses: dict[str, Status] = {}
-
-    def status_of(node_id: str) -> Status:
-        if node_id in statuses:
-            return statuses[node_id]
+    for node_id in postorder(lambda n: graph.by_id[n].children, graph.by_id, "goal structure"):
         node = graph.by_id[node_id]
         if node.kind == "solution":
             if not node.evidence_refs:
@@ -422,7 +372,7 @@ def link_evidence(graph: GsnGraph, verdicts: Mapping[str, EvidenceVerdict]) -> A
             out = Status.SUPPORTED  # contexts never gate their parent
         else:
             child_statuses = [
-                status_of(c) for c in node.children if graph.by_id[c].kind != "context"
+                statuses[c] for c in node.children if graph.by_id[c].kind != "context"
             ]
             if not child_statuses:
                 out = Status.UNDEVELOPED
@@ -433,10 +383,6 @@ def link_evidence(graph: GsnGraph, verdicts: Mapping[str, EvidenceVerdict]) -> A
             else:
                 out = Status.SUPPORTED
         statuses[node_id] = out
-        return out
-
-    for node in graph.nodes:
-        status_of(node.node_id)
     return AnnotatedGsn(graph=graph, statuses=statuses)
 
 
@@ -517,12 +463,19 @@ class SafetySuite:
 _HARVESTER_TOPOLOGY = "harvester"
 
 
+_REAL_FIELDS = ("speed", "decel", "margin", "duration", "step_size", "gap_threshold")
+
+
+def _real(where: str, key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where}: bad {key} {value!r}")
+    return float(value)
+
+
 def read_safety_suite(path: str | Path) -> SafetySuite:
+    """Parse a suite document; fields a run leaves out keep the SafetyRun defaults."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
         raise ConfigError(f"{path}: suite document needs a 'runs' list")
     extra = set(doc) - {"runs", "map"}
@@ -541,42 +494,39 @@ def read_safety_suite(path: str | Path) -> SafetySuite:
         if run_id in seen:
             raise ConfigError(f"{path}: duplicate run id {run_id!r}")
         seen.add(run_id)
-        known = {"id", "speed", "map", "sensor", "decel", "margin", "path",
-                 "duration", "step_size", "gap_threshold", "multi_model"}
-        unknown = set(entry) - known
+        where = f"{path}: run {run_id!r}"
+        unknown = set(entry) - {"id", "map", "sensor", "path", "multi_model", *_REAL_FIELDS}
         if unknown:
-            raise ConfigError(f"{path}: run {run_id!r}: unknown keys {', '.join(sorted(unknown))}")
+            raise ConfigError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
         topology = entry.get("multi_model", _HARVESTER_TOPOLOGY)
         if topology != _HARVESTER_TOPOLOGY:
             raise ConfigError(
-                f"{path}: run {run_id!r}: unknown multi_model {topology!r}; "
+                f"{where}: unknown multi_model {topology!r}; "
                 f"only {_HARVESTER_TOPOLOGY!r} is built in"
             )
         map_name = entry.get("map", default_map)
         if not map_name:
-            raise ConfigError(f"{path}: run {run_id!r} names no map")
-        speed = entry["speed"]
-        if not (isinstance(speed, (int, float)) and math.isfinite(speed) and speed >= 0):
-            raise ConfigError(f"{path}: run {run_id!r}: bad speed {speed!r}")
-        waypoints = entry.get("path", [[0.0, 0.0], [50.0, 0.0]])
-        try:
-            path_tuple = tuple((float(p[0]), float(p[1])) for p in waypoints)
-        except (TypeError, IndexError, ValueError):
-            raise ConfigError(f"{path}: run {run_id!r}: bad path {waypoints!r}") from None
-        runs.append(
-            SafetyRun(
-                run_id=run_id,
-                map_path=str(path.parent / map_name),
-                speed=float(speed),
-                sensor={k: float(v) for k, v in entry.get("sensor", {}).items()},
-                decel=float(entry.get("decel", 3.0)),
-                margin=float(entry.get("margin", 0.2)),
-                path=path_tuple,
-                duration=float(entry.get("duration", 20.0)),
-                step_size=float(entry.get("step_size", 0.01)),
-                gap_threshold=float(entry.get("gap_threshold", 0.0)),
+            raise ConfigError(f"{where} names no map")
+        if not isinstance(map_name, str):
+            raise ConfigError(f"{where}: bad map {map_name!r}")
+        fields = {key: _real(where, key, entry[key]) for key in _REAL_FIELDS if key in entry}
+        if fields["speed"] < 0:
+            raise ConfigError(f"{where}: bad speed {entry['speed']!r}")
+        if "sensor" in entry:
+            sensor = entry["sensor"]
+            if not isinstance(sensor, dict):
+                raise ConfigError(f"{where}: bad sensor {sensor!r}")
+            fields["sensor"] = {k: _real(where, f"sensor.{k}", v) for k, v in sensor.items()}
+        if "path" in entry:
+            waypoints = entry["path"]
+            if not isinstance(waypoints, list) or not all(
+                isinstance(point, list) and len(point) == 2 for point in waypoints
+            ):
+                raise ConfigError(f"{where}: bad path {waypoints!r}")
+            fields["path"] = tuple(
+                tuple(_real(where, "path coordinate", c) for c in point) for point in waypoints
             )
-        )
+        runs.append(SafetyRun(run_id=run_id, map_path=str(path.parent / map_name), **fields))
     return SafetySuite(runs=runs)
 
 
@@ -622,16 +572,6 @@ def harvester_config(run: SafetyRun) -> MultiModelConfig:
     )
 
 
-@lru_cache(maxsize=32)
-def _cached_map(path_text: str, mtime_ns: int, size: int) -> GridMap:
-    return read_grid_map(path_text)
-
-
-def _load_map(path_text: str) -> GridMap:
-    stat = Path(path_text).stat()
-    return _cached_map(path_text, stat.st_mtime_ns, stat.st_size)
-
-
 def assess_run(trace: TimedTrace, grid_map: GridMap, gap_threshold: float) -> tuple[float, bool]:
     """Measure the minimum vehicle-obstacle gap and judge the criterion.
 
@@ -655,7 +595,7 @@ def assess_run(trace: TimedTrace, grid_map: GridMap, gap_threshold: float) -> tu
 def _run_safety_case(args) -> EvidenceVerdict:
     run, evidence_dir = args
     criterion = f"min gap > {run.gap_threshold:g} m; standstill while stop engaged"
-    grid_map = _load_map(run.map_path)
+    grid_map = cached_load(read_grid_map, run.map_path)
     registry = default_registry()
     registry.register("pure_pursuit", pure_pursuit_factory(run.path))
     registry.register("sensor", sensor_factory(grid_map))
@@ -696,14 +636,8 @@ def run_safety_suite(
     is recorded as failed with the reason in its note rather than
     aborting the remaining runs.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     for run in suite.runs:
         if not Path(run.map_path).is_file():
             raise ConfigError(f"run {run.run_id!r}: missing map file {run.map_path}")
     evidence_dir = str(evidence_dir)
-    tasks = [(run, evidence_dir) for run in suite.runs]
-    if workers == 1 or len(tasks) <= 1:
-        return [_run_safety_case(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_safety_case, tasks))
+    return fan_out(_run_safety_case, [(run, evidence_dir) for run in suite.runs], workers)

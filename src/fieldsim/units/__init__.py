@@ -25,7 +25,6 @@ from .control import (
 from .sensing import (
     SENSOR_DESCRIPTION,
     GridMap,
-    SensorParams,
     SensorUnit,
     read_grid_map,
     write_grid_map,
@@ -36,7 +35,6 @@ __all__ = [
     "GridMap",
     "PurePursuitUnit",
     "ReplayUnit",
-    "SensorParams",
     "SensorUnit",
     "SupervisoryBrake",
     "VehicleUnit",

@@ -12,7 +12,7 @@ Cell (i, j) covers the square [x0 + i*res, x0 + (i+1)*res) x
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, floor, hypot, isfinite, pi, sin
 from pathlib import Path
 from typing import Mapping
@@ -132,16 +132,6 @@ def write_grid_map(grid: GridMap, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-@dataclass(frozen=True)
-class SensorParams:
-    """Ray-cast sensor geometry; ranges in metres, fov in radians."""
-
-    min_range: float = 0.5
-    max_range: float = 10.0
-    fov: float = pi
-    ray_count: int = 64
-
-
 SENSOR_DESCRIPTION = UnitDescription(
     unit_type="sensor",
     ports=(
@@ -156,10 +146,10 @@ SENSOR_DESCRIPTION = UnitDescription(
         PortDescriptor("ray_count", _PAR),
     ),
     default_parameters={
-        "min_range": SensorParams.min_range,
-        "max_range": SensorParams.max_range,
-        "fov": SensorParams.fov,
-        "ray_count": float(SensorParams.ray_count),
+        "min_range": 0.5,  # m
+        "max_range": 10.0,  # m
+        "fov": pi,  # rad
+        "ray_count": 64.0,
     },
 )
 

@@ -305,3 +305,75 @@ def test_ft_command_rejects_malformed_states(capsys):
     )
     assert code == 2
     assert "must look like name=true|false" in stderr
+
+
+# --- malformed documents exit 2 ---------------------------------------------
+
+
+def test_cosim_rejects_boolean_to_real_connection(tmp_path, capsys):
+    config = {
+        "duration": 1.0,
+        "instances": {"sup": {"unit_type": "supervisor"}, "veh": {"unit_type": "vehicle"}},
+        "connections": [{"source": "sup.stop_engaged", "sink": "veh.velocity"}],
+        "outputs": ["veh.x"],
+    }
+    path = tmp_path / "mm.json"
+    path.write_text(json.dumps(config))
+    code, _, stderr = run_cli(capsys, "cosim", "--config", path, "--out", tmp_path / "o.csv")
+    assert code == 2
+    assert "sup.stop_engaged -> veh.velocity: source is boolean, sink expects real" in stderr
+
+
+@pytest.mark.parametrize(
+    "field,value,fragment",
+    [
+        ("decel", "fast", "bad decel 'fast'"),
+        ("margin", None, "bad margin None"),
+        ("duration", True, "bad duration True"),
+        ("sensor", [], "bad sensor []"),
+        ("sensor", {"fov": "wide"}, "bad sensor.fov 'wide'"),
+        ("path", [[0.0, 0.0], [5.0]], "bad path"),
+        ("path", [[0.0, 0.0], [5.0, "x"]], "bad path coordinate 'x'"),
+    ],
+)
+def test_safety_run_rejects_mistyped_fields(tmp_path, capsys, field, value, fragment):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"map": "field.map", "runs": [{"id": "a", "speed": 1.0, field: value}]}))
+    code, _, stderr = run_cli(
+        capsys, "safety-run", "--suite", suite, "--evidence-dir", tmp_path / "evidence"
+    )
+    assert code == 2
+    assert fragment in stderr
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        ({"top": "t", "events": [{"gate": "basic"}]}, "'events' must be an object"),
+        (
+            {"top": "t", "events": {"t": {"gate": "or", "children": "ab"},
+                                    "a": {"gate": "basic"}, "b": {"gate": "basic"}}},
+            "'children' must be a list of names",
+        ),
+    ],
+)
+def test_ft_command_rejects_malformed_trees(tmp_path, capsys, doc, fragment):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc))
+    code, _, stderr = run_cli(capsys, "ft", "--tree", tree, "--events", "a=true,b=true")
+    assert code == 2
+    assert fragment in stderr
+
+
+def test_gsn_command_rejects_string_children(tmp_path, capsys):
+    gsn = tmp_path / "gsn.json"
+    gsn.write_text(json.dumps({"nodes": [
+        {"id": "G", "kind": "goal", "children": "ab"},
+        {"id": "a", "kind": "goal"},
+        {"id": "b", "kind": "goal"},
+    ]}))
+    code, _, stderr = run_cli(
+        capsys, "gsn", "--gsn", gsn, "--evidence-dir", tmp_path, "--out", tmp_path / "c.dot"
+    )
+    assert code == 2
+    assert "'children' must be a list of names" in stderr

@@ -685,3 +685,24 @@ def test_run_safety_suite_requires_map_files(tmp_path):
     suite = read_safety_suite(write_suite(tmp_path, doc))
     with pytest.raises(ConfigError, match="missing map file"):
         run_safety_suite(suite, tmp_path / "evidence")
+
+
+@pytest.mark.parametrize(
+    "entry,fragment",
+    [
+        ({"id": "G", "kind": "goal", "children": "ab"}, "'children' must be a list of names"),
+        ({"id": "G", "kind": "goal", "children": [1]}, "'children' must be a list of names"),
+        ({"id": "E", "kind": "solution", "evidence_refs": "run1"},
+         "'evidence_refs' must be a list of names"),
+    ],
+)
+def test_read_gsn_rejects_malformed_name_lists(entry, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        read_gsn({"nodes": [entry]})
+
+
+def test_read_fault_tree_rejects_malformed_events():
+    with pytest.raises(ConfigError, match="'events' must be an object"):
+        read_fault_tree({"top": "t", "events": []})
+    with pytest.raises(ConfigError, match="'children' must be a list of names"):
+        read_fault_tree({"top": "t", "events": {"t": {"gate": "or", "children": "ab"}}})

@@ -1,0 +1,97 @@
+"""Shared plumbing: deep graph walks, the file cache and the capped fan-out."""
+
+import json
+
+import pytest
+
+from fieldsim import _shared
+from fieldsim.cli import main
+from fieldsim.errors import ConfigError
+from fieldsim.safety import (
+    EvidenceVerdict,
+    SafetyRun,
+    SafetySuite,
+    Status,
+    link_evidence,
+    minimal_cut_sets,
+    read_fault_tree,
+    read_gsn,
+    run_safety_suite,
+)
+from fieldsim.units import read_grid_map, write_grid_map
+
+from conftest import build_blind_map, build_field_map
+
+DEPTH = 5000  # far beyond the interpreter's default recursion limit
+
+
+def or_chain_doc(depth):
+    events = {f"g{i}": {"gate": "or", "children": [f"g{i + 1}"]} for i in range(depth)}
+    events[f"g{depth}"] = {"gate": "basic"}
+    return {"top": "g0", "events": events}
+
+
+def test_deep_fault_tree_evaluates_from_the_command_line(tmp_path, capsys):
+    tree = tmp_path / "chain.json"
+    tree.write_text(json.dumps(or_chain_doc(DEPTH)))
+    code = main(["ft", "--tree", str(tree), "--events", f"g{DEPTH}=true"])
+    assert (code, capsys.readouterr().out) == (0, "TOP: true\n")
+
+
+def test_deep_fault_tree_cut_sets():
+    tree = read_fault_tree(or_chain_doc(DEPTH))
+    assert minimal_cut_sets(tree) == [frozenset([f"g{DEPTH}"])]
+
+
+def test_deep_goal_chain_links_evidence():
+    nodes = [{"id": f"G{i}", "kind": "goal", "children": [f"G{i + 1}"]} for i in range(DEPTH)]
+    nodes.append({"id": f"G{DEPTH}", "kind": "goal", "children": ["E"]})
+    nodes.append({"id": "E", "kind": "solution", "evidence_refs": ["run"]})
+    verdict = EvidenceVerdict("run", True, "c", 1.0, 0.0)
+    annotated = link_evidence(read_gsn({"nodes": nodes}), {"run": verdict})
+    assert annotated.root_status() is Status.SUPPORTED
+    assert set(annotated.statuses) == {n["id"] for n in nodes}
+
+
+def test_postorder_puts_children_first_and_names_the_cycle():
+    children = {"a": ["b", "c"], "b": ["c"], "c": [], "d": []}
+    assert _shared.postorder(children.get, "adc", "graph") == ["c", "b", "a", "d"]
+    with pytest.raises(ConfigError, match="graph has a cycle through 'a'"):
+        _shared.postorder({"a": ["b"], "b": ["a"]}.get, "ab", "graph")
+
+
+def test_cached_load_rereads_a_changed_file(tmp_path):
+    path = tmp_path / "m.map"
+    write_grid_map(build_field_map(), path)
+    first = _shared.cached_load(read_grid_map, path)
+    assert _shared.cached_load(read_grid_map, path) is first
+    write_grid_map(build_blind_map(), path)
+    assert _shared.cached_load(read_grid_map, path) == build_blind_map()
+
+
+def test_suite_pool_is_capped_at_the_run_count(tmp_path, field_map_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs tasks here."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(_shared, "ProcessPoolExecutor", RecordingPool)
+    runs = [
+        SafetyRun(run_id=name, map_path=str(field_map_path), speed=1.0, duration=0.1)
+        for name in ("first", "second")
+    ]
+    verdicts = run_safety_suite(SafetySuite(runs), tmp_path / "evidence", workers=64)
+    assert sizes == [2]
+    assert [v.run_id for v in verdicts] == ["first", "second"]
