@@ -97,6 +97,10 @@ def load_multimodel(source: str | Path | Mapping) -> MultiModelConfig:
     for name, spec in doc["instances"].items():
         if not isinstance(spec, dict) or "unit_type" not in spec:
             raise ConfigError(f"instance {name!r} needs a 'unit_type'")
+        if not isinstance(spec["unit_type"], str):
+            raise ConfigError(
+                f"instance {name!r}: 'unit_type' must be a string, got {spec['unit_type']!r}"
+            )
         params = spec.get("parameters", {})
         if not isinstance(params, dict):
             raise ConfigError(f"instance {name!r}: 'parameters' must be an object")

@@ -89,6 +89,8 @@ def read_fault_tree(source: str | Path | Mapping) -> FaultTree:
         raise ConfigError("fault tree document needs exactly 'top' and 'events'")
     if not isinstance(doc["events"], dict):
         raise ConfigError("fault tree 'events' must be an object")
+    if not isinstance(doc["top"], str):
+        raise ConfigError(f"fault tree 'top' must be an event name, got {doc['top']!r}")
     events: dict[str, FtEvent] = {}
     for name, entry in doc["events"].items():
         if not isinstance(entry, dict) or "gate" not in entry:
@@ -301,6 +303,8 @@ def read_gsn(source: str | Path | Mapping) -> GsnGraph:
     for entry in doc["nodes"]:
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
             raise ConfigError(f"node {entry!r} needs 'id' and 'kind'")
+        if not isinstance(entry["id"], str):
+            raise ConfigError(f"node 'id' must be a string, got {entry['id']!r}")
         extra = set(entry) - {"id", "kind", "text", "children", "evidence_refs", "module_ref", "asserted"}
         if extra:
             raise ConfigError(f"node {entry['id']!r}: unknown keys {', '.join(sorted(extra))}")
@@ -602,14 +606,19 @@ def _run_safety_case(args) -> EvidenceVerdict:
     try:
         trace = run_cosim(harvester_config(run), registry)
     except (ConfigError, SimulationError) as exc:
+        note = f"simulation failed: {exc}"
+        if isinstance(exc, ConfigError) and exc.diagnostics != [str(exc)]:
+            note += ": " + "; ".join(exc.diagnostics)
         verdict = EvidenceVerdict(
             run_id=run.run_id,
             passed=False,
             criterion=criterion,
             measured=-1.0,
             threshold=run.gap_threshold,
-            note=f"simulation failed: {exc}",
+            note=note,
         )
+        # a results table left by an earlier run must not sit beside this verdict
+        (Path(evidence_dir) / run.run_id / "results.csv").unlink(missing_ok=True)
         write_verdict(verdict, evidence_dir)
         return verdict
     min_gap, passed = assess_run(trace, grid_map, run.gap_threshold)

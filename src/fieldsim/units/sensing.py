@@ -13,7 +13,8 @@ Cell (i, j) covers the square [x0 + i*res, x0 + (i+1)*res) x
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, floor, hypot, isfinite, pi, sin
+from functools import cached_property
+from math import atan2, ceil, cos, floor, hypot, isfinite, pi, sin, tau
 from pathlib import Path
 from typing import Mapping
 
@@ -65,28 +66,39 @@ class GridMap:
             return False
         return self.cells[j * self.width + i] == 1
 
+    @cached_property
+    def _cell_bounds(self) -> tuple[tuple[float, float, float, float], ...]:
+        """``(x_lo, y_lo, x_hi, y_hi)`` of every occupied cell, row by row."""
+        res, width = self.resolution, self.width
+        out = []
+        for n, cell in enumerate(self.cells):
+            if cell:
+                cx = self.x0 + (n % width) * res
+                cy = self.y0 + (n // width) * res
+                out.append((cx, cy, cx + res, cy + res))
+        return tuple(out)
+
+    @cached_property
+    def _occupied_box(self) -> tuple[float, float, float, float] | None:
+        """Bounding box ``(x_lo, y_lo, x_hi, y_hi)`` of the occupied cells; None if none."""
+        if not self._cell_bounds:
+            return None
+        x_lo, y_lo, x_hi, y_hi = zip(*self._cell_bounds)
+        return min(x_lo), min(y_lo), max(x_hi), max(y_hi)
+
     def occupied_cell_corners(self) -> list[tuple[float, float]]:
         """Lower-left corners of all occupied cells."""
-        res = self.resolution
-        out = []
-        for j in range(self.height):
-            row = j * self.width
-            for i in range(self.width):
-                if self.cells[row + i]:
-                    out.append((self.x0 + i * res, self.y0 + j * res))
-        return out
+        return [(cx, cy) for cx, cy, _, _ in self._cell_bounds]
 
     def clearance(self, x: float, y: float) -> float:
         """Distance from a point to the nearest occupied cell; 0 inside one.
 
-        Returns +inf on a map without occupied cells.
+        Returns +inf on a map without occupied cells.  Costs time per
+        occupied cell, not per grid cell.
         """
-        res = self.resolution
         best = float("inf")
-        for cx, cy in self.occupied_cell_corners():
-            dx = max(cx - x, 0.0, x - (cx + res))
-            dy = max(cy - y, 0.0, y - (cy + res))
-            d = hypot(dx, dy)
+        for x_lo, y_lo, x_hi, y_hi in self._cell_bounds:
+            d = hypot(max(x_lo - x, 0.0, x - x_hi), max(y_lo - y, 0.0, y - y_hi))
             if d < best:
                 best = d
         return best
@@ -162,6 +174,12 @@ class SensorUnit(SimulationUnit):
     resolution.  Obstacles nearer than ``min_range`` sit in the blind
     zone and are invisible.  With no hit, ``obstacle_detected`` is False
     and ``obstacle_distance`` is -1.
+
+    The march only visits points that can lie in an occupied cell: rays
+    are clipped to the occupied box grown by one cell, and march from the
+    pose's clearance on.  The result is the one a march of every ray over
+    every point gives, as long as coordinates are small enough that their
+    rounding error stays far below one cell.
     """
 
     def __init__(self, grid_map: GridMap, parameters: Mapping[str, float] | None = None):
@@ -180,35 +198,125 @@ class SensorUnit(SimulationUnit):
             raise ContractViolation(f"ray_count must be a positive integer, got {rays}")
         self._map = grid_map
         self._rays = int(rays)
-        self._march = grid_map.resolution * 0.5
-        # number of march points per ray, covering [min_range, max_range]
-        self._march_steps = int(floor((p["max_range"] - p["min_range"]) / self._march)) + 1
+        self._march = march = grid_map.resolution * 0.5
+        # march point k sits at min_range + k * march; the last one within max_range
+        last = int(floor((p["max_range"] - p["min_range"]) / march))
+        while p["min_range"] + last * march > p["max_range"]:
+            last -= 1
+        self._last_k = last
+        box = grid_map._occupied_box
+        if box is not None:
+            res = grid_map.resolution
+            box = (box[0] - res, box[1] - res, box[2] + res, box[3] + res)
+        self._box = box
         self._advance(0.0)
 
     def _advance(self, h: float) -> None:
         inputs = self._inputs
         x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
         p = self.parameters
-        occupied_at = self._map.occupied_at
-        rays = self._rays
-        fov = p["fov"]
-        min_range = p["min_range"]
-        max_range = p["max_range"]
-        march = self._march
+        gap = self._map.clearance(x, y)
         best = -1.0
-        for i in range(rays):
+        # beyond max_range plus one cell, no march point can round into a cell
+        if gap <= p["max_range"] + self._map.resolution:
+            k = self._first_hit(x, y, theta, gap)
+            if k <= self._last_k:
+                best = p["min_range"] + k * self._march
+        out = self._outputs
+        out["obstacle_detected"] = best >= 0.0
+        out["obstacle_distance"] = best
+
+    def _first_hit(self, x: float, y: float, theta: float, gap: float) -> int:
+        """Least march index at which some ray meets an occupied cell; past the last if none.
+
+        Each ray marches only the indices where it is inside the grown box
+        and no nearer than ``gap``, with one index to spare at each end.
+        Rays are visited by entry distance, so the first ray whose entry
+        lies past the best hit so far ends the search.
+        """
+        grid = self._map
+        x0, y0, res, width, height, cells = (
+            grid.x0, grid.y0, grid.resolution, grid.width, grid.height, grid.cells
+        )
+        bx0, by0, bx1, by1 = self._box
+        p = self.parameters
+        min_range, max_range, fov = p["min_range"], p["max_range"], p["fov"]
+        march, rays, last_k = self._march, self._rays, self._last_k
+        spans = []
+        for i in self._rays_toward_box(x, y, theta):
             if rays > 1:
                 phi = theta - 0.5 * fov + i * (fov / (rays - 1))
             else:
                 phi = theta
             cos_p, sin_p = cos(phi), sin(phi)
-            for k in range(self._march_steps):
+            # clip to the grown box, one slab per axis, spelled out on this hot path
+            s_in, s_out = gap, max_range
+            if cos_p:
+                a, b = (bx0 - x) / cos_p, (bx1 - x) / cos_p
+                if a > b:
+                    a, b = b, a
+                if a > s_in:
+                    s_in = a
+                if b < s_out:
+                    s_out = b
+            elif not bx0 <= x <= bx1:
+                continue
+            if sin_p:
+                a, b = (by0 - y) / sin_p, (by1 - y) / sin_p
+                if a > b:
+                    a, b = b, a
+                if a > s_in:
+                    s_in = a
+                if b < s_out:
+                    s_out = b
+            elif not by0 <= y <= by1:
+                continue
+            if s_in > s_out + march:
+                continue
+            k_in = max(0, floor((s_in - min_range) / march) - 1)
+            k_out = min(last_k, floor((s_out - min_range) / march) + 1)
+            if k_in <= k_out:
+                spans.append((k_in, k_out, cos_p, sin_p))
+        spans.sort()
+        best = last_k + 1
+        for k_in, k_out, cos_p, sin_p in spans:
+            if k_in >= best:
+                break
+            for k in range(k_in, min(k_out + 1, best)):
                 s = min_range + k * march
-                if s > max_range or (best >= 0.0 and s >= best):
-                    break
-                if occupied_at(x + s * cos_p, y + s * sin_p):
-                    best = s
-                    break
-        out = self._outputs
-        out["obstacle_detected"] = best >= 0.0
-        out["obstacle_distance"] = best
+                i = floor((x + s * cos_p - x0) / res)
+                if 0 <= i < width:
+                    j = floor((y + s * sin_p - y0) / res)
+                    if 0 <= j < height and cells[j * width + i]:
+                        best = k
+                        break
+        return best
+
+    def _rays_toward_box(self, x: float, y: float, theta: float):
+        """Indices of the rays headed into the occupied box, with one ray to spare each side.
+
+        From inside the grown box, or with a single ray, that is every ray.
+        Outside it, a hit point lies at least a cell from the pose, so its
+        bearing differs from its ray's heading by far less than one ray
+        spacing.
+        """
+        bx0, by0, bx1, by1 = self._box
+        rays = self._rays
+        if rays == 1 or (bx0 <= x <= bx1 and by0 <= y <= by1):
+            return range(rays)
+        bx0, by0, bx1, by1 = self._map._occupied_box
+        # seen from outside, the box spans less than pi around its centre
+        mid = atan2(0.5 * (by0 + by1) - y, 0.5 * (bx0 + bx1) - x)
+        devs = [
+            (atan2(cy - y, cx - x) - mid + pi) % tau - pi for cx in (bx0, bx1) for cy in (by0, by1)
+        ]
+        fov = self.parameters["fov"]
+        step = fov / (rays - 1)
+        width = max(devs) - min(devs)
+        # offset of the wedge from the first ray; ray i sits at offset i * step in [0, fov]
+        u = (mid + min(devs) - (theta - 0.5 * fov)) % tau
+        picked: set[int] = set()
+        for a in (u, u - tau):
+            first, last = ceil(a / step) - 1, floor((a + width) / step) + 1
+            picked.update(range(max(0, first), min(rays, last + 1)))
+        return picked

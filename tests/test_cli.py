@@ -377,3 +377,30 @@ def test_gsn_command_rejects_string_children(tmp_path, capsys):
     )
     assert code == 2
     assert "'children' must be a list of names" in stderr
+
+
+@pytest.mark.parametrize(
+    "command,doc,fragment",
+    [
+        ("ft", {"top": ["t"], "events": {"t": {"gate": "basic"}}},
+         "fault tree 'top' must be an event name, got ['t']"),
+        ("gsn", {"nodes": [{"id": ["G"], "kind": "goal"}]},
+         "node 'id' must be a string, got ['G']"),
+        ("cosim", {"duration": 1.0, "instances": {"veh": {"unit_type": ["vehicle"]}},
+                   "outputs": ["veh.x"]},
+         "instance 'veh': 'unit_type' must be a string, got ['vehicle']"),
+    ],
+    ids=["ft-top", "gsn-id", "cosim-unit-type"],
+)
+def test_names_that_are_not_strings_exit_2(tmp_path, capsys, command, doc, fragment):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = {
+        "ft": ["--tree", path, "--events", "t=true"],
+        "gsn": ["--gsn", path, "--evidence-dir", tmp_path, "--out", tmp_path / "c.dot"],
+        "cosim": ["--config", path, "--out", tmp_path / "o.csv"],
+    }[command]
+    code, _, stderr = run_cli(capsys, command, *args)
+    assert code == 2
+    assert fragment in stderr
+    assert "Traceback" not in stderr

@@ -706,3 +706,36 @@ def test_read_fault_tree_rejects_malformed_events():
         read_fault_tree({"top": "t", "events": []})
     with pytest.raises(ConfigError, match="'children' must be a list of names"):
         read_fault_tree({"top": "t", "events": {"t": {"gate": "or", "children": "ab"}}})
+
+
+def test_failed_rerun_leaves_no_stale_results(tmp_path):
+    from fieldsim.units import write_grid_map
+
+    write_grid_map(build_field_map(), tmp_path / "field.map")
+    evidence = tmp_path / "evidence"
+    run = {"id": "a", "speed": 1.0, "duration": 2.0}
+    run_safety_suite(read_safety_suite(write_suite(tmp_path, {"map": "field.map", "runs": [run]})),
+                     evidence)
+    assert (evidence / "a" / "results.csv").is_file()
+
+    run["sensor"] = {"min_range": 3.0, "max_range": 2.0}
+    suite = read_safety_suite(write_suite(tmp_path, {"map": "field.map", "runs": [run]}))
+    [verdict] = run_safety_suite(suite, evidence)
+    assert verdict.passed is False
+    assert not (evidence / "a" / "results.csv").exists()
+    assert read_verdicts(evidence) == {"a": verdict}
+
+
+def test_failed_run_note_lists_every_diagnostic(tmp_path):
+    from fieldsim.units import write_grid_map
+
+    write_grid_map(build_field_map(), tmp_path / "field.map")
+    doc = {"map": "field.map", "runs": [
+        {"id": "a", "speed": 1.0, "duration": 2.0,
+         "sensor": {"min_range": 3.0, "max_range": 2.0}},
+    ]}
+    [verdict] = run_safety_suite(read_safety_suite(write_suite(tmp_path, doc)), tmp_path / "e")
+    assert verdict.note == (
+        "simulation failed: invalid multi-model configuration: "
+        "instance 'sns': max_range must exceed min_range, got 2.0 <= 3.0"
+    )

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldsim.errors import ConfigError, ContractViolation
 from fieldsim.orchestrator import (
@@ -396,3 +398,173 @@ def test_sensor_parameter_validation():
         SensorUnit(grid, {"fov": 7.0})
     with pytest.raises(ContractViolation, match="ray_count"):
         SensorUnit(grid, {"ray_count": 2.5})
+
+
+# --- sensor against the full march -----------------------------------------
+
+
+def march_every_ray(unit, grid, x, y, theta):
+    """Reference sensor: every ray marched over every point, no early-outs."""
+    p = unit.parameters
+    rays, fov = int(p["ray_count"]), p["fov"]
+    min_range, max_range = p["min_range"], p["max_range"]
+    march = grid.resolution * 0.5
+    best = -1.0
+    for i in range(rays):
+        phi = theta - 0.5 * fov + i * (fov / (rays - 1)) if rays > 1 else theta
+        cos_p, sin_p = math.cos(phi), math.sin(phi)
+        for k in range(int(math.floor((max_range - min_range) / march)) + 1):
+            s = min_range + k * march
+            if s > max_range or (best >= 0.0 and s >= best):
+                break
+            if grid.occupied_at(x + s * cos_p, y + s * sin_p):
+                best = s
+                break
+    return best
+
+
+def rescan_clearance(grid, x, y):
+    """Reference clearance: every grid cell visited."""
+    res = grid.resolution
+    best = math.inf
+    for j in range(grid.height):
+        for i in range(grid.width):
+            if grid.cells[j * grid.width + i]:
+                cx, cy = grid.x0 + i * res, grid.y0 + j * res
+                dx = max(cx - x, 0.0, x - (cx + res))
+                dy = max(cy - y, 0.0, y - (cy + res))
+                best = min(best, math.hypot(dx, dy))
+    return best
+
+
+def assert_matches_march(grid, params, x, y, theta):
+    unit = SensorUnit(grid, params)
+    detected, distance = scan(grid, params, x, y, theta)
+    expected = march_every_ray(unit, grid, x, y, theta)
+    assert distance == expected
+    assert detected is (expected >= 0.0)
+    return distance
+
+
+# 8 x 8 map of 0.5 m cells at (6, 6) with a 2 x 2 block: occupied box
+# [7.5, 8.5]^2, grown by one cell to [7, 9]^2.  Away from the origin a
+# ray 1e-16 off an edge still rounds onto it.
+BLOCK = GridMap(8, 8, 0.5, 6.0, 6.0, tuple(
+    1 if i in (3, 4) and j in (3, 4) else 0 for j in range(8) for i in range(8)
+))
+FULL_CIRCLE = {"min_range": 0.5, "max_range": 3.0, "fov": 2 * math.pi, "ray_count": 5.0}
+ONE_RAY = {"min_range": 0.5, "max_range": 3.0, "ray_count": 1.0}
+
+
+@pytest.mark.parametrize(
+    "params,x,y,theta,expected",
+    [
+        # a ray running along a box edge, 1e-16 outside it: every march point
+        # rounds onto the edge, so the march hits a cell the exact ray misses
+        (FULL_CIRCLE, 9.5, 7.5, -math.pi / 2, 1.25),
+        (FULL_CIRCLE, 7.5, 9.5, math.pi, 1.25),
+        (FULL_CIRCLE, 9.5, 7.5, 0.0, 1.25),
+        (ONE_RAY, 9.5, 7.5, -math.pi, 1.25),
+        (ONE_RAY, 7.5, 9.5, 1.5 * math.pi, 1.25),
+        (ONE_RAY, 7.5, 5.5, math.pi / 2, 2.0),
+        # on the grown box's edges
+        (ONE_RAY, 7.0, 9.5, -math.pi / 2, -1.0),
+        (ONE_RAY, 9.5, 7.0, math.pi, -1.0),
+        (FULL_CIRCLE, 9.0, 8.0, math.pi, 0.75),
+    ],
+)
+def test_sensor_edge_poses_match_full_march(params, x, y, theta, expected):
+    assert assert_matches_march(BLOCK, params, x, y, theta) == expected
+
+
+def test_sensor_full_circle_wraps_around():
+    params = {"min_range": 0.1, "max_range": 3.0, "fov": 2 * math.pi, "ray_count": 17.0}
+    # at -3pi/4 the first and the last ray both point at the block
+    for theta in (-3 * math.pi / 4, 0.0, math.pi / 2, math.pi, -math.pi / 2, 2.9, -3.1):
+        distance = assert_matches_march(BLOCK, params, 6.25, 6.25, theta)
+        assert distance > 0.0
+
+
+def test_sensor_single_ray():
+    assert assert_matches_march(BLOCK, ONE_RAY, 6.5, 8.0, 0.0) == 1.0
+    assert assert_matches_march(BLOCK, ONE_RAY, 6.5, 8.0, math.pi) == -1.0
+
+
+def test_sensor_pose_inside_occupied_box():
+    params = {"min_range": 0.0, "max_range": 2.0}
+    assert assert_matches_march(BLOCK, params, 8.1, 7.8, 0.3) == 0.0
+    assert assert_matches_march(BLOCK, {"min_range": 1.2, "max_range": 2.0}, 8.1, 7.8, 0.3) == -1.0
+
+
+def test_sensor_last_march_point_rounding_past_max_range_is_dropped():
+    # 0.1 + 624 * 0.025 == 15.700000000000001 > 15.7, inside the cell at 15.7
+    cell = GridMap(1, 1, 0.05, 15.7, -0.025, (1,))
+    params = {"min_range": 0.1, "max_range": 15.7, "ray_count": 1.0}
+    assert assert_matches_march(cell, params, 0.0, 0.0, 0.0) == -1.0
+    params["max_range"] = 15.71
+    assert assert_matches_march(cell, params, 0.0, 0.0, 0.0) == 0.1 + 624 * 0.025
+
+
+def test_sensor_empty_map_matches_full_march():
+    empty = GridMap(3, 3, 0.5, 0.0, 0.0, (0,) * 9)
+    for theta in (0.0, math.pi):
+        assert assert_matches_march(empty, {"fov": 2 * math.pi}, 0.75, 0.75, theta) == -1.0
+
+
+def test_clearance_matches_rescan_on_cell_edges():
+    rng = random.Random(5)
+    cells = tuple(int(rng.random() < 0.2) for _ in range(7 * 5))
+    grid = GridMap(7, 5, 0.25, -0.5, 1.0, cells)
+    for i in range(-2, 10):
+        for j in range(-2, 8):
+            x, y = -0.5 + i * 0.25, 1.0 + j * 0.25
+            assert grid.clearance(x, y) == rescan_clearance(grid, x, y)
+
+
+@st.composite
+def grid_maps(draw):
+    width, height = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    res = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0))
+    # origins away from zero, where 1e-16 offsets round away, matter most
+    x0 = draw(st.sampled_from([0.0, -1.0, 6.0, -8.0, 64.0]) | st.floats(-8.0, 8.0))
+    y0 = draw(st.sampled_from([0.0, -1.125, 6.0, -8.0, 64.0]) | st.floats(-8.0, 8.0))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    cells = tuple(int(rng.random() < density) for _ in range(width * height))
+    return GridMap(width, height, res, x0, y0, cells)
+
+
+@st.composite
+def poses(draw, grid, reach):
+    def coord(origin, cells):
+        on_edge = origin + draw(st.integers(-4, cells + 4)) * grid.resolution
+        anywhere = st.floats(origin - reach, origin + cells * grid.resolution + reach)
+        return draw(st.just(on_edge) | anywhere)
+
+    return coord(grid.x0, grid.width), coord(grid.y0, grid.height)
+
+
+headings = st.sampled_from(
+    [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1.5 * math.pi]
+) | st.floats(
+    -2 * math.pi, 2 * math.pi
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), grid=grid_maps(), theta=headings,
+       fov=st.sampled_from([math.pi, 2 * math.pi]) | st.floats(1e-3, 2 * math.pi),
+       ray_count=st.integers(1, 64), min_range=st.floats(0.0, 2.0),
+       span=st.floats(0.05, 5.0))
+def test_sensor_matches_full_march(data, grid, theta, fov, ray_count, min_range, span):
+    params = {"min_range": min_range, "max_range": min_range + span,
+              "fov": fov, "ray_count": float(ray_count)}
+    x, y = data.draw(poses(grid, min_range + span + 1.0))
+    assert_matches_march(grid, params, x, y, theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), grid=grid_maps())
+def test_clearance_matches_rescan(data, grid):
+    x, y = data.draw(poses(grid, 3.0))
+    assert grid.clearance(x, y) == rescan_clearance(grid, x, y)
