@@ -182,10 +182,14 @@ def read_dse_config(path: str | Path) -> DseConfig:
 
     warnings = [f"key {key!r} is not interpreted; ignoring it" for key in sorted(tolerated & set(doc))]
 
+    def file_at(value, key: str) -> Path:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: {key} must be a file path string, got {value!r}")
+        return path.parent / value
+
     multi_model = None
     if "multiModel" in doc:
-        mm_path = path.parent / doc["multiModel"]
-        multi_model = load_multimodel(mm_path)
+        multi_model = load_multimodel(file_at(doc["multiModel"], "'multiModel'"))
 
     scenario_files: dict[str, tuple[Path, Path]] = {}
     raw_files = doc.get("scenarioFiles", {})
@@ -196,7 +200,10 @@ def read_dse_config(path: str | Path) -> DseConfig:
             raise ConfigError(
                 f"{path}: scenarioFiles[{name!r}] needs exactly 'inputs' and 'reference'"
             )
-        scenario_files[name] = (path.parent / entry["inputs"], path.parent / entry["reference"])
+        scenario_files[name] = (
+            file_at(entry["inputs"], f"scenarioFiles[{name!r}].inputs"),
+            file_at(entry["reference"], f"scenarioFiles[{name!r}].reference"),
+        )
 
     return DseConfig(
         algorithm=algorithm,

@@ -109,6 +109,10 @@ def load_multimodel(source: str | Path | Mapping) -> MultiModelConfig:
             raise ConfigError(f"instance {name!r}: unknown keys {', '.join(sorted(extra))}")
         instances[name] = InstanceSpec(spec["unit_type"], dict(params))
 
+    for key in ("connections", "outputs"):
+        if not isinstance(doc.get(key, []), list):
+            raise ConfigError(f"{key!r} must be a list")
+
     connections: list[Connection] = []
     for item in doc.get("connections", []):
         if not isinstance(item, dict) or set(item) != {"source", "sink"}:
@@ -126,21 +130,15 @@ def load_multimodel(source: str | Path | Mapping) -> MultiModelConfig:
     )
 
 
-def _instantiate_all(
-    config: MultiModelConfig, registry: UnitRegistry
-) -> tuple[dict[str, SimulationUnit], list[str]]:
-    units: dict[str, SimulationUnit] = {}
-    diagnostics: list[str] = []
-    for name, spec in config.instances.items():
-        try:
-            units[name] = registry.instantiate(spec.unit_type, spec.parameters)
-        except (UnknownUnitError, ContractViolation) as exc:
-            diagnostics.append(f"instance {name!r}: {exc}")
-    return units, diagnostics
-
-
 def validate_config(config: MultiModelConfig, registry: UnitRegistry) -> list[str]:
     """Collect every problem with a config; an empty list means runnable."""
+    return _build(config, registry)[1]
+
+
+def _build(
+    config: MultiModelConfig, registry: UnitRegistry
+) -> tuple[dict[str, SimulationUnit], list[str]]:
+    """Build every instance and check the config; the units are runnable if no diagnostics."""
     diagnostics: list[str] = []
 
     if not (isinstance(config.step_size, (int, float)) and not isinstance(config.step_size, bool)
@@ -161,8 +159,12 @@ def validate_config(config: MultiModelConfig, registry: UnitRegistry) -> list[st
         if not name or "," in name:
             diagnostics.append(f"bad instance name {name!r}")
 
-    units, inst_diags = _instantiate_all(config, registry)
-    diagnostics.extend(inst_diags)
+    units: dict[str, SimulationUnit] = {}
+    for name, spec in config.instances.items():
+        try:
+            units[name] = registry.instantiate(spec.unit_type, spec.parameters)
+        except (UnknownUnitError, ContractViolation) as exc:
+            diagnostics.append(f"instance {name!r}: {exc}")
 
     def check_endpoint(ref: PortRef, wanted: PortDirection, role: str) -> PortDescriptor | None:
         unit = units.get(ref.instance)
@@ -202,7 +204,7 @@ def validate_config(config: MultiModelConfig, registry: UnitRegistry) -> list[st
     for ref in config.outputs:
         check_endpoint(ref, PortDirection.OUTPUT, "recorded output")
 
-    return diagnostics
+    return units, diagnostics
 
 
 def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
@@ -212,11 +214,10 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
     invalid, and :class:`SimulationError` naming the failing instance
     and simulation time when a unit breaks down mid-run.
     """
-    diagnostics = validate_config(config, registry)
+    units, diagnostics = _build(config, registry)
     if diagnostics:
         raise ConfigError("invalid multi-model configuration", diagnostics)
 
-    units, _ = _instantiate_all(config, registry)
     h = float(config.step_size)
     n_steps = int(math.ceil(Fraction(config.duration) / Fraction(h))) if config.duration > 0 else 0
 

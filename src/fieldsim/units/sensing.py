@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import atan2, ceil, cos, floor, hypot, isfinite, pi, sin, tau
+from math import cos, floor, hypot, isfinite, pi, sin
 from pathlib import Path
 from typing import Mapping
 
@@ -85,10 +85,6 @@ class GridMap:
             return None
         x_lo, y_lo, x_hi, y_hi = zip(*self._cell_bounds)
         return min(x_lo), min(y_lo), max(x_hi), max(y_hi)
-
-    def occupied_cell_corners(self) -> list[tuple[float, float]]:
-        """Lower-left corners of all occupied cells."""
-        return [(cx, cy) for cx, cy, _, _ in self._cell_bounds]
 
     def clearance(self, x: float, y: float) -> float:
         """Distance from a point to the nearest occupied cell; 0 inside one.
@@ -179,7 +175,8 @@ class SensorUnit(SimulationUnit):
     are clipped to the occupied box grown by one cell, and march from the
     pose's clearance on.  The result is the one a march of every ray over
     every point gives, as long as coordinates are small enough that their
-    rounding error stays far below one cell.
+    rounding error stays far below one cell.  A step whose pose equals the
+    previous step's repeats that step's result.
     """
 
     def __init__(self, grid_map: GridMap, parameters: Mapping[str, float] | None = None):
@@ -209,11 +206,21 @@ class SensorUnit(SimulationUnit):
             res = grid_map.resolution
             box = (box[0] - res, box[1] - res, box[2] + res, box[3] + res)
         self._box = box
+        self._pose = None
         self._advance(0.0)
 
     def _advance(self, h: float) -> None:
         inputs = self._inputs
-        x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
+        pose = inputs["x"], inputs["y"], inputs["theta"]
+        # The result depends on the pose alone; parameters, map and box are
+        # fixed at construction.  == counts 0.0 and -0.0 as equal, which is
+        # exact: past this point the pose only reaches floor, comparisons,
+        # max and hypot, possibly through sums and products that change at
+        # most the sign of a zero, and none of those sees that sign.
+        if pose == self._pose:
+            return
+        self._pose = pose
+        x, y, theta = pose
         p = self.parameters
         gap = self._map.clearance(x, y)
         best = -1.0
@@ -230,9 +237,8 @@ class SensorUnit(SimulationUnit):
         """Least march index at which some ray meets an occupied cell; past the last if none.
 
         Each ray marches only the indices where it is inside the grown box
-        and no nearer than ``gap``, with one index to spare at each end.
-        Rays are visited by entry distance, so the first ray whose entry
-        lies past the best hit so far ends the search.
+        and no nearer than ``gap``, with one index to spare at each end,
+        and stops short of the best hit so far.
         """
         grid = self._map
         x0, y0, res, width, height, cells = (
@@ -242,8 +248,8 @@ class SensorUnit(SimulationUnit):
         p = self.parameters
         min_range, max_range, fov = p["min_range"], p["max_range"], p["fov"]
         march, rays, last_k = self._march, self._rays, self._last_k
-        spans = []
-        for i in self._rays_toward_box(x, y, theta):
+        best = last_k + 1
+        for i in range(rays):
             if rays > 1:
                 phi = theta - 0.5 * fov + i * (fov / (rays - 1))
             else:
@@ -275,48 +281,12 @@ class SensorUnit(SimulationUnit):
                 continue
             k_in = max(0, floor((s_in - min_range) / march) - 1)
             k_out = min(last_k, floor((s_out - min_range) / march) + 1)
-            if k_in <= k_out:
-                spans.append((k_in, k_out, cos_p, sin_p))
-        spans.sort()
-        best = last_k + 1
-        for k_in, k_out, cos_p, sin_p in spans:
-            if k_in >= best:
-                break
             for k in range(k_in, min(k_out + 1, best)):
                 s = min_range + k * march
-                i = floor((x + s * cos_p - x0) / res)
-                if 0 <= i < width:
-                    j = floor((y + s * sin_p - y0) / res)
-                    if 0 <= j < height and cells[j * width + i]:
+                col = floor((x + s * cos_p - x0) / res)
+                if 0 <= col < width:
+                    row = floor((y + s * sin_p - y0) / res)
+                    if 0 <= row < height and cells[row * width + col]:
                         best = k
                         break
         return best
-
-    def _rays_toward_box(self, x: float, y: float, theta: float):
-        """Indices of the rays headed into the occupied box, with one ray to spare each side.
-
-        From inside the grown box, or with a single ray, that is every ray.
-        Outside it, a hit point lies at least a cell from the pose, so its
-        bearing differs from its ray's heading by far less than one ray
-        spacing.
-        """
-        bx0, by0, bx1, by1 = self._box
-        rays = self._rays
-        if rays == 1 or (bx0 <= x <= bx1 and by0 <= y <= by1):
-            return range(rays)
-        bx0, by0, bx1, by1 = self._map._occupied_box
-        # seen from outside, the box spans less than pi around its centre
-        mid = atan2(0.5 * (by0 + by1) - y, 0.5 * (bx0 + bx1) - x)
-        devs = [
-            (atan2(cy - y, cx - x) - mid + pi) % tau - pi for cx in (bx0, bx1) for cy in (by0, by1)
-        ]
-        fov = self.parameters["fov"]
-        step = fov / (rays - 1)
-        width = max(devs) - min(devs)
-        # offset of the wedge from the first ray; ray i sits at offset i * step in [0, fov]
-        u = (mid + min(devs) - (theta - 0.5 * fov)) % tau
-        picked: set[int] = set()
-        for a in (u, u - tau):
-            first, last = ceil(a / step) - 1, floor((a + width) / step) + 1
-            picked.update(range(max(0, first), min(rays, last + 1)))
-        return picked

@@ -404,3 +404,40 @@ def test_names_that_are_not_strings_exit_2(tmp_path, capsys, command, doc, fragm
     assert code == 2
     assert fragment in stderr
     assert "Traceback" not in stderr
+
+
+COSIM_DOC = {"duration": 1.0, "instances": {"veh": {"unit_type": "vehicle"}}, "outputs": ["veh.x"]}
+
+
+@pytest.mark.parametrize(
+    "command,change,fragment",
+    [
+        ("cosim", {"connections": 5}, "'connections' must be a list"),
+        ("cosim", {"outputs": 5}, "'outputs' must be a list"),
+        ("cosim", {"outputs": "veh.x"}, "'outputs' must be a list"),
+        ("sweep", {"multiModel": 5}, "'multiModel' must be a file path string, got 5"),
+        ("sweep", {"scenarioFiles": {"sin_cal": {"inputs": 5, "reference": "r.csv"}}},
+         "scenarioFiles['sin_cal'].inputs must be a file path string, got 5"),
+        ("sweep", {"scenarioFiles": {"sin_cal": {"inputs": "i.csv", "reference": [1]}}},
+         "scenarioFiles['sin_cal'].reference must be a file path string, got [1]"),
+    ],
+    ids=["connections-int", "outputs-int", "outputs-string", "multimodel-int",
+         "inputs-int", "reference-list"],
+)
+def test_mistyped_lists_and_paths_exit_2(tmp_path, capsys, command, change, fragment):
+    if command == "cosim":
+        doc = {**COSIM_DOC, **change}
+    else:
+        doc = json.loads((SAMPLES / "dse_sweep.json").read_text())
+        doc["multiModel"] = str(SAMPLES / "vehicle_replay.json")
+        doc.update(change)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "cosim":
+        args = ["cosim", "--config", path, "--out", tmp_path / "o.csv"]
+    else:
+        args = ["dse", "sweep", "--config", path, "--out", tmp_path / "t.csv"]
+    code, _, stderr = run_cli(capsys, *args)
+    assert code == 2
+    assert fragment in stderr
+    assert "Traceback" not in stderr

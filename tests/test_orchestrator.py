@@ -239,6 +239,19 @@ def test_run_cosim_raises_config_error_with_diagnostics():
     assert any("step_size" in d for d in err.value.diagnostics)
 
 
+def test_run_cosim_builds_each_instance_once():
+    built = []
+    reg = UnitRegistry()
+    for name, cls in (("counter", CounterUnit), ("echo", EchoUnit)):
+        def factory(parameters, cls=cls, name=name):
+            built.append(name)
+            return cls(parameters)
+        reg.register(name, factory)
+    trace = run_cosim(counter_config(0.3, 0.1), reg)
+    assert sorted(built) == ["counter", "echo"]
+    assert trace.column("e.y") == [0.0, 0.0, 1.0, 2.0]
+
+
 # --- stepping and recording -------------------------------------------------
 
 

@@ -568,3 +568,36 @@ def test_sensor_matches_full_march(data, grid, theta, fov, ray_count, min_range,
 def test_clearance_matches_rescan(data, grid):
     x, y = data.draw(poses(grid, 3.0))
     assert grid.clearance(x, y) == rescan_clearance(grid, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), grid=grid_maps(),
+       fov=st.sampled_from([math.pi, 2 * math.pi]) | st.floats(1e-3, 2 * math.pi),
+       ray_count=st.sampled_from([1, 2]) | st.integers(1, 64),
+       min_range=st.floats(0.0, 2.0), span=st.floats(0.05, 5.0))
+def test_one_sensor_stepped_through_poses_matches_full_march(
+    data, grid, fov, ray_count, min_range, span
+):
+    params = {"min_range": min_range, "max_range": min_range + span,
+              "fov": fov, "ray_count": float(ray_count)}
+    reach = min_range + span + 1.0
+    a = data.draw(poses(grid, reach)) + (data.draw(headings),)
+    b = data.draw(poses(grid, reach)) + (data.draw(headings),)
+    x, y, theta = a
+    walk = [
+        a, a, b, a,  # a repeat, then back to an earlier pose after another one
+        (0.0, y, theta), (-0.0, y, theta), (0.0, y, theta),
+        (x, 0.0, theta), (x, -0.0, theta), (x, 0.0, theta),
+        (x, y, 0.0), (x, y, -0.0), (x, y, 0.0),
+        (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0),
+    ]
+    walk += data.draw(st.lists(st.sampled_from(walk), max_size=10))
+    unit = SensorUnit(grid, params)
+    for x, y, theta in walk:
+        unit.set_input("x", x)
+        unit.set_input("y", y)
+        unit.set_input("theta", theta)
+        unit.do_step(0.1)
+        expected = march_every_ray(unit, grid, x, y, theta)
+        assert unit.get_output("obstacle_distance") == expected, (x, y, theta)
+        assert unit.get_output("obstacle_detected") is (expected >= 0.0)
