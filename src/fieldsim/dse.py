@@ -27,8 +27,7 @@ from .orchestrator import (
     run_cosim,
     write_results_csv,
 )
-from .simunit import UnitRegistry
-from .traces import AlignedPair, TimedTrace, align, format_real, read_trace_csv
+from .traces import AlignedPair, align, format_real, read_trace_csv
 from .units import default_registry, replay_factory
 
 ParameterSpace = dict[str, list[float]]
@@ -58,15 +57,20 @@ def cross_track_error(pair: AlignedPair) -> tuple[float, float]:
 def expand_grid(space: ParameterSpace) -> list[ParameterAssignment]:
     """Cartesian product of the value lists, lexicographic in key order.
 
-    The first key varies slowest; within one key, values keep list order.
+    The first key varies slowest; within one key, values keep list order
+    and must be distinct.
     """
     names = list(space)
     for name, values in space.items():
         if not values:
             raise ConfigError(f"parameter {name!r} has an empty value list")
+        seen: set[float] = set()
         for v in values:
             if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
                 raise ConfigError(f"parameter {name!r}: bad value {v!r}")
+            if v in seen:
+                raise ConfigError(f"parameter {name!r}: value {v!r} appears more than once")
+            seen.add(v)
     return [dict(zip(names, combo)) for combo in product(*space.values())]
 
 
@@ -218,12 +222,6 @@ def read_dse_config(path: str | Path) -> DseConfig:
 # --- sweep execution ---------------------------------------------------------
 
 
-def _registry_for(inputs_trace: TimedTrace) -> UnitRegistry:
-    registry = default_registry()
-    registry.register("replay", replay_factory(inputs_trace))
-    return registry
-
-
 def _apply_assignment(mm: MultiModelConfig, assignment: ParameterAssignment) -> MultiModelConfig:
     instances = dict(mm.instances)
     for ref_text, value in assignment.items():
@@ -240,8 +238,9 @@ def _run_point(task) -> tuple[float, float]:
     mm, inputs_path, reference_path, assignment, run_dir = task
     inputs_trace = cached_load(read_trace_csv, inputs_path, ("velocity", "delta_f"))
     reference = cached_load(read_trace_csv, reference_path)
-    run_config = _apply_assignment(mm, assignment)
-    simulated = run_cosim(run_config, _registry_for(inputs_trace))
+    registry = default_registry()
+    registry.register("replay", replay_factory(inputs_trace))
+    simulated = run_cosim(_apply_assignment(mm, assignment), registry)
     mean_error, max_error = cross_track_error(align(reference, simulated))
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -351,15 +350,8 @@ def optimize(
         if total < best_total:
             best_total = total
             best_key = key
-    assert best_key is not None
-
-    # recompute the winner's total as a consistency check, adding in the
-    # same scenario order so the float sum is reproducible
-    check = 0.0
-    for block in per_scenario.values():
-        check += block[best_key]
-    assert check == best_total
-
+    if best_key is None:
+        raise ConfigError("no assignment has a finite summed error")
     return dict(zip(names, best_key)), best_total
 
 
@@ -397,14 +389,8 @@ _MEAN_COLUMN = "mean_cross_track_error"
 _MAX_COLUMN = "max_cross_track_error"
 
 
-def write_dse_results(
-    rows: list[SweepRow], path: str | Path, param_names: list[str] | None = None
-) -> None:
+def write_dse_results(rows: list[SweepRow], path: str | Path, param_names: list[str]) -> None:
     """Write sweep rows as CSV; parameter columns keep grid key order."""
-    if param_names is None:
-        if not rows:
-            raise ConfigError("cannot derive parameter names from an empty table")
-        param_names = list(rows[0].assignment)
     lines = [",".join(["scenario"] + param_names + [_MEAN_COLUMN, _MAX_COLUMN])]
     for row in rows:
         if "," in row.scenario:
@@ -443,6 +429,8 @@ def read_dse_results(path: str | Path) -> tuple[list[str], list[SweepRow]]:
             numbers = [float(p) for p in parts[1:]]
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: malformed number") from None
+        if not all(math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{path}:{lineno}: non-finite value")
         rows.append(
             SweepRow(
                 scenario=parts[0],

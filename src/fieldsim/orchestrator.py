@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -212,7 +213,8 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
 
     Raises :class:`ConfigError` with all diagnostics when the config is
     invalid, and :class:`SimulationError` naming the failing instance
-    and simulation time when a unit breaks down mid-run.
+    and simulation time when a unit breaks down mid-run or a recorded
+    output becomes non-finite.
     """
     units, diagnostics = _build(config, registry)
     if diagnostics:
@@ -251,6 +253,14 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
         times.append(k * h)
         rows.append([float(unit.get_output(port)) for unit, port in recorders])
 
+    # scanned after the loop, so that a connected output that goes
+    # non-finite still fails as the connection error above; the sum is
+    # finite unless some value is not (or finite values overflow it)
+    if not math.isfinite(sum(chain.from_iterable(rows))):
+        for t, row in zip(times, rows):
+            for channel, value in zip(channels, row):
+                if not math.isfinite(value):
+                    raise SimulationError(f"recorded output {channel} is {value!r} at t={t:.6g}")
     return TimedTrace(channels=channels, times=times, values=rows)
 
 

@@ -51,10 +51,13 @@ class FtEvent:
 
 @dataclass
 class FaultTree:
-    """Top event id plus the event map; gates combine child events."""
+    """Top event id plus the event map; gates combine child events; validated when built."""
 
     top: str
     events: dict[str, FtEvent]
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.top not in self.events:
@@ -103,14 +106,11 @@ def read_fault_tree(source: str | Path | Mapping) -> FaultTree:
             gate=entry["gate"],
             children=_names(f"event {name!r}", "children", entry.get("children", [])),
         )
-    tree = FaultTree(top=doc["top"], events=events)
-    tree.validate()
-    return tree
+    return FaultTree(top=doc["top"], events=events)
 
 
 def evaluate_fault_tree(tree: FaultTree, states: Mapping[str, bool]) -> bool:
     """Evaluate the top event for one assignment of the basic events."""
-    tree.validate()
     missing = [b for b in tree.basic_events() if b not in states]
     if missing:
         raise ConfigError(f"no state for basic events: {', '.join(sorted(missing))}")
@@ -139,7 +139,6 @@ def minimal_cut_sets(tree: FaultTree) -> list[frozenset[str]]:
     20 basic events to keep the blow-up in check.  The result is sorted
     by size, then by member names, so it is stable across runs.
     """
-    tree.validate()
     basics = tree.basic_events()
     if len(basics) > MAX_CUT_SET_BASICS:
         raise ConfigError(
@@ -206,6 +205,19 @@ def write_verdict(verdict: EvidenceVerdict, directory: str | Path) -> Path:
     return out
 
 
+def _flag(where: str, key: str, value) -> bool:
+    if value is not True and value is not False:
+        raise ConfigError(f"{where}: {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _number(where: str, key: str, value) -> float:
+    """A JSON number; infinities pass, since a map with no obstacle measures one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def read_verdicts(evidence_dir: str | Path) -> dict[str, EvidenceVerdict]:
     """Load every evidence/<run_id>/verdict.json below a directory."""
     evidence_dir = Path(evidence_dir)
@@ -217,10 +229,10 @@ def read_verdicts(evidence_dir: str | Path) -> dict[str, EvidenceVerdict]:
             doc = json.loads(verdict_file.read_text())
             verdict = EvidenceVerdict(
                 run_id=doc["run_id"],
-                passed=bool(doc["passed"]),
+                passed=_flag(str(verdict_file), "passed", doc["passed"]),
                 criterion=doc["criterion"],
-                measured=float(doc["measured"]),
-                threshold=float(doc["threshold"]),
+                measured=_number(str(verdict_file), "measured", doc["measured"]),
+                threshold=_number(str(verdict_file), "threshold", doc["threshold"]),
                 note=doc.get("note", ""),
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -257,10 +269,13 @@ class GsnNode:
 
 @dataclass
 class GsnGraph:
+    """Goal-structure nodes in document order; validated when built."""
+
     nodes: list[GsnNode]
 
     def __post_init__(self):
         self.by_id = {n.node_id: n for n in self.nodes}
+        self.validate()
 
     def validate(self) -> None:
         if len(self.by_id) != len(self.nodes):
@@ -317,12 +332,10 @@ def read_gsn(source: str | Path | Mapping) -> GsnGraph:
                 children=_names(owner, "children", entry.get("children", [])),
                 evidence_refs=_names(owner, "evidence_refs", entry.get("evidence_refs", [])),
                 module_ref=entry.get("module_ref"),
-                asserted=bool(entry.get("asserted", False)),
+                asserted=_flag(owner, "asserted", entry.get("asserted", False)),
             )
         )
-    graph = GsnGraph(nodes)
-    graph.validate()
-    return graph
+    return GsnGraph(nodes)
 
 
 @dataclass
@@ -349,7 +362,6 @@ def link_evidence(graph: GsnGraph, verdicts: Mapping[str, EvidenceVerdict]) -> A
     no children it is undeveloped.  Flipping any verdict from fail to
     pass can therefore never downgrade a node.
     """
-    graph.validate()
     dangling = [
         ref
         for node in graph.nodes
@@ -598,40 +610,32 @@ def assess_run(trace: TimedTrace, grid_map: GridMap, gap_threshold: float) -> tu
 
 def _run_safety_case(args) -> EvidenceVerdict:
     run, evidence_dir = args
-    criterion = f"min gap > {run.gap_threshold:g} m; standstill while stop engaged"
     grid_map = cached_load(read_grid_map, run.map_path)
     registry = default_registry()
     registry.register("pure_pursuit", pure_pursuit_factory(run.path))
     registry.register("sensor", sensor_factory(grid_map))
+    run_dir = Path(evidence_dir) / run.run_id
+    measured, passed, note = -1.0, False, ""
     try:
         trace = run_cosim(harvester_config(run), registry)
     except (ConfigError, SimulationError) as exc:
         note = f"simulation failed: {exc}"
         if isinstance(exc, ConfigError) and exc.diagnostics != [str(exc)]:
             note += ": " + "; ".join(exc.diagnostics)
-        verdict = EvidenceVerdict(
-            run_id=run.run_id,
-            passed=False,
-            criterion=criterion,
-            measured=-1.0,
-            threshold=run.gap_threshold,
-            note=note,
-        )
         # a results table left by an earlier run must not sit beside this verdict
-        (Path(evidence_dir) / run.run_id / "results.csv").unlink(missing_ok=True)
-        write_verdict(verdict, evidence_dir)
-        return verdict
-    min_gap, passed = assess_run(trace, grid_map, run.gap_threshold)
+        (run_dir / "results.csv").unlink(missing_ok=True)
+    else:
+        measured, passed = assess_run(trace, grid_map, run.gap_threshold)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_results_csv(trace, run_dir / "results.csv")
     verdict = EvidenceVerdict(
         run_id=run.run_id,
         passed=passed,
-        criterion=criterion,
-        measured=min_gap,
+        criterion=f"min gap > {run.gap_threshold:g} m; standstill while stop engaged",
+        measured=measured,
         threshold=run.gap_threshold,
+        note=note,
     )
-    run_dir = Path(evidence_dir) / run.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(trace, run_dir / "results.csv")
     write_verdict(verdict, evidence_dir)
     return verdict
 

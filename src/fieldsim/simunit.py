@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .errors import ContractViolation, UnknownUnitError
@@ -124,7 +125,8 @@ class SimulationUnit:
                         f"unit {description.unit_type!r}: unknown parameter {name!r}"
                     )
                 params[name] = _check_real(name, value)
-        self.parameters: dict[str, float] = params
+        # read-only: units derive their constants from it at construction
+        self.parameters: Mapping[str, float] = MappingProxyType(params)
 
         self._input_kinds: dict[str, PortKind] = {}
         self._inputs: dict[str, float | bool] = {}
@@ -191,7 +193,7 @@ class UnitRegistry:
 
     Factories take the parameter overrides for one instance and return a
     new unit.  Units that need structural data (a recorded trace, a grid
-    map, a waypoint path) are registered as closures over that data.
+    map, a waypoint path) are registered as partials binding that data.
     """
 
     def __init__(self):

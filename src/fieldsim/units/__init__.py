@@ -9,9 +9,10 @@ a sensor wraps a grid map.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Sequence
 
-from ..simunit import SimulationUnit, UnitRegistry
+from ..simunit import UnitFactory, UnitRegistry
 from ..traces import TimedTrace
 from .control import (
     PURE_PURSUIT_DESCRIPTION,
@@ -53,36 +54,24 @@ __all__ = [
 ]
 
 
-def replay_factory(trace: TimedTrace):
+def replay_factory(trace: TimedTrace) -> UnitFactory:
     """Factory for a replay unit bound to one command trace."""
-
-    def factory(parameters: Mapping[str, float]) -> SimulationUnit:
-        return ReplayUnit(trace, parameters)
-
-    return factory
+    return partial(ReplayUnit, trace)
 
 
-def pure_pursuit_factory(path: Sequence[Sequence[float]]):
+def pure_pursuit_factory(path: Sequence[Sequence[float]]) -> UnitFactory:
     """Factory for a pure pursuit controller bound to one waypoint path."""
-
-    def factory(parameters: Mapping[str, float]) -> SimulationUnit:
-        return PurePursuitUnit(path, parameters)
-
-    return factory
+    return partial(PurePursuitUnit, path)
 
 
-def sensor_factory(grid_map: GridMap):
+def sensor_factory(grid_map: GridMap) -> UnitFactory:
     """Factory for a ray-cast sensor bound to one grid map."""
-
-    def factory(parameters: Mapping[str, float]) -> SimulationUnit:
-        return SensorUnit(grid_map, parameters)
-
-    return factory
+    return partial(SensorUnit, grid_map)
 
 
 def default_registry() -> UnitRegistry:
     """Registry with the parameter-only unit types registered."""
     registry = UnitRegistry()
-    registry.register("vehicle", lambda parameters: VehicleUnit(parameters))
-    registry.register("supervisor", lambda parameters: SupervisoryBrake(parameters))
+    registry.register("vehicle", VehicleUnit)
+    registry.register("supervisor", SupervisoryBrake)
     return registry

@@ -33,6 +33,7 @@ positive yaw rate, i.e. a counter-clockwise (left) turn.
 from __future__ import annotations
 
 from math import atan, cos, sin, pi
+from types import MappingProxyType
 from typing import Mapping
 
 from ..errors import ContractViolation
@@ -83,11 +84,12 @@ class VehicleUnit(SimulationUnit):
     def __init__(self, parameters: Mapping[str, float] | None = None):
         explicit = set(parameters) if parameters else set()
         super().__init__(VEHICLE_DESCRIPTION, parameters)
-        p = self.parameters
+        p = dict(self.parameters)
         if "cAlphaR" not in explicit:
             p["cAlphaR"] = p["cAlphaF"]
         if "I_z" not in explicit:
             p["I_z"] = p["m_robot"] * p["l_f"] * p["l_r"]
+        self.parameters = MappingProxyType(p)
         for name in ("m_robot", "cAlphaF", "cAlphaR", "l_f", "l_r", "I_z", "g"):
             if p[name] <= 0.0:
                 raise ContractViolation(f"vehicle parameter {name} must be positive, got {p[name]}")

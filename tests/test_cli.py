@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end against the shipped samples."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -441,3 +442,129 @@ def test_mistyped_lists_and_paths_exit_2(tmp_path, capsys, command, change, frag
     assert code == 2
     assert fragment in stderr
     assert "Traceback" not in stderr
+
+
+def test_safety_run_worker_count_does_not_change_evidence(safety_evidence, tmp_path):
+    serial, serial_stdout = safety_evidence
+    pooled = tmp_path / "evidence"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldsim.cli", "safety-run",
+         "--suite", str(SAMPLES / "safety_suite.json"),
+         "--evidence-dir", str(pooled), "--jobs", "2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == serial_stdout
+    files = sorted(p.relative_to(serial) for p in serial.glob("*/*"))
+    assert len(files) == 18
+    assert sorted(p.relative_to(pooled) for p in pooled.glob("*/*")) == files
+    for name in files:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "key,value,fragment",
+    [
+        ("passed", "false", "'passed' must be true or false, got 'false'"),
+        ("measured", "0.0", "'measured' must be a number, got '0.0'"),
+    ],
+)
+def test_gsn_rejects_evidence_that_is_not_typed_json(
+    safety_evidence, tmp_path, capsys, key, value, fragment
+):
+    evidence = tmp_path / "evidence"
+    shutil.copytree(safety_evidence[0], evidence)
+    verdict_file = evidence / "degraded_v1" / "verdict.json"
+    doc = json.loads(verdict_file.read_text())
+    doc[key] = value
+    verdict_file.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(
+        capsys, "gsn", "--gsn", SAMPLES / "gsn_case.json",
+        "--evidence-dir", evidence, "--out", tmp_path / "case.dot",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert f"degraded_v1/verdict.json: {fragment}" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_gsn_rejects_a_string_assertion(safety_evidence, tmp_path, capsys):
+    doc = json.loads((SAMPLES / "gsn_case.json").read_text())
+    [away] = [node for node in doc["nodes"] if node["kind"] == "away_goal"]
+    away["asserted"] = "false"
+    path = tmp_path / "gsn.json"
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run_cli(
+        capsys, "gsn", "--gsn", path,
+        "--evidence-dir", safety_evidence[0], "--out", tmp_path / "case.dot",
+    )
+    assert code == 2
+    assert f"node {away['id']!r}: 'asserted' must be true or false, got 'false'" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "name,values,fragment",
+    [
+        ("veh.mu", [0.3, 0.3], "parameter 'veh.mu': value 0.3 appears more than once"),
+        ("veh.cAlphaF", ["30k", 30000], "parameter 'veh.cAlphaF': value 30000.0 appears more than once"),
+    ],
+)
+def test_sweep_rejects_a_repeated_grid_value(tmp_path, capsys, name, values, fragment):
+    doc = json.loads((SAMPLES / "dse_sweep.json").read_text())
+    doc["multiModel"] = str(SAMPLES / "vehicle_replay.json")
+    doc["scenarioFiles"] = {
+        "sin_cal": {
+            "inputs": str(SAMPLES / "sin_cal_inputs.csv"),
+            "reference": str(SAMPLES / "sin_cal_reference.csv"),
+        }
+    }
+    doc["parameters"][name] = values
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    table = tmp_path / "t.csv"
+    code, _, stderr = run_cli(capsys, "dse", "sweep", "--config", path, "--out", table)
+    assert code == 2
+    assert fragment in stderr
+    assert "Traceback" not in stderr
+    assert not table.exists()
+
+
+def overflowing_commands(path):
+    # 1e308 m/s moves veh.x by 1e306 m per 0.01 s step, past the largest
+    # float after about 1.8 s
+    lines = ["time,velocity,delta_f"] + [f"{k},1e308,0" for k in range(5)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_non_finite_output_during_cosim_exits_3(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code, _, stderr = run_cli(
+        capsys, "cosim",
+        "--config", SAMPLES / "vehicle_replay.json",
+        "--scenario-inputs", overflowing_commands(tmp_path / "fast.csv"),
+        "--out", out,
+    )
+    assert code == 3
+    assert stderr == "simulation error: recorded output veh.x is inf at t=1.8\n"
+    assert not out.exists()
+
+
+def test_non_finite_output_during_sweep_exits_3(tmp_path, capsys):
+    doc = json.loads((SAMPLES / "dse_sweep.json").read_text())
+    doc["multiModel"] = str(SAMPLES / "vehicle_replay.json")
+    doc["scenarioFiles"] = {
+        "sin_cal": {
+            "inputs": str(overflowing_commands(tmp_path / "fast.csv")),
+            "reference": str(SAMPLES / "sin_cal_reference.csv"),
+        }
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    table = tmp_path / "t.csv"
+    code, _, stderr = run_cli(capsys, "dse", "sweep", "--config", path, "--out", table)
+    assert code == 3
+    assert "recorded output veh.x is inf at t=1.8" in stderr
+    assert "Traceback" not in stderr
+    assert not table.exists()

@@ -523,3 +523,25 @@ def test_sweep_rejects_parameter_for_unknown_instance(sweep_workspace):
     config.parameters = {"nobody.mu": [0.3]}
     with pytest.raises(ConfigError, match="no instance 'nobody'"):
         run_sweep(config)
+
+
+def test_expand_grid_rejects_a_repeated_value():
+    with pytest.raises(ConfigError, match="parameter 'veh.mu': value 0.3 appears more than once"):
+        expand_grid({"veh.cAlphaF": [1.0, 2.0], "veh.mu": [0.3, 0.4, 0.3]})
+
+
+def test_dse_results_reject_non_finite_fields(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text(
+        "scenario,veh.a,mean_cross_track_error,max_cross_track_error\n"
+        "s1,1,0.5,0.5\n"
+        "s1,2,inf,inf\n"
+    )
+    with pytest.raises(ConfigError, match=r"out\.csv:3: non-finite value"):
+        read_dse_results(path)
+
+
+def test_optimize_rejects_a_table_without_a_finite_total():
+    rows = rows_from({"s1": {(1.0, 1.0): (math.inf, math.inf), (2.0, 1.0): (math.inf, 1.0)}})
+    with pytest.raises(ConfigError, match="no assignment has a finite summed error"):
+        optimize(rows)

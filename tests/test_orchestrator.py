@@ -395,3 +395,42 @@ def test_results_csv_roundtrip(tmp_path):
     assert back.channels == trace.channels
     assert back.times == trace.times
     assert back.values == trace.values
+
+
+class HugeUnit(SimulationUnit):
+    """Outputs 1e308, a finite value near the float limit, then ``scale`` times it from step 3."""
+
+    DESC = UnitDescription(
+        "huge",
+        (PortDescriptor("y", _OUT), PortDescriptor("scale", PortDirection.PARAMETER)),
+        {"scale": 1.0},
+    )
+
+    def __init__(self, parameters=None):
+        super().__init__(self.DESC, parameters)
+        self._outputs["y"] = 1e308
+        self._ticks = 0
+
+    def _advance(self, h):
+        self._ticks += 1
+        if self._ticks == 3:
+            self._outputs["y"] = self.parameters["scale"] * 1e308
+
+
+def test_recorded_outputs_must_stay_finite():
+    reg = UnitRegistry()
+    reg.register("huge", HugeUnit)
+
+    def config(scale):
+        return MultiModelConfig(
+            instances={"a": InstanceSpec("huge"), "b": InstanceSpec("huge", {"scale": scale})},
+            connections=[],
+            outputs=[PortRef("a", "y"), PortRef("b", "y")],
+            step_size=0.1,
+            duration=0.5,
+        )
+
+    # finite values whose sum overflows are fine
+    assert run_cosim(config(1.0), reg).values[-1] == [1e308, 1e308]
+    with pytest.raises(SimulationError, match=r"^recorded output b\.y is inf at t=0\.3$"):
+        run_cosim(config(2.0), reg)

@@ -739,3 +739,46 @@ def test_failed_run_note_lists_every_diagnostic(tmp_path):
         "simulation failed: invalid multi-model configuration: "
         "instance 'sns': max_range must exceed min_range, got 2.0 <= 3.0"
     )
+
+
+def test_graphs_are_validated_when_built():
+    with pytest.raises(ConfigError, match="fault tree top event 'zz' is not defined"):
+        FaultTree(top="zz", events={"a": FtEvent("a", "basic")})
+    with pytest.raises(ConfigError, match="duplicate node id 'a'"):
+        GsnGraph([GsnNode("a", "goal"), GsnNode("a", "goal")])
+
+
+@pytest.mark.parametrize(
+    "key,value,fragment",
+    [
+        ("passed", "false", "'passed' must be true or false, got 'false'"),
+        ("passed", 0, "'passed' must be true or false, got 0"),
+        ("measured", "0.5", "'measured' must be a number, got '0.5'"),
+        ("threshold", True, "'threshold' must be a number, got True"),
+    ],
+)
+def test_read_verdicts_requires_json_booleans_and_numbers(tmp_path, key, value, fragment):
+    verdict_file = write_verdict(verdict("alpha", True), tmp_path)
+    doc = json.loads(verdict_file.read_text())
+    doc[key] = value
+    verdict_file.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as caught:
+        read_verdicts(tmp_path)
+    assert str(caught.value) == f"{verdict_file}: {fragment}"
+
+
+def test_read_verdicts_accepts_an_infinite_gap(tmp_path):
+    # assess_run measures an infinite gap on a map with no occupied cell
+    unbounded = EvidenceVerdict(
+        run_id="open", passed=True, criterion="c", measured=math.inf, threshold=0.0
+    )
+    write_verdict(unbounded, tmp_path)
+    assert read_verdicts(tmp_path) == {"open": unbounded}
+
+
+def test_read_gsn_requires_a_json_boolean_for_asserted():
+    node = {"id": "A1", "kind": "away_goal", "module_ref": "m", "asserted": "false"}
+    with pytest.raises(ConfigError, match="node 'A1': 'asserted' must be true or false"):
+        read_gsn({"nodes": [node]})
+    node["asserted"] = False
+    assert read_gsn({"nodes": [node]}).by_id["A1"].asserted is False

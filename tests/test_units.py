@@ -601,3 +601,15 @@ def test_one_sensor_stepped_through_poses_matches_full_march(
         expected = march_every_ray(unit, grid, x, y, theta)
         assert unit.get_output("obstacle_distance") == expected, (x, y, theta)
         assert unit.get_output("obstacle_detected") is (expected >= 0.0)
+
+
+def test_unit_parameters_are_read_only():
+    # units derive constants from their parameters once, at construction
+    unit = SensorUnit(GridMap(1, 1, 0.5, 0.0, 0.0, (1,)), {"max_range": 4.0})
+    with pytest.raises(TypeError):
+        unit.parameters["max_range"] = 10.0
+    assert unit.parameters["max_range"] == 4.0
+    vehicle = default_registry().instantiate("vehicle", {"cAlphaF": 21000.0})
+    with pytest.raises(TypeError):
+        vehicle.parameters["cAlphaR"] = 1.0
+    assert vehicle.parameters["cAlphaR"] == 21000.0
