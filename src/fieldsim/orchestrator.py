@@ -19,15 +19,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ._shared import read_json
 from .errors import ConfigError, ContractViolation, SimulationError, UnknownUnitError
-from .simunit import PortDescriptor, PortDirection, SimulationUnit, UnitRegistry
+from .simunit import PortDescriptor, PortDirection, PortKind, SimulationUnit, UnitRegistry
+from .simunit import _check_boolean, _check_real
 from .traces import TimedTrace, write_trace_csv
 
 DEFAULT_STEP_SIZE = 0.01
 MAX_STEPS = 100_000_000
+# Every recorded value stays in memory until the run returns: about 67 bytes
+# each in a 3-channel run (float, list slot, row list, row time), so about 0.7 GB.
+MAX_RECORDED_VALUES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -136,22 +140,44 @@ def validate_config(config: MultiModelConfig, registry: UnitRegistry) -> list[st
     return _build(config, registry)[1]
 
 
-def _build(
-    config: MultiModelConfig, registry: UnitRegistry
-) -> tuple[dict[str, SimulationUnit], list[str]]:
-    """Build every instance and check the config; the units are runnable if no diagnostics."""
+@dataclass(frozen=True)
+class _Plan:
+    """A validated run compiled once: validation proved the ports, kinds and
+    step size, so the loop re-checks only the values units emit."""
+
+    step_size: float
+    n_steps: int
+    channels: list[str]
+    # (read source, write sink, sink is real, connection), in config order
+    exchange: list[tuple[Callable[[], object], Callable[[object], None], bool, Connection]]
+    recorders: list[Callable[[], object]]
+    steppers: list[tuple[str, Callable[[float], None]]]
+
+
+def _build(config: MultiModelConfig, registry: UnitRegistry) -> tuple[_Plan | None, list[str]]:
+    """Build every instance and check the config; the plan is None if any diagnostic."""
     diagnostics: list[str] = []
 
-    if not (isinstance(config.step_size, (int, float)) and not isinstance(config.step_size, bool)
-            and math.isfinite(config.step_size) and config.step_size > 0):
+    step_ok = (isinstance(config.step_size, (int, float)) and not isinstance(config.step_size, bool)
+               and math.isfinite(config.step_size) and config.step_size > 0)
+    if not step_ok:
         diagnostics.append(f"step_size must be positive and finite, got {config.step_size!r}")
-    if not (isinstance(config.duration, (int, float)) and not isinstance(config.duration, bool)
-            and math.isfinite(config.duration) and config.duration >= 0):
+    duration_ok = (isinstance(config.duration, (int, float)) and not isinstance(config.duration, bool)
+                   and math.isfinite(config.duration) and config.duration >= 0)
+    if not duration_ok:
         diagnostics.append(f"duration must be non-negative and finite, got {config.duration!r}")
-    elif isinstance(config.step_size, (int, float)) and config.step_size > 0:
+    if step_ok and duration_ok:
         if config.duration / config.step_size > MAX_STEPS:
             diagnostics.append(
                 f"run of {config.duration}s at {config.step_size}s exceeds {MAX_STEPS} steps"
+            )
+        n_steps = math.ceil(Fraction(config.duration) / Fraction(float(config.step_size)))
+        values = (n_steps + 1) * len(config.outputs)
+        if values > MAX_RECORDED_VALUES:
+            diagnostics.append(
+                f"run of {config.duration}s at {config.step_size}s would record {values} values "
+                f"({n_steps + 1} rows of {len(config.outputs)}), over the budget of "
+                f"{MAX_RECORDED_VALUES}"
             )
 
     if not config.instances:
@@ -205,7 +231,25 @@ def _build(
     for ref in config.outputs:
         check_endpoint(ref, PortDirection.OUTPUT, "recorded output")
 
-    return units, diagnostics
+    if diagnostics:
+        return None, diagnostics
+    plan = _Plan(
+        step_size=float(config.step_size),
+        n_steps=n_steps,
+        channels=[ref.render() for ref in config.outputs],
+        exchange=[
+            (
+                units[c.source.instance]._output_reader(c.source.port),
+                units[c.sink.instance]._input_writer(c.sink.port),
+                units[c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL,
+                c,
+            )
+            for c in config.connections
+        ],
+        recorders=[units[ref.instance]._output_reader(ref.port) for ref in config.outputs],
+        steppers=[(name, unit._step) for name, unit in units.items()],
+    )
+    return plan, diagnostics
 
 
 def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
@@ -216,52 +260,55 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
     and simulation time when a unit breaks down mid-run or a recorded
     output becomes non-finite.
     """
-    units, diagnostics = _build(config, registry)
+    plan, diagnostics = _build(config, registry)
     if diagnostics:
         raise ConfigError("invalid multi-model configuration", diagnostics)
 
-    h = float(config.step_size)
-    n_steps = int(math.ceil(Fraction(config.duration) / Fraction(h))) if config.duration > 0 else 0
-
-    exchange = [
-        (units[c.source.instance], c.source.port, units[c.sink.instance], c.sink.port, c)
-        for c in config.connections
-    ]
-    recorders = [(units[ref.instance], ref.port) for ref in config.outputs]
-    steppers = list(units.items())
-
-    channels = [ref.render() for ref in config.outputs]
+    h = plan.step_size
+    exchange, recorders, steppers = plan.exchange, plan.recorders, plan.steppers
+    isfinite = math.isfinite
     times = [0.0]
-    rows = [[float(unit.get_output(port)) for unit, port in recorders]]
+    rows = [[float(read()) for read in recorders]]
 
-    for k in range(1, n_steps + 1):
-        for src, sport, snk, dport, conn in exchange:
-            try:
-                snk.set_input(dport, src.get_output(sport))
-            except ContractViolation as exc:
-                raise SimulationError(
-                    f"connection {conn.source.render()} -> {conn.sink.render()} "
-                    f"at t={(k - 1) * h:.6g}: {exc}"
-                ) from exc
-        for name, unit in steppers:
-            try:
-                unit.do_step(h)
-            except Exception as exc:
-                raise SimulationError(
-                    f"instance {name!r} failed at t={(k - 1) * h:.6g}: {exc}"
-                ) from exc
-        times.append(k * h)
-        rows.append([float(unit.get_output(port)) for unit, port in recorders])
+    # One try for the whole loop: ``phase`` and the loop variables say
+    # which connection or instance was at work when something raised.
+    phase = None
+    try:
+        for k in range(1, plan.n_steps + 1):
+            phase = "exchange"
+            for read, write, real, conn in exchange:
+                v = read()
+                if real:
+                    if v.__class__ is not float or not isfinite(v):
+                        v = _check_real(conn.sink.port, v)
+                elif v is not True and v is not False:
+                    v = _check_boolean(conn.sink.port, v)
+                write(v)
+            phase = "step"
+            for name, step in steppers:
+                step(h)
+            phase = "record"
+            times.append(k * h)
+            rows.append([float(read()) for read in recorders])
+    except Exception as exc:
+        if phase == "exchange":
+            raise SimulationError(
+                f"connection {conn.source.render()} -> {conn.sink.render()} "
+                f"at t={(k - 1) * h:.6g}: {exc}"
+            ) from exc
+        if phase == "step":
+            raise SimulationError(f"instance {name!r} failed at t={(k - 1) * h:.6g}: {exc}") from exc
+        raise
 
     # scanned after the loop, so that a connected output that goes
     # non-finite still fails as the connection error above; the sum is
     # finite unless some value is not (or finite values overflow it)
     if not math.isfinite(sum(chain.from_iterable(rows))):
         for t, row in zip(times, rows):
-            for channel, value in zip(channels, row):
+            for channel, value in zip(plan.channels, row):
                 if not math.isfinite(value):
                     raise SimulationError(f"recorded output {channel} is {value!r} at t={t:.6g}")
-    return TimedTrace(channels=channels, times=times, values=rows)
+    return TimedTrace(channels=plan.channels, times=times, values=rows)
 
 
 def write_results_csv(trace: TimedTrace, path: str | Path) -> None:

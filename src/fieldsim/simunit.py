@@ -1,12 +1,12 @@
 """In-process simulation unit contract and unit-type registry.
 
 A simulation unit is a stateful block with named, typed, directed
-ports.  The orchestrator drives every unit through the same four-call
-protocol: construct it, latch input values with :meth:`SimulationUnit.set_input`,
-advance it with :meth:`SimulationUnit.do_step`, and read results with
-:meth:`SimulationUnit.get_output`.  Inputs are held constant over a step
-(zero-order hold); outputs must stay consistent with the state reached
-by the most recent step.
+ports.  Every unit offers the same four-call protocol: construct it,
+latch input values with :meth:`SimulationUnit.set_input`, advance it with
+:meth:`SimulationUnit.do_step`, and read results with
+:meth:`SimulationUnit.get_output`; each call checks its arguments.
+Inputs are held constant over a step (zero-order hold); outputs must
+stay consistent with the state reached by the most recent step.
 
 Units are plain Python objects registered under a string type name, so
 models, controllers and test probes all plug in the same way.
@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from operator import setitem
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -111,6 +113,10 @@ class SimulationUnit:
     (``n`` steps of size ``h`` give exactly ``n * h``), not from repeated
     addition, so long runs do not drift.
 
+    The orchestrator steps units through ``_step`` and the accessors
+    from ``_output_reader``/``_input_writer``, so a subclass changes what
+    a run does only through ``_advance``, not by overriding the protocol.
+
     Instances are not thread safe; the orchestrator drives each unit
     from a single thread.
     """
@@ -172,7 +178,22 @@ class SimulationUnit:
             raise ContractViolation(f"step size must be a real number, got {h!r}")
         if not math.isfinite(h) or h <= 0.0:
             raise ContractViolation(f"step size must be positive and finite, got {h!r}")
-        h = float(h)
+        self._step(float(h))
+
+    # --- unchecked access, for a master that validated ports and h --------
+
+    def _output_reader(self, port: str) -> Callable[[], float | bool]:
+        """Return a no-argument callable giving the current value of ``port``."""
+        return partial(self._outputs.__getitem__, port)
+
+    def _input_writer(self, port: str) -> Callable[[float | bool], None]:
+        """Return a callable latching an already-checked value onto ``port``."""
+        # operator.setitem takes a fast call; a bound __setitem__ is a slot
+        # wrapper that costs twice as much per value
+        return partial(setitem, self._inputs, port)
+
+    def _step(self, h: float) -> None:
+        """``do_step`` without its checks: ``h`` is a positive finite float."""
         if h != self._step_size:
             self._time_base = self.current_time
             self._step_size = h

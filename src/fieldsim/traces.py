@@ -124,6 +124,8 @@ def read_trace_csv(path: str | Path, expected_channels: list[str] | None = None)
 # --- scenario generation ----------------------------------------------------
 
 SCENARIO_KINDS = ("sin", "turn_ramp", "speed_ramp", "speed_step")
+# A generated sample costs about 136 bytes in memory, so this is about 136 MB.
+MAX_SCENARIO_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,11 @@ def generate_scenario(spec: ScenarioSpec) -> TimedTrace:
 
     # exact count of sample instants inside [0, duration]
     n = int(Fraction(spec.duration) / Fraction(spec.sample_period))
+    if n + 1 > MAX_SCENARIO_SAMPLES:
+        raise ConfigError(
+            f"scenario of {spec.duration}s at a {spec.sample_period}s sample period has "
+            f"{n + 1} samples, over the cap of {MAX_SCENARIO_SAMPLES}"
+        )
     times = [k * spec.sample_period for k in range(n + 1)]
 
     period = spec.duration / 3.0

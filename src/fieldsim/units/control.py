@@ -9,7 +9,7 @@ speed when an obstacle gets inside braking distance.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import atan, cos, hypot, sin
+from math import atan, cos, hypot, inf, sin
 from typing import Mapping, Sequence
 
 from ..errors import ContractViolation
@@ -39,7 +39,8 @@ class ReplayUnit(SimulationUnit):
     """Replays a recorded (velocity, delta_f) trace with zero-order hold.
 
     At time t the outputs are the row with the greatest time <= t; before
-    the first row the first row is used, after the last the last.
+    the first row the first row is used, after the last the last.  Unit
+    time never decreases, so a row cursor only ever moves forward.
     """
 
     def __init__(self, trace: TimedTrace, parameters: Mapping[str, float] | None = None):
@@ -54,12 +55,21 @@ class ReplayUnit(SimulationUnit):
         self._times = list(trace.times)
         self._velocity = trace.column("velocity")
         self._delta_f = trace.column("delta_f")
+        self._row = 0
+        self._next_time = -inf  # the outputs hold until unit time reaches it
         self._advance(0.0)
 
     def _advance(self, h: float) -> None:
-        i = bisect_right(self._times, self.current_time) - 1
-        if i < 0:
-            i = 0
+        t = self.current_time
+        if t < self._next_time:
+            return
+        times = self._times
+        i = self._row
+        last = len(times) - 1
+        while i < last and times[i + 1] <= t:
+            i += 1
+        self._row = i
+        self._next_time = times[i + 1] if i < last else inf
         out = self._outputs
         out["velocity"] = self._velocity[i]
         out["delta_f"] = self._delta_f[i]

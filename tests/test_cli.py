@@ -97,6 +97,24 @@ def test_cosim_needs_a_backing_trace_for_replay(tmp_path, capsys):
     assert "replay" in stderr
 
 
+def test_cosim_over_the_recorded_value_budget_exits_2(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code, _, stderr = run_cli(
+        capsys, "cosim",
+        "--config", SAMPLES / "vehicle_replay.json",
+        "--scenario-inputs", SAMPLES / "sin_cal_inputs.csv",
+        "--duration", "1e6",
+        "--out", out,
+    )
+    assert code == 2
+    assert stderr == (
+        "error: invalid multi-model configuration\n"
+        "  - run of 1000000.0s at 0.01s would record 300000003 values "
+        "(100000001 rows of 3), over the budget of 10000000\n"
+    )
+    assert not out.exists()
+
+
 def test_runtime_failures_exit_3(tmp_path, monkeypatch, capsys):
     def boom(config, registry):
         raise SimulationError("instance 'veh' failed at t=0.5: boom")
@@ -133,6 +151,20 @@ def test_scenario_gen_rejects_bad_kind(tmp_path, capsys):
         main(["scenario-gen", "--kind", "zigzag", "--duration", "1",
               "--base-speed", "1", "--out", str(tmp_path / "o.csv")])
     assert err.value.code == 2
+
+
+def test_scenario_gen_over_the_sample_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code, _, stderr = run_cli(
+        capsys, "scenario-gen", "--kind", "sin", "--duration", "20", "--base-speed", "2",
+        "--sample-period", "1e-9", "--out", out,
+    )
+    assert code == 2
+    assert stderr == (
+        "error: scenario of 20.0s at a 1e-09s sample period has 20000000000 samples, "
+        "over the cap of 1000000\n"
+    )
+    assert not out.exists()
 
 
 # --- parameter sweeps -------------------------------------------------------

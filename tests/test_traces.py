@@ -202,6 +202,20 @@ def test_scenario_validation(kwargs):
         generate_scenario(ScenarioSpec(**base))
 
 
+def test_scenario_sample_count_is_capped(monkeypatch):
+    from fieldsim import traces
+
+    # 1.0 s at 0.25 s is 5 samples
+    spec = ScenarioSpec(name="s", kind="sin", duration=1.0, base_speed=1.0, sample_period=0.25)
+    monkeypatch.setattr(traces, "MAX_SCENARIO_SAMPLES", 5)
+    assert len(generate_scenario(spec).times) == 5
+    monkeypatch.setattr(traces, "MAX_SCENARIO_SAMPLES", 4)
+    with pytest.raises(
+        ConfigError, match=r"^scenario of 1\.0s at a 0\.25s sample period has 5 samples, over the cap of 4$"
+    ):
+        generate_scenario(spec)
+
+
 # --- alignment --------------------------------------------------------------
 
 
