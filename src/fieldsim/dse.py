@@ -13,21 +13,32 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, product
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from ._shared import cached_load, fan_out, read_json
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .orchestrator import (
     InstanceSpec,
     MultiModelConfig,
     PortRef,
     load_multimodel,
+    lockstep_cosim,
     run_cosim,
     write_results_csv,
 )
-from .traces import AlignedPair, align, format_real, read_trace_csv
+from .simunit import UnitRegistry
+from .traces import (
+    AlignedPair,
+    TimedTrace,
+    align,
+    align_slots,
+    format_real,
+    position_channels,
+    read_trace_csv,
+)
 from .units import default_registry, replay_factory
 
 ParameterSpace = dict[str, list[float]]
@@ -233,13 +244,14 @@ def _apply_assignment(mm: MultiModelConfig, assignment: ParameterAssignment) -> 
     return replace(mm, instances=instances)
 
 
-def _run_point(task) -> tuple[float, float]:
-    """Run one (scenario, assignment) point; used by worker processes too."""
-    mm, inputs_path, reference_path, assignment, run_dir = task
-    inputs_trace = cached_load(read_trace_csv, inputs_path, ("velocity", "delta_f"))
-    reference = cached_load(read_trace_csv, reference_path)
-    registry = default_registry()
-    registry.register("replay", replay_factory(inputs_trace))
+def _run_point(
+    mm: MultiModelConfig,
+    registry: UnitRegistry,
+    reference: TimedTrace,
+    assignment: ParameterAssignment,
+    run_dir: Path | None = None,
+) -> tuple[float, float]:
+    """Run and score one (scenario, assignment) point on its own."""
     simulated = run_cosim(_apply_assignment(mm, assignment), registry)
     mean_error, max_error = cross_track_error(align(reference, simulated))
     if run_dir is not None:
@@ -247,6 +259,82 @@ def _run_point(task) -> tuple[float, float]:
         write_results_csv(simulated, run_dir / "results.csv")
         write_objectives_json(run_dir / "objectives.json", mean_error, max_error)
     return mean_error, max_error
+
+
+def _lockstep_scores(
+    mm: MultiModelConfig,
+    registry: UnitRegistry,
+    reference: TimedTrace,
+    assignments: list[ParameterAssignment],
+) -> list[tuple[float, float]]:
+    """``cross_track_error(align(reference, ...))`` of each point, run in lock-step.
+
+    Each reference row is scored as soon as the simulated rows it needs
+    exist, in reference order and with the arithmetic of :func:`align` and
+    :func:`cross_track_error`, so the scores are theirs exactly and only
+    the last two rows of each point are kept.
+    """
+    if not reference.times:
+        raise ConfigError("cannot compute cross-track error of an empty alignment")
+    channels, times, rows = lockstep_cosim(
+        [_apply_assignment(mm, a) for a in assignments], registry
+    )
+    sx, sy = position_channels(TimedTrace(channels, [], []))
+    ix, iy = channels.index(sx), channels.index(sy)
+    rx, ry = position_channels(reference)
+    # due[k]: the reference rows scored once row k exists
+    due: list[list[tuple[float, float, float | None]]] = [[] for _ in times]
+    slots, _ = align_slots(reference.times, times)
+    for (j, w), x, y in zip(slots, reference.column(rx), reference.column(ry)):
+        due[j if w is None else j + 1].append((x, y, w))
+
+    totals = [0.0] * len(assignments)
+    worst = [0.0] * len(assignments)
+    sqrt = math.sqrt
+    for k, columns in enumerate(rows):
+        xs, ys = columns[ix], columns[iy]
+        for x_ref, y_ref, w in due[k]:
+            if w is None:
+                at_x, at_y = xs, ys
+            else:
+                at_x = [a + w * (b - a) for a, b in zip(last_x, xs)]
+                at_y = [a + w * (b - a) for a, b in zip(last_y, ys)]
+            ds = [
+                sqrt((x - x_ref) * (x - x_ref) + (y - y_ref) * (y - y_ref))
+                for x, y in zip(at_x, at_y)
+            ]
+            totals = list(map(add, totals, ds))
+            worst = [d if d > m else m for m, d in zip(worst, ds)]
+        last_x, last_y = xs, ys
+    count = len(reference.times)
+    return [(total / count, m) for total, m in zip(totals, worst)]
+
+
+def _run_task(task) -> list[tuple[float, float]]:
+    """Score one scenario's grid slice; used by worker processes too.
+
+    Without artifacts the slice runs in lock-step.  With artifacts, or
+    when the lock-step run fails or scores a point as non-finite, each
+    point runs on its own, so a failure raises the first failing point's
+    own error.
+    """
+    mm, inputs_path, reference_path, assignments, run_dirs = task
+    inputs_trace = cached_load(read_trace_csv, inputs_path, ("velocity", "delta_f"))
+    reference = cached_load(read_trace_csv, reference_path)
+    registry = default_registry()
+    registry.register("replay", replay_factory(inputs_trace))
+    if run_dirs is None:
+        try:
+            scores = _lockstep_scores(mm, registry, reference, assignments)
+        except (ConfigError, SimulationError):
+            scores = None
+        if scores is not None and all(map(math.isfinite, chain.from_iterable(scores))):
+            return scores
+        run_dirs = [None] * len(assignments)
+    return [
+        _run_point(mm, registry, reference, assignment, run_dir)
+        for assignment, run_dir in zip(assignments, run_dirs)
+    ]
 
 
 def run_sweep(
@@ -259,6 +347,8 @@ def run_sweep(
     Rows come back scenario-major in config order, assignments in
     :func:`expand_grid` order within each scenario, independent of the
     worker count, so repeated sweeps are reproducible byte for byte.
+    Each scenario's grid is cut into contiguous slices, enough for every
+    worker to get at least four; a slice is one task.
     """
     if config.multi_model is None:
         raise ConfigError("sweep config names no multi-model")
@@ -272,6 +362,8 @@ def run_sweep(
         if ref.instance not in config.multi_model.instances:
             raise ConfigError(f"parameter {ref_text!r}: no instance {ref.instance!r} in multi-model")
 
+    slices = max(1, min(len(grid), math.ceil(4 * workers / max(1, len(config.scenarios)))))
+    bounds = [len(grid) * i // slices for i in range(slices + 1)]
     tasks = []
     for scenario in config.scenarios:
         inputs_path, reference_path = config.scenario_files[scenario]
@@ -279,15 +371,15 @@ def run_sweep(
             raise ConfigError(f"scenario {scenario!r}: missing inputs file {inputs_path}")
         if not Path(reference_path).is_file():
             raise ConfigError(f"scenario {scenario!r}: missing reference file {reference_path}")
-        for gi, assignment in enumerate(grid):
-            run_dir = None
+        for lo, hi in zip(bounds, bounds[1:]):
+            run_dirs = None
             if artifacts_dir is not None:
-                run_dir = Path(artifacts_dir) / scenario / f"run_{gi:04d}"
+                run_dirs = [Path(artifacts_dir) / scenario / f"run_{gi:04d}" for gi in range(lo, hi)]
             tasks.append(
-                (config.multi_model, str(inputs_path), str(reference_path), assignment, run_dir)
+                (config.multi_model, str(inputs_path), str(reference_path), grid[lo:hi], run_dirs)
             )
 
-    outcomes = fan_out(_run_point, tasks, workers)
+    outcomes = chain.from_iterable(fan_out(_run_task, tasks, workers))
     return [
         SweepRow(scenario, assignment, mean_error, max_error)
         for (scenario, assignment), (mean_error, max_error)

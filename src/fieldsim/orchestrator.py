@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ._shared import read_json
 from .errors import ConfigError, ContractViolation, SimulationError, UnknownUnitError
@@ -152,10 +152,16 @@ class _Plan:
     exchange: list[tuple[Callable[[], object], Callable[[object], None], bool, Connection]]
     recorders: list[Callable[[], object]]
     steppers: list[tuple[str, Callable[[float], None]]]
+    units: dict[str, SimulationUnit]
 
 
-def _build(config: MultiModelConfig, registry: UnitRegistry) -> tuple[_Plan | None, list[str]]:
-    """Build every instance and check the config; the plan is None if any diagnostic."""
+def _build(
+    config: MultiModelConfig, registry: UnitRegistry, prebuilt: Mapping[str, SimulationUnit] = {}
+) -> tuple[_Plan | None, list[str]]:
+    """Build every instance and check the config; the plan is None if any diagnostic.
+
+    Instances named in ``prebuilt`` take that unit instead of a new one.
+    """
     diagnostics: list[str] = []
 
     step_ok = (isinstance(config.step_size, (int, float)) and not isinstance(config.step_size, bool)
@@ -188,6 +194,9 @@ def _build(config: MultiModelConfig, registry: UnitRegistry) -> tuple[_Plan | No
 
     units: dict[str, SimulationUnit] = {}
     for name, spec in config.instances.items():
+        if name in prebuilt:
+            units[name] = prebuilt[name]
+            continue
         try:
             units[name] = registry.instantiate(spec.unit_type, spec.parameters)
         except (UnknownUnitError, ContractViolation) as exc:
@@ -248,8 +257,19 @@ def _build(config: MultiModelConfig, registry: UnitRegistry) -> tuple[_Plan | No
         ],
         recorders=[units[ref.instance]._output_reader(ref.port) for ref in config.outputs],
         steppers=[(name, unit._step) for name, unit in units.items()],
+        units=units,
     )
     return plan, diagnostics
+
+
+def _recording_error(readers: Iterable[tuple[str, Callable[[], object]]], t: float) -> SimulationError:
+    """Name the first recorded output whose value does not convert to float."""
+    for channel, read in readers:
+        try:
+            float(read())
+        except Exception as exc:
+            return SimulationError(f"recorded output {channel} at t={t:.6g}: {exc}")
+    raise AssertionError("every recorded output converts")
 
 
 def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
@@ -258,7 +278,7 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
     Raises :class:`ConfigError` with all diagnostics when the config is
     invalid, and :class:`SimulationError` naming the failing instance
     and simulation time when a unit breaks down mid-run or a recorded
-    output becomes non-finite.
+    output is not a finite number.
     """
     plan, diagnostics = _build(config, registry)
     if diagnostics:
@@ -268,12 +288,12 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
     exchange, recorders, steppers = plan.exchange, plan.recorders, plan.steppers
     isfinite = math.isfinite
     times = [0.0]
-    rows = [[float(read()) for read in recorders]]
 
     # One try for the whole loop: ``phase`` and the loop variables say
     # which connection or instance was at work when something raised.
-    phase = None
+    phase, k = "record", 0
     try:
+        rows = [[float(read()) for read in recorders]]
         for k in range(1, plan.n_steps + 1):
             phase = "exchange"
             for read, write, real, conn in exchange:
@@ -298,7 +318,7 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
             ) from exc
         if phase == "step":
             raise SimulationError(f"instance {name!r} failed at t={(k - 1) * h:.6g}: {exc}") from exc
-        raise
+        raise _recording_error(zip(plan.channels, recorders), k * h) from exc
 
     # scanned after the loop, so that a connected output that goes
     # non-finite still fails as the connection error above; the sum is
@@ -309,6 +329,128 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
                 if not math.isfinite(value):
                     raise SimulationError(f"recorded output {channel} is {value!r} at t={t:.6g}")
     return TimedTrace(channels=plan.channels, times=times, values=rows)
+
+
+def lockstep_cosim(
+    configs: list[MultiModelConfig], registry: UnitRegistry
+) -> tuple[list[str], list[float], Iterator[list[list[float]]]]:
+    """Run configs that differ only in instance parameters side by side.
+
+    An instance is shared when its spec is the same in every config and
+    every instance feeding it is shared: under Jacobi exchange it then
+    sees the same inputs in every copy, so it is built and stepped once.
+    Every other instance is built and stepped once per config.
+
+    Returns the channels, the row times (``k * step_size``, as
+    :func:`run_cosim` records them) and an iterator over the rows.  Each
+    row holds one column per channel with one value per config, each the
+    value :func:`run_cosim` records for that config.  Raises
+    :class:`ConfigError` as :func:`run_cosim` does; the iterator raises
+    :class:`SimulationError` when a unit fails or a recorded value is not
+    a finite number.
+    """
+    first = configs[0]
+    layout = (list(first.instances), first.connections, first.outputs, first.step_size, first.duration)
+    for config in configs:
+        if (list(config.instances), config.connections, config.outputs,
+                config.step_size, config.duration) != layout:
+            raise ConfigError("lock-stepped configs may differ only in instance parameters")
+
+    shared = {
+        name for name, spec in first.instances.items()
+        if all(config.instances[name] == spec for config in configs)
+    }
+    while True:
+        fed = {c.sink.instance for c in first.connections if c.source.instance not in shared}
+        if not shared & fed:
+            break
+        shared -= fed
+
+    plans: list[_Plan] = []
+    prebuilt: dict[str, SimulationUnit] = {}
+    for config in configs:
+        plan, diagnostics = _build(config, registry, prebuilt)
+        if diagnostics:
+            raise ConfigError("invalid multi-model configuration", diagnostics)
+        plans.append(plan)
+        prebuilt = {name: plans[0].units[name] for name in shared}
+
+    base, n = plans[0], len(plans)
+    h = base.step_size
+    # (config or None if shared, read, writes, sink is real, connection): a
+    # shared source is read and checked once, then written to each copy's
+    # sink (or to the one sink, if that is shared too)
+    exchange = []
+    for i, (read, write, real, conn) in enumerate(base.exchange):
+        if conn.source.instance not in shared:
+            exchange += [
+                (p, plan.exchange[i][0], [plan.exchange[i][1]], real, conn)
+                for p, plan in enumerate(plans)
+            ]
+        elif conn.sink.instance in shared:
+            exchange.append((None, read, [write], real, conn))
+        else:
+            exchange.append((None, read, [plan.exchange[i][1] for plan in plans], real, conn))
+    steppers = [(None, name, step) for name, step in base.steppers if name in shared] + [
+        (p, name, step)
+        for p, plan in enumerate(plans)
+        for name, step in plan.steppers
+        if name not in shared
+    ]
+    recorders = [
+        (channel, [base.recorders[i]], n) if ref.instance in shared
+        else (channel, [plan.recorders[i] for plan in plans], 1)
+        for i, (channel, ref) in enumerate(zip(base.channels, first.outputs))
+    ]
+
+    def rows() -> Iterator[list[list[float]]]:
+        isfinite = math.isfinite
+        phase, k, p = "record", 0, None
+        try:
+            for k in range(base.n_steps + 1):
+                if k:  # row 0 is the state before the first step
+                    phase = "exchange"
+                    for p, read, writes, real, conn in exchange:
+                        v = read()
+                        if real:
+                            if v.__class__ is not float or not isfinite(v):
+                                v = _check_real(conn.sink.port, v)
+                        elif v is not True and v is not False:
+                            v = _check_boolean(conn.sink.port, v)
+                        for write in writes:
+                            write(v)
+                    phase = "step"
+                    for p, name, step in steppers:
+                        step(h)
+                    phase = "record"
+                columns = [[float(read()) for read in readers] * copies
+                           for _, readers, copies in recorders]
+                phase = None
+                for (channel, _, _), column in zip(recorders, columns):
+                    # finite unless some value is not (or finite values overflow it)
+                    if not isfinite(sum(column)):
+                        for p, v in enumerate(column):
+                            if not isfinite(v):
+                                raise SimulationError(
+                                    f"recorded output {channel} of config {p} is {v!r} at t={k * h:.6g}"
+                                )
+                yield columns
+        except Exception as exc:
+            of = "" if p is None else f" of config {p}"
+            if phase == "exchange":
+                raise SimulationError(
+                    f"connection {conn.source.render()} -> {conn.sink.render()}{of} "
+                    f"at t={(k - 1) * h:.6g}: {exc}"
+                ) from exc
+            if phase == "step":
+                raise SimulationError(f"instance {name!r}{of} failed at t={(k - 1) * h:.6g}: {exc}") from exc
+            if phase == "record":
+                raise _recording_error(
+                    ((channel, read) for channel, readers, _ in recorders for read in readers), k * h
+                ) from exc
+            raise
+
+    return base.channels, [k * h for k in range(base.n_steps + 1)], rows()
 
 
 def write_results_csv(trace: TimedTrace, path: str | Path) -> None:

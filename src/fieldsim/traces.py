@@ -226,6 +226,35 @@ def position_channels(trace: TimedTrace) -> tuple[str, str]:
     )
 
 
+def align_slots(
+    ref_times: list[float], sim_times: list[float]
+) -> tuple[list[tuple[int, float | None]], int]:
+    """Where each reference time falls among increasing simulated times.
+
+    A slot ``(j, None)`` takes simulated row ``j`` as it is; ``(j, w)``
+    interpolates ``x[j] + w * (x[j + 1] - x[j])``.  Times before the first
+    or after the last simulated time take that endpoint; the second
+    result counts them.  ``sim_times`` must not be empty.
+    """
+    slots: list[tuple[int, float | None]] = []
+    clamped = 0
+    first, last = sim_times[0], len(sim_times) - 1
+    for t in ref_times:
+        if t <= first:
+            if t < first:
+                clamped += 1
+            slots.append((0, None))
+        elif t >= sim_times[last]:
+            if t > sim_times[last]:
+                clamped += 1
+            slots.append((last, None))
+        else:
+            j = bisect_right(sim_times, t) - 1
+            t0 = sim_times[j]
+            slots.append((j, None) if t == t0 else (j, (t - t0) / (sim_times[j + 1] - t0)))
+    return slots, clamped
+
+
 def align(reference: TimedTrace, simulated: TimedTrace) -> AlignedPair:
     """Pair every reference row with the simulated position at its time.
 
@@ -238,32 +267,18 @@ def align(reference: TimedTrace, simulated: TimedTrace) -> AlignedPair:
         raise ConfigError("cannot align against an empty simulated trace")
     rx, ry = position_channels(reference)
     sx, sy = position_channels(simulated)
-    ref_x = reference.column(rx)
-    ref_y = reference.column(ry)
     sim_x = simulated.column(sx)
     sim_y = simulated.column(sy)
-    sim_t = simulated.times
+    slots, clamped = align_slots(reference.times, simulated.times)
 
     pairs: list[tuple[float, float, float, float]] = []
-    clamped = 0
-    last = len(sim_t) - 1
-    for i, t in enumerate(reference.times):
-        if t <= sim_t[0]:
-            if t < sim_t[0]:
-                clamped += 1
-            xs, ys = sim_x[0], sim_y[0]
-        elif t >= sim_t[last]:
-            if t > sim_t[last]:
-                clamped += 1
-            xs, ys = sim_x[last], sim_y[last]
+    for (j, w), x, y in zip(slots, reference.column(rx), reference.column(ry)):
+        if w is None:
+            pairs.append((x, y, sim_x[j], sim_y[j]))
         else:
-            j = bisect_right(sim_t, t) - 1
-            t0, t1 = sim_t[j], sim_t[j + 1]
-            if t == t0:
-                xs, ys = sim_x[j], sim_y[j]
-            else:
-                w = (t - t0) / (t1 - t0)
-                xs = sim_x[j] + w * (sim_x[j + 1] - sim_x[j])
-                ys = sim_y[j] + w * (sim_y[j + 1] - sim_y[j])
-        pairs.append((ref_x[i], ref_y[i], xs, ys))
+            pairs.append((
+                x, y,
+                sim_x[j] + w * (sim_x[j + 1] - sim_x[j]),
+                sim_y[j] + w * (sim_y[j + 1] - sim_y[j]),
+            ))
     return AlignedPair(pairs=pairs, clamped=clamped)

@@ -1,0 +1,420 @@
+"""Lock-stepped sweeps against the per-point path, and unrecordable outputs.
+
+``run_sweep`` runs each scenario's grid slice in lock-step
+(``lockstep_cosim``) and scores it online.  Every score, and every
+failure, must be what running each point on its own through
+``run_cosim``, ``align`` and ``cross_track_error`` gives.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fieldsim import dse
+from fieldsim.cli import main
+from fieldsim.dse import (
+    DseConfig,
+    _apply_assignment,
+    cross_track_error,
+    expand_grid,
+    run_sweep,
+    write_dse_results,
+)
+from fieldsim.errors import ConfigError, SimulationError
+from fieldsim.orchestrator import (
+    Connection,
+    InstanceSpec,
+    MultiModelConfig,
+    PortRef,
+    lockstep_cosim,
+    run_cosim,
+)
+from fieldsim.safety import harvester_config, read_safety_suite
+from fieldsim.simunit import (
+    PortDescriptor,
+    PortDirection,
+    SimulationUnit,
+    UnitDescription,
+    UnitRegistry,
+)
+from fieldsim.traces import (
+    ScenarioSpec,
+    TimedTrace,
+    align,
+    generate_scenario,
+    read_trace_csv,
+    write_trace_csv,
+)
+from fieldsim.units import (
+    default_registry,
+    pure_pursuit_factory,
+    read_grid_map,
+    replay_factory,
+    sensor_factory,
+)
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+_OUT = PortDirection.OUTPUT
+_PAR = PortDirection.PARAMETER
+
+
+class TalkerUnit(SimulationUnit):
+    """Outputs the string "fast" on its real output from step ``at`` on (0: from the start)."""
+
+    DESC = UnitDescription("talker", (PortDescriptor("v", _OUT), PortDescriptor("at", _PAR)), {"at": 0.0})
+
+    def __init__(self, parameters=None):
+        super().__init__(self.DESC, parameters)
+        self._ticks = 0
+        self._outputs["v"] = "fast" if self.parameters["at"] == 0 else 1.0
+
+    def _advance(self, h):
+        self._ticks += 1
+        if self._ticks >= self.parameters["at"]:
+            self._outputs["v"] = "fast"
+
+
+class FuseUnit(SimulationUnit):
+    """Raises on its step number ``at``."""
+
+    DESC = UnitDescription("fuse", (PortDescriptor("y", _OUT), PortDescriptor("at", _PAR)), {"at": 1.0})
+
+    def __init__(self, parameters=None):
+        super().__init__(self.DESC, parameters)
+        self._ticks = 0
+
+    def _advance(self, h):
+        self._ticks += 1
+        if self._ticks == self.parameters["at"]:
+            raise RuntimeError(f"blown at step {self._ticks}")
+
+
+class HugeUnit(SimulationUnit):
+    """Outputs 1e308 on x, y and z: finite values whose sums overflow.
+
+    z turns inf on step ``inf_at`` (0: never).
+    """
+
+    DESC = UnitDescription(
+        "huge",
+        (PortDescriptor("x", _OUT), PortDescriptor("y", _OUT), PortDescriptor("z", _OUT),
+         PortDescriptor("inf_at", _PAR)),
+        {"inf_at": 0.0},
+    )
+
+    def __init__(self, parameters=None):
+        super().__init__(self.DESC, parameters)
+        self._ticks = 0
+        for port in ("x", "y", "z"):
+            self._outputs[port] = 1e308
+
+    def _advance(self, h):
+        self._ticks += 1
+        if self._ticks == self.parameters["inf_at"]:
+            self._outputs["z"] = 1e308 * 10
+
+
+def extended_registry() -> UnitRegistry:
+    registry = default_registry()
+    for name, cls in (("talker", TalkerUnit), ("fuse", FuseUnit), ("huge", HugeUnit)):
+        registry.register(name, cls)
+    return registry
+
+
+@pytest.fixture
+def test_units(monkeypatch):
+    """Make the test units known to sweeps and to the CLI.
+
+    Worker processes see the patch because the pool forks them from this one.
+    """
+    monkeypatch.setattr(dse, "default_registry", extended_registry)
+    monkeypatch.setattr("fieldsim.cli.default_registry", extended_registry)
+
+
+def replay_vehicle(*extra, outputs=("veh.x", "veh.y"), step_size=0.01, duration=1.0):
+    """Replayed commands into a vehicle, plus ``extra`` (name, unit type) instances."""
+    instances = {"cmd": InstanceSpec("replay"), "veh": InstanceSpec("vehicle")}
+    instances.update({name: InstanceSpec(unit_type) for name, unit_type in extra})
+    return MultiModelConfig(
+        instances=instances,
+        connections=[
+            Connection(PortRef("cmd", "velocity"), PortRef("veh", "velocity")),
+            Connection(PortRef("cmd", "delta_f"), PortRef("veh", "delta_f")),
+        ],
+        outputs=[PortRef.parse(text) for text in outputs],
+        step_size=step_size,
+        duration=duration,
+    )
+
+
+def sweep_config(directory, mm, parameters, reference=None, scenarios=("s1", "s2")) -> DseConfig:
+    """A sweep over ``mm`` whose scenarios share one command trace and one reference."""
+    directory = Path(directory)
+    commands = generate_scenario(ScenarioSpec("s", "sin", 2.0, 1.5, 0.3))
+    write_trace_csv(commands, directory / "inputs.csv")
+    if reference is None:
+        registry = default_registry()
+        registry.register("replay", replay_factory(commands))
+        reference = run_cosim(replay_vehicle(), registry)
+    write_trace_csv(reference, directory / "reference.csv")
+    files = (directory / "inputs.csv", directory / "reference.csv")
+    return DseConfig(
+        algorithm="exhaustive",
+        parameters=parameters,
+        scenarios=list(scenarios),
+        multi_model=mm,
+        scenario_files={name: files for name in scenarios},
+    )
+
+
+def per_point_scores(config: DseConfig) -> list[tuple[float, float]]:
+    """Each point on its own: run_cosim, align, cross_track_error."""
+    scores = []
+    for scenario in config.scenarios:
+        inputs, reference = config.scenario_files[scenario]
+        registry = default_registry()
+        registry.register("replay", replay_factory(read_trace_csv(inputs, ["velocity", "delta_f"])))
+        for assignment in expand_grid(config.parameters):
+            simulated = run_cosim(_apply_assignment(config.multi_model, assignment), registry)
+            scores.append(cross_track_error(align(read_trace_csv(reference), simulated)))
+    return scores
+
+
+def table_bytes(config, path, **kwargs) -> bytes:
+    write_dse_results(run_sweep(config, **kwargs), path, list(config.parameters))
+    return path.read_bytes()
+
+
+# --- lockstep_cosim against run_cosim ---------------------------------------
+
+
+def assert_lockstep_equals_run_cosim(configs, make_registry):
+    channels, times, rows = lockstep_cosim(configs, make_registry())
+    rows = list(rows)
+    for p, config in enumerate(configs):
+        trace = run_cosim(config, make_registry())
+        assert channels == trace.channels
+        assert times == trace.times
+        assert [[column[p] for column in row] for row in rows] == trace.values
+
+
+def test_lockstep_shares_only_what_sees_the_same_inputs(monkeypatch):
+    # cmd and fix are shared; veh varies, so sup, which it feeds, is per config
+    commands = generate_scenario(ScenarioSpec("s", "turn_ramp", 2.0, 2.0, 0.4))
+    base = replay_vehicle(
+        ("fix", "vehicle"), ("sup", "supervisor"),
+        outputs=("veh.x", "veh.y", "fix.theta", "sup.velocity", "sup.stop_engaged", "cmd.velocity"),
+    )
+    base.connections += [
+        Connection(PortRef("cmd", "velocity"), PortRef("fix", "velocity")),
+        Connection(PortRef("cmd", "delta_f"), PortRef("fix", "delta_f")),
+        Connection(PortRef("cmd", "velocity"), PortRef("sup", "velocity_cmd")),
+        Connection(PortRef("veh", "x"), PortRef("sup", "obstacle_distance")),
+    ]
+    configs = [_apply_assignment(base, {"veh.mu": mu}) for mu in (0.2, 0.5, 0.9)]
+
+    def make_registry():
+        registry = default_registry()
+        registry.register("replay", replay_factory(commands))
+        return registry
+
+    assert_lockstep_equals_run_cosim(configs, make_registry)
+
+    built = []
+    instantiate = UnitRegistry.instantiate
+    monkeypatch.setattr(
+        UnitRegistry, "instantiate",
+        lambda self, unit_type, parameters=None: built.append(unit_type)
+        or instantiate(self, unit_type, parameters),
+    )
+    lockstep_cosim(configs, make_registry())
+    assert sorted(built) == ["replay", "supervisor", "supervisor", "supervisor",
+                             "vehicle", "vehicle", "vehicle", "vehicle"]
+
+
+def test_lockstep_on_the_sample_closed_loop():
+    # a loop: varying the supervisor makes every instance per config
+    run = read_safety_suite(SAMPLES / "safety_suite.json").runs[0]
+    grid_map = read_grid_map(run.map_path)
+
+    def make_registry():
+        registry = default_registry()
+        registry.register("pure_pursuit", pure_pursuit_factory(run.path))
+        registry.register("sensor", sensor_factory(grid_map))
+        return registry
+
+    configs = [_apply_assignment(harvester_config(run), {"sup.decel": d}) for d in (1.0, 3.0)]
+    assert_lockstep_equals_run_cosim(configs, make_registry)
+
+
+def test_lockstep_rejects_configs_that_differ_in_more_than_parameters():
+    registry = default_registry()
+    with pytest.raises(ConfigError, match="may differ only in instance parameters"):
+        lockstep_cosim([replay_vehicle(), replay_vehicle(duration=2.0)], registry)
+
+
+# --- run_sweep against the per-point path -----------------------------------
+
+
+@st.composite
+def sweep_cases(draw):
+    """Small grids over one or two vehicles, and references off the ``k * h`` grid."""
+    step_size = draw(st.sampled_from([0.01, 0.02, 0.05]))
+    duration = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    mm = replay_vehicle(("fix", "vehicle"), outputs=("veh.x", "veh.y", "fix.theta"),
+                        step_size=step_size, duration=duration)
+    mm.connections += [
+        Connection(PortRef("cmd", "velocity"), PortRef("fix", "velocity")),
+        Connection(PortRef("cmd", "delta_f"), PortRef("fix", "delta_f")),
+    ]
+    choices = {
+        "veh.cAlphaF": [20000.0, 30000.0, 38000.0],
+        "veh.mu": [0.2, 0.5, 0.9],
+        "veh.m_robot": [800.0, 2000.0],
+        "fix.mu": [0.3, 0.6],
+    }
+    names = draw(st.lists(st.sampled_from(sorted(choices)), min_size=1, max_size=3, unique=True))
+    parameters = {
+        name: draw(st.lists(st.sampled_from(choices[name]), min_size=1, unique=True))
+        for name in names
+    }
+    on_grid = st.integers(0, round(duration / step_size)).map(lambda k: k * step_size)
+    anywhere = st.floats(-0.2, duration + 0.2)
+    times = sorted(set(draw(st.lists(st.one_of(anywhere, on_grid), min_size=1, max_size=40))))
+    coord = st.floats(-3.0, 3.0)
+    reference = TimedTrace(["x", "y"], times, [[draw(coord), draw(coord)] for _ in times])
+    return mm, parameters, reference
+
+
+@settings(max_examples=12, deadline=None)
+@given(sweep_cases())
+def test_sweep_scores_are_the_per_point_scores(case):
+    mm, parameters, reference = case
+    with tempfile.TemporaryDirectory() as directory:
+        config = sweep_config(directory, mm, parameters, reference)
+        expected = per_point_scores(config)
+        for workers in (1, 2):
+            rows = run_sweep(config, workers=workers)
+            assert [(r.mean_error, r.max_error) for r in rows] == expected
+
+
+def test_a01_shaped_sweep_runs_in_lockstep(tmp_path, monkeypatch):
+    config = sweep_config(tmp_path, replay_vehicle(), {
+        "veh.cAlphaF": [20000.0, 38000.0], "veh.mu": [0.3, 0.5], "veh.m_robot": [1000.0, 2000.0],
+    })
+    expected = per_point_scores(config)
+
+    def forbidden(*args):
+        raise AssertionError("the sweep ran a point on its own")
+
+    built = []
+    instantiate = UnitRegistry.instantiate
+    monkeypatch.setattr(dse, "run_cosim", forbidden)
+    monkeypatch.setattr(
+        UnitRegistry, "instantiate",
+        lambda self, unit_type, parameters=None: built.append(unit_type)
+        or instantiate(self, unit_type, parameters),
+    )
+    rows = run_sweep(config)
+    assert [(r.mean_error, r.max_error) for r in rows] == expected
+    # 2 scenarios x 8 points; one worker gets 4 tasks: each scenario in 2 slices
+    assert built.count("vehicle") == 16
+    assert built.count("replay") == 4
+
+
+def test_sweep_against_an_empty_reference_fails_as_the_per_point_path(tmp_path):
+    config = sweep_config(tmp_path, replay_vehicle(), {"veh.mu": [0.3, 0.5]},
+                          TimedTrace(["x", "y"], [], []))
+    with pytest.raises(ConfigError, match="^cannot compute cross-track error of an empty alignment$"):
+        run_sweep(config)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_raises_the_first_failing_point_in_grid_order(tmp_path, test_units, workers):
+    # point 3 fails at step 20, before point 2 does at step 30; both share a
+    # slice, of four points on one worker and of two on two
+    at = [1000.0, 999.0, 30.0, 20.0, 998.0, 997.0, 996.0, 995.0]
+    config = sweep_config(tmp_path, replay_vehicle(("fuse", "fuse")), {"fuse.at": at})
+    with pytest.raises(SimulationError, match=r"^instance 'fuse' failed at t=0\.29: blown at step 30$"):
+        run_sweep(config, workers=workers)
+
+
+@pytest.mark.parametrize("outputs", [("veh.x", "veh.y", "big.z"), ("big.x", "big.y")])
+@pytest.mark.parametrize("parameters", [{"veh.mu": [0.3, 0.5]}, {"big.inf_at": [0.0, 500.0, 600.0]}])
+def test_overflowing_column_sums_give_the_per_point_table(tmp_path, test_units, outputs, parameters):
+    # each recorded value is finite, but a column of them sums to inf;
+    # scored on big.x and big.y, every distance overflows too
+    config = sweep_config(tmp_path, replay_vehicle(("big", "huge"), outputs=outputs), parameters)
+    lockstep = table_bytes(config, tmp_path / "lockstep.csv")
+    per_point = table_bytes(config, tmp_path / "per_point.csv", artifacts_dir=tmp_path / "art")
+    assert lockstep == per_point
+    assert (b",inf," in lockstep) == (outputs == ("big.x", "big.y"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_output_that_is_not_scored_fails_the_sweep(tmp_path, test_units, workers):
+    config = sweep_config(
+        tmp_path, replay_vehicle(("big", "huge"), outputs=("veh.x", "veh.y", "big.z")),
+        {"big.inf_at": [0.0, 7.0]},
+    )
+    with pytest.raises(SimulationError, match=r"^recorded output big\.z is inf at t=0\.07$"):
+        run_sweep(config, workers=workers)
+
+
+# --- recorded outputs that are not numbers ----------------------------------
+
+
+def talker_config(at):
+    return MultiModelConfig(
+        instances={"a": InstanceSpec("fuse", {"at": 1000.0}), "b": InstanceSpec("talker", {"at": at})},
+        connections=[],
+        outputs=[PortRef("a", "y"), PortRef("b", "v")],
+        step_size=0.1,
+        duration=0.5,
+    )
+
+
+def test_recorded_output_that_is_not_a_number_fails_at_t0():
+    with pytest.raises(
+        SimulationError, match=r"^recorded output b\.v at t=0: could not convert string to float: 'fast'$"
+    ):
+        run_cosim(talker_config(0.0), extended_registry())
+
+
+def test_recorded_output_that_is_not_a_number_fails_mid_run():
+    with pytest.raises(
+        SimulationError, match=r"^recorded output b\.v at t=0\.2: could not convert string to float: 'fast'$"
+    ):
+        run_cosim(talker_config(2.0), extended_registry())
+
+
+def test_cosim_with_an_output_that_is_not_a_number_exits_3(tmp_path, capsys, test_units):
+    path = tmp_path / "mm.json"
+    path.write_text(json.dumps({
+        "instances": {"b": {"unit_type": "talker", "parameters": {"at": 3}}},
+        "outputs": ["b.v"], "step_size": 0.1, "duration": 0.5,
+    }))
+    out = tmp_path / "o.csv"
+    assert main(["cosim", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "simulation error: recorded output b.v at t=0.3: could not convert string to float: 'fast'\n"
+    )
+    assert not out.exists()
+
+
+def test_sweep_with_an_output_that_is_not_a_number_raises_the_first_points_error(tmp_path, test_units):
+    # points 1 and 2 share a slice; point 2 fails first in time, point 1 first in grid order
+    config = sweep_config(
+        tmp_path, replay_vehicle(("tlk", "talker"), outputs=("veh.x", "veh.y", "tlk.v")),
+        {"tlk.at": [1000.0, 5.0, 3.0, 999.0, 998.0, 997.0]},
+    )
+    with pytest.raises(
+        SimulationError,
+        match=r"^recorded output tlk\.v at t=0\.05: could not convert string to float: 'fast'$",
+    ):
+        run_sweep(config)

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from fieldsim.traces import (
     ScenarioSpec,
     TimedTrace,
     align,
+    align_slots,
     format_real,
     generate_scenario,
     position_channels,
@@ -312,3 +314,87 @@ def test_align_interpolation_stays_inside_segment_box(data):
     lo_y, hi_y = sorted((sim_pts[j][1], sim_pts[j + 1][1]))
     assert lo_x - 1e-9 <= xs <= hi_x + 1e-9
     assert lo_y - 1e-9 <= ys <= hi_y + 1e-9
+
+
+def bisect_align(reference: TimedTrace, simulated: TimedTrace) -> AlignedPair:
+    """``align`` as it was before its slots were split out: the oracle below."""
+    if not simulated.times:
+        raise ConfigError("cannot align against an empty simulated trace")
+    rx, ry = position_channels(reference)
+    sx, sy = position_channels(simulated)
+    ref_x = reference.column(rx)
+    ref_y = reference.column(ry)
+    sim_x = simulated.column(sx)
+    sim_y = simulated.column(sy)
+    sim_t = simulated.times
+
+    pairs: list[tuple[float, float, float, float]] = []
+    clamped = 0
+    last = len(sim_t) - 1
+    for i, t in enumerate(reference.times):
+        if t <= sim_t[0]:
+            if t < sim_t[0]:
+                clamped += 1
+            xs, ys = sim_x[0], sim_y[0]
+        elif t >= sim_t[last]:
+            if t > sim_t[last]:
+                clamped += 1
+            xs, ys = sim_x[last], sim_y[last]
+        else:
+            j = bisect_right(sim_t, t) - 1
+            t0, t1 = sim_t[j], sim_t[j + 1]
+            if t == t0:
+                xs, ys = sim_x[j], sim_y[j]
+            else:
+                w = (t - t0) / (t1 - t0)
+                xs = sim_x[j] + w * (sim_x[j + 1] - sim_x[j])
+                ys = sim_y[j] + w * (sim_y[j + 1] - sim_y[j])
+        pairs.append((ref_x[i], ref_y[i], xs, ys))
+    return AlignedPair(pairs=pairs, clamped=clamped)
+
+
+@st.composite
+def alignment_case(draw):
+    """Simulated rows on a ``k * h`` or an irregular grid, and reference times
+    before it, after it, on its rows and between them."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        h = draw(st.sampled_from([0.01, 0.02, 0.1, 0.25, 1.0 / 3.0]))
+        sim_t = [k * h for k in range(n)]
+    else:
+        gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+        sim_t = [draw(st.floats(-5.0, 5.0))]
+        for gap in gaps:
+            sim_t.append(sim_t[-1] + gap)
+        sim_t = sorted(set(sim_t))
+    span = sim_t[-1] - sim_t[0] + 1.0
+    kinds = st.one_of(
+        st.floats(sim_t[0] - span, sim_t[0]),
+        st.floats(sim_t[-1], sim_t[-1] + span),
+        st.sampled_from(sim_t),
+        st.tuples(st.integers(0, len(sim_t) - 1), st.floats(0.0, 1.0)).map(
+            lambda c: sim_t[c[0]] + c[1] * (sim_t[min(c[0] + 1, len(sim_t) - 1)] - sim_t[c[0]])
+        ),
+    )
+    ref_t = sorted(set(draw(st.lists(kinds, max_size=25))))
+    coord = st.floats(-1e3, 1e3)
+    sim = pos_trace(sim_t, [(draw(coord), draw(coord)) for _ in sim_t], ("veh.x", "veh.y"))
+    ref = pos_trace(ref_t, [(draw(coord), draw(coord)) for _ in ref_t])
+    return ref, sim
+
+
+@settings(max_examples=300, deadline=None)
+@given(alignment_case())
+def test_align_and_its_slots_match_the_bisect_oracle(case):
+    reference, simulated = case
+    expected = bisect_align(reference, simulated)
+    assert align(reference, simulated) == expected
+
+    slots, clamped = align_slots(reference.times, simulated.times)
+    assert clamped == expected.clamped
+    x, y = simulated.column("veh.x"), simulated.column("veh.y")
+    at = [
+        (x[j], y[j]) if w is None else (x[j] + w * (x[j + 1] - x[j]), y[j] + w * (y[j + 1] - y[j]))
+        for j, w in slots
+    ]
+    assert at == [pair[2:] for pair in expected.pairs]
