@@ -1,7 +1,7 @@
 """Plumbing shared by the co-simulation, sweep and safety layers.
 
-One JSON document reader, one file-backed cache, one ordered process
-fan-out and one children-first graph walk.
+One text file reader, one JSON document reader, one file-backed cache,
+one ordered process fan-out and one children-first graph walk.
 """
 
 from __future__ import annotations
@@ -15,13 +15,21 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ConfigError
 
 
+def read_text(path: Path) -> str:
+    """A file's text; bytes that do not decode are a :class:`ConfigError` naming the file."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc.reason} at byte {exc.start}") from None
+
+
 def read_json(source: str | Path | Mapping):
     """Decode a JSON file; an already-parsed document passes through."""
     if not isinstance(source, (str, Path)):
         return source
     path = Path(source)
     try:
-        return json.loads(path.read_text())
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 

@@ -18,7 +18,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import cached_load, fan_out, read_json
+from ._shared import cached_load, fan_out, read_json, read_text
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
     InstanceSpec,
@@ -288,11 +288,12 @@ def _lockstep_scores(
     for (j, w), x, y in zip(slots, reference.column(rx), reference.column(ry)):
         due[j if w is None else j + 1].append((x, y, w))
 
-    totals = [0.0] * len(assignments)
-    worst = [0.0] * len(assignments)
+    n = len(assignments)
+    totals = [0.0] * n
+    worst = [0.0] * n
     sqrt = math.sqrt
-    for k, columns in enumerate(rows):
-        xs, ys = columns[ix], columns[iy]
+    for k, row in enumerate(rows):
+        xs, ys = row[ix * n:ix * n + n], row[iy * n:iy * n + n]
         for x_ref, y_ref, w in due[k]:
             if w is None:
                 at_x, at_y = xs, ys
@@ -501,7 +502,7 @@ def write_dse_results(rows: list[SweepRow], path: str | Path, param_names: list[
 def read_dse_results(path: str | Path) -> tuple[list[str], list[SweepRow]]:
     """Read a sweep result table; returns (parameter names, rows)."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty file, expected a header line")
     header = lines[0].split(",")

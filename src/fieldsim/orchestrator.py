@@ -10,6 +10,12 @@ A run over ``duration`` at ``step_size`` produces ``N + 1`` rows with
 ``N = ceil(duration / step_size)``: one initial row at t = 0 before any
 stepping, then one per macro step.  Row times are ``k * step_size``
 computed from the step index, never by accumulation.
+
+There is one stepping loop, :func:`lockstep_cosim`: it steps configs that
+differ only in instance parameters side by side, one flat row per step,
+and :func:`run_cosim` is that loop over one config.  A recorded value that
+is not finite is reported after the last row, so a connection or instance
+failure it leads to is the one reported.
 """
 
 from __future__ import annotations
@@ -17,9 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from ._shared import read_json
 from .errors import ConfigError, ContractViolation, SimulationError, UnknownUnitError
@@ -173,13 +178,13 @@ def _build(
     if not duration_ok:
         diagnostics.append(f"duration must be non-negative and finite, got {config.duration!r}")
     if step_ok and duration_ok:
+        n_steps = math.ceil(Fraction(config.duration) / Fraction(float(config.step_size)))
+        values = (n_steps + 1) * len(config.outputs)
         if config.duration / config.step_size > MAX_STEPS:
             diagnostics.append(
                 f"run of {config.duration}s at {config.step_size}s exceeds {MAX_STEPS} steps"
             )
-        n_steps = math.ceil(Fraction(config.duration) / Fraction(float(config.step_size)))
-        values = (n_steps + 1) * len(config.outputs)
-        if values > MAX_RECORDED_VALUES:
+        elif values > MAX_RECORDED_VALUES:
             diagnostics.append(
                 f"run of {config.duration}s at {config.step_size}s would record {values} values "
                 f"({n_steps + 1} rows of {len(config.outputs)}), over the budget of "
@@ -262,16 +267,6 @@ def _build(
     return plan, diagnostics
 
 
-def _recording_error(readers: Iterable[tuple[str, Callable[[], object]]], t: float) -> SimulationError:
-    """Name the first recorded output whose value does not convert to float."""
-    for channel, read in readers:
-        try:
-            float(read())
-        except Exception as exc:
-            return SimulationError(f"recorded output {channel} at t={t:.6g}: {exc}")
-    raise AssertionError("every recorded output converts")
-
-
 def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
     """Run one co-simulation and return the recorded trace.
 
@@ -280,74 +275,30 @@ def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
     and simulation time when a unit breaks down mid-run or a recorded
     output is not a finite number.
     """
-    plan, diagnostics = _build(config, registry)
-    if diagnostics:
-        raise ConfigError("invalid multi-model configuration", diagnostics)
-
-    h = plan.step_size
-    exchange, recorders, steppers = plan.exchange, plan.recorders, plan.steppers
-    isfinite = math.isfinite
-    times = [0.0]
-
-    # One try for the whole loop: ``phase`` and the loop variables say
-    # which connection or instance was at work when something raised.
-    phase, k = "record", 0
-    try:
-        rows = [[float(read()) for read in recorders]]
-        for k in range(1, plan.n_steps + 1):
-            phase = "exchange"
-            for read, write, real, conn in exchange:
-                v = read()
-                if real:
-                    if v.__class__ is not float or not isfinite(v):
-                        v = _check_real(conn.sink.port, v)
-                elif v is not True and v is not False:
-                    v = _check_boolean(conn.sink.port, v)
-                write(v)
-            phase = "step"
-            for name, step in steppers:
-                step(h)
-            phase = "record"
-            times.append(k * h)
-            rows.append([float(read()) for read in recorders])
-    except Exception as exc:
-        if phase == "exchange":
-            raise SimulationError(
-                f"connection {conn.source.render()} -> {conn.sink.render()} "
-                f"at t={(k - 1) * h:.6g}: {exc}"
-            ) from exc
-        if phase == "step":
-            raise SimulationError(f"instance {name!r} failed at t={(k - 1) * h:.6g}: {exc}") from exc
-        raise _recording_error(zip(plan.channels, recorders), k * h) from exc
-
-    # scanned after the loop, so that a connected output that goes
-    # non-finite still fails as the connection error above; the sum is
-    # finite unless some value is not (or finite values overflow it)
-    if not math.isfinite(sum(chain.from_iterable(rows))):
-        for t, row in zip(times, rows):
-            for channel, value in zip(plan.channels, row):
-                if not math.isfinite(value):
-                    raise SimulationError(f"recorded output {channel} is {value!r} at t={t:.6g}")
-    return TimedTrace(channels=plan.channels, times=times, values=rows)
+    channels, times, rows = lockstep_cosim([config], registry)
+    return TimedTrace(channels, times, list(rows))
 
 
 def lockstep_cosim(
     configs: list[MultiModelConfig], registry: UnitRegistry
-) -> tuple[list[str], list[float], Iterator[list[list[float]]]]:
+) -> tuple[list[str], list[float], Iterator[list[float]]]:
     """Run configs that differ only in instance parameters side by side.
 
     An instance is shared when its spec is the same in every config and
     every instance feeding it is shared: under Jacobi exchange it then
     sees the same inputs in every copy, so it is built and stepped once.
-    Every other instance is built and stepped once per config.
+    Every other instance is built and stepped once per config.  With one
+    config every instance is shared, which is :func:`run_cosim`.
 
-    Returns the channels, the row times (``k * step_size``, as
-    :func:`run_cosim` records them) and an iterator over the rows.  Each
-    row holds one column per channel with one value per config, each the
-    value :func:`run_cosim` records for that config.  Raises
-    :class:`ConfigError` as :func:`run_cosim` does; the iterator raises
-    :class:`SimulationError` when a unit fails or a recorded value is not
-    a finite number.
+    Returns the channels, the row times (``k * step_size``) and an
+    iterator over the rows.  Each row is flat, ordered by channel and
+    then by config: config ``p`` of ``n`` recorded ``row[p::n]``.  Raises
+    :class:`ConfigError` with all diagnostics when a config is invalid.
+    The iterator raises :class:`SimulationError` naming the connection,
+    instance or recorded output, and the config when there are several,
+    that failed.  A recorded value that is not finite fails the run only
+    after the last row, naming the first such value, so that a failure
+    it causes later (in a connection it feeds, say) is the one reported.
     """
     first = configs[0]
     layout = (list(first.instances), first.connections, first.outputs, first.step_size, first.duration)
@@ -397,14 +348,12 @@ def lockstep_cosim(
         for name, step in plan.steppers
         if name not in shared
     ]
-    recorders = [
-        (channel, [base.recorders[i]], n) if ref.instance in shared
-        else (channel, [plan.recorders[i] for plan in plans], 1)
-        for i, (channel, ref) in enumerate(zip(base.channels, first.outputs))
-    ]
+    # a shared instance's copies are one unit, so its reader repeats
+    recorders = [plan.recorders[i] for i in range(len(base.channels)) for plan in plans]
 
-    def rows() -> Iterator[list[list[float]]]:
+    def rows() -> Iterator[list[float]]:
         isfinite = math.isfinite
+        bad = None  # (row, index, value) of the first non-finite recorded value
         phase, k, p = "record", 0, None
         try:
             for k in range(base.n_steps + 1):
@@ -423,18 +372,11 @@ def lockstep_cosim(
                     for p, name, step in steppers:
                         step(h)
                     phase = "record"
-                columns = [[float(read()) for read in readers] * copies
-                           for _, readers, copies in recorders]
-                phase = None
-                for (channel, _, _), column in zip(recorders, columns):
-                    # finite unless some value is not (or finite values overflow it)
-                    if not isfinite(sum(column)):
-                        for p, v in enumerate(column):
-                            if not isfinite(v):
-                                raise SimulationError(
-                                    f"recorded output {channel} of config {p} is {v!r} at t={k * h:.6g}"
-                                )
-                yield columns
+                row = [float(read()) for read in recorders]
+                # finite unless some value is not (or finite values overflow it)
+                if bad is None and not isfinite(sum(row)):
+                    bad = next(((k, j, v) for j, v in enumerate(row) if not isfinite(v)), None)
+                yield row
         except Exception as exc:
             of = "" if p is None else f" of config {p}"
             if phase == "exchange":
@@ -444,11 +386,17 @@ def lockstep_cosim(
                 ) from exc
             if phase == "step":
                 raise SimulationError(f"instance {name!r}{of} failed at t={(k - 1) * h:.6g}: {exc}") from exc
-            if phase == "record":
-                raise _recording_error(
-                    ((channel, read) for channel, readers, _ in recorders for read in readers), k * h
-                ) from exc
+            for j, read in enumerate(recorders):  # the first that does not convert to float
+                try:
+                    float(read())
+                except Exception as error:
+                    channel = base.channels[j // n]
+                    raise SimulationError(f"recorded output {channel} at t={k * h:.6g}: {error}") from exc
             raise
+        if bad is not None:
+            k, j, v = bad
+            of = f" of config {j % n}" if n > 1 else ""
+            raise SimulationError(f"recorded output {base.channels[j // n]}{of} is {v!r} at t={k * h:.6g}")
 
     return base.channels, [k * h for k in range(base.n_steps + 1)], rows()
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ._shared import read_text
 from .errors import ConfigError
 
 
@@ -82,7 +83,7 @@ def read_trace_csv(path: str | Path, expected_channels: list[str] | None = None)
     order included.  Diagnostics carry the offending line number.
     """
     path = Path(path)
-    text = path.read_text()
+    text = read_text(path)
     lines = text.splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty file, expected a header line")

@@ -18,6 +18,7 @@ from math import cos, floor, hypot, isfinite, pi, sin
 from pathlib import Path
 from typing import Mapping
 
+from .._shared import read_text
 from ..errors import ConfigError, ContractViolation
 from ..simunit import (
     PortDescriptor,
@@ -102,7 +103,7 @@ class GridMap:
 
 def read_grid_map(path: str | Path) -> GridMap:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != "GRIDMAP 1":
         raise ConfigError(f"{path}:1: expected magic line 'GRIDMAP 1'")
     if len(lines) < 2:

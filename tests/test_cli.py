@@ -115,6 +115,24 @@ def test_cosim_over_the_recorded_value_budget_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cosim_over_the_step_limit_reports_it_once(tmp_path, capsys):
+    # the run would also record far more than the budget: one fault, one line
+    out = tmp_path / "o.csv"
+    code, _, stderr = run_cli(
+        capsys, "cosim",
+        "--config", SAMPLES / "vehicle_replay.json",
+        "--scenario-inputs", SAMPLES / "sin_cal_inputs.csv",
+        "--step", "1e-300",
+        "--out", out,
+    )
+    assert code == 2
+    assert stderr == (
+        "error: invalid multi-model configuration\n"
+        "  - run of 4.0s at 1e-300s exceeds 100000000 steps\n"
+    )
+    assert not out.exists()
+
+
 def test_runtime_failures_exit_3(tmp_path, monkeypatch, capsys):
     def boom(config, registry):
         raise SimulationError("instance 'veh' failed at t=0.5: boom")
@@ -474,6 +492,29 @@ def test_mistyped_lists_and_paths_exit_2(tmp_path, capsys, command, change, frag
     assert code == 2
     assert fragment in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "name,command",
+    [
+        ("vehicle_replay.json", ["cosim", "--config", "vehicle_replay.json",
+                                 "--scenario-inputs", "sin_cal_inputs.csv", "--out", "o.csv"]),
+        ("sin_cal_inputs.csv", ["cosim", "--config", "vehicle_replay.json",
+                                "--scenario-inputs", "sin_cal_inputs.csv", "--out", "o.csv"]),
+        ("field.map", ["safety-run", "--suite", "safety_suite.json", "--evidence-dir", "evidence"]),
+        ("table.csv", ["dse", "optimize", "--results", "table.csv"]),
+    ],
+    ids=["json", "trace-csv", "grid-map", "sweep-table"],
+)
+def test_a_file_that_is_not_text_exits_2(tmp_path, capsys, name, command):
+    shutil.copytree(SAMPLES, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    path.write_bytes(b"\x80" + (path.read_bytes() if path.exists() else b""))
+    args = [tmp_path / arg if arg.endswith((".json", ".csv")) or arg == "evidence" else arg
+            for arg in command]
+    code, _, stderr = run_cli(capsys, *args)
+    assert code == 2
+    assert stderr == f"error: {path}: not a text file: invalid start byte at byte 0\n"
 
 
 def test_safety_run_worker_count_does_not_change_evidence(safety_evidence, tmp_path):

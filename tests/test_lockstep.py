@@ -1,12 +1,19 @@
-"""Lock-stepped sweeps against the per-point path, and unrecordable outputs.
+"""Lock-stepped runs and sweeps, which failure a run reports, and unrecordable outputs.
 
-``run_sweep`` runs each scenario's grid slice in lock-step
-(``lockstep_cosim``) and scores it online.  Every score, and every
-failure, must be what running each point on its own through
-``run_cosim``, ``align`` and ``cross_track_error`` gives.
+``run_cosim`` is ``lockstep_cosim`` of one config, so comparing the two
+checks what sharing instances and the flat row layout do to each
+config's values; ``tests/test_plan.py`` checks the loop itself against a
+master written on the public unit protocol.  A recorded value that is
+not finite is reported after the last row, so a connection or instance
+failure it leads to is the one a run reports, with ``of config p`` when
+several configs run.  ``run_sweep`` runs each scenario's grid slice in
+lock-step and scores it online.  Every score, and every failure, must be
+what running each point on its own through ``run_cosim``, ``align`` and
+``cross_track_error`` gives.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -59,6 +66,7 @@ from fieldsim.units import (
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
+_IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
 _PAR = PortDirection.PARAMETER
 
@@ -119,9 +127,37 @@ class HugeUnit(SimulationUnit):
             self._outputs["z"] = 1e308 * 10
 
 
+class SpikeUnit(SimulationUnit):
+    """Outputs 0.0 on y, and nan from its step number ``at`` on (0: never)."""
+
+    DESC = UnitDescription("spike", (PortDescriptor("y", _OUT), PortDescriptor("at", _PAR)), {"at": 0.0})
+
+    def __init__(self, parameters=None):
+        super().__init__(self.DESC, parameters)
+        self._ticks = 0
+
+    def _advance(self, h):
+        self._ticks += 1
+        if self._ticks == self.parameters["at"]:
+            self._outputs["y"] = math.nan
+
+
+class EchoUnit(SimulationUnit):
+    """Outputs on y what its input u held before the step."""
+
+    DESC = UnitDescription("echo", (PortDescriptor("u", _IN), PortDescriptor("y", _OUT)))
+
+    def __init__(self, parameters=None):
+        super().__init__(self.DESC, parameters)
+
+    def _advance(self, h):
+        self._outputs["y"] = self._inputs["u"]
+
+
 def extended_registry() -> UnitRegistry:
     registry = default_registry()
-    for name, cls in (("talker", TalkerUnit), ("fuse", FuseUnit), ("huge", HugeUnit)):
+    for name, cls in (("talker", TalkerUnit), ("fuse", FuseUnit), ("huge", HugeUnit),
+                      ("spike", SpikeUnit), ("echo", EchoUnit)):
         registry.register(name, cls)
     return registry
 
@@ -200,7 +236,7 @@ def assert_lockstep_equals_run_cosim(configs, make_registry):
         trace = run_cosim(config, make_registry())
         assert channels == trace.channels
         assert times == trace.times
-        assert [[column[p] for column in row] for row in rows] == trace.values
+        assert [row[p::len(configs)] for row in rows] == trace.values
 
 
 def test_lockstep_shares_only_what_sees_the_same_inputs(monkeypatch):
@@ -256,6 +292,75 @@ def test_lockstep_rejects_configs_that_differ_in_more_than_parameters():
     registry = default_registry()
     with pytest.raises(ConfigError, match="may differ only in instance parameters"):
         lockstep_cosim([replay_vehicle(), replay_vehicle(duration=2.0)], registry)
+
+
+# --- which failure a run reports --------------------------------------------
+
+
+def spike_config(at):
+    """s.y is recorded and feeds e.u; it turns nan on s's step ``at``."""
+    return MultiModelConfig(
+        instances={"s": InstanceSpec("spike", {"at": at}), "e": InstanceSpec("echo")},
+        connections=[Connection(PortRef("s", "y"), PortRef("e", "u"))],
+        outputs=[PortRef("s", "y"), PortRef("e", "y")],
+        step_size=0.1,
+        duration=0.5,
+    )
+
+
+def inf_then_fuse_config(inf_at, fuse_at):
+    """big.z is recorded and turns inf on step ``inf_at``; f raises on step ``fuse_at``."""
+    return MultiModelConfig(
+        instances={"big": InstanceSpec("huge", {"inf_at": inf_at}),
+                   "f": InstanceSpec("fuse", {"at": fuse_at})},
+        connections=[],
+        outputs=[PortRef("big", "z")],
+        step_size=0.1,
+        duration=0.5,
+    )
+
+
+def lockstep_rows(configs):
+    return list(lockstep_cosim(configs, extended_registry())[2])
+
+
+def test_recorded_nan_that_feeds_a_connection_fails_as_the_connection():
+    # row 1 records the nan; the exchange before step 2 then meets it
+    with pytest.raises(
+        SimulationError, match=r"^connection s\.y -> e\.u at t=0\.1: port 'u' given non-finite value nan$"
+    ):
+        run_cosim(spike_config(1.0), extended_registry())
+
+
+def test_lockstep_recorded_nan_that_feeds_a_connection_fails_as_the_connection():
+    with pytest.raises(
+        SimulationError,
+        match=r"^connection s\.y -> e\.u of config 1 at t=0\.1: port 'u' given non-finite value nan$",
+    ):
+        lockstep_rows([spike_config(0.0), spike_config(1.0)])
+
+
+def test_instance_failure_after_a_recorded_inf_is_the_one_reported():
+    with pytest.raises(SimulationError, match=r"^instance 'f' failed at t=0\.3: blown at step 4$"):
+        run_cosim(inf_then_fuse_config(2.0, 4.0), extended_registry())
+
+
+def test_lockstep_instance_failure_after_a_recorded_inf_is_the_one_reported():
+    with pytest.raises(
+        SimulationError, match=r"^instance 'f' of config 1 failed at t=0\.3: blown at step 4$"
+    ):
+        lockstep_rows([inf_then_fuse_config(0.0, 1000.0), inf_then_fuse_config(2.0, 4.0)])
+
+
+def test_lockstep_reports_a_recorded_inf_after_the_last_row():
+    # config 1 turns inf at step 2 and config 0 at step 3: every row still comes out
+    configs = [inf_then_fuse_config(3.0, 1000.0), inf_then_fuse_config(2.0, 1000.0)]
+    _, times, rows = lockstep_cosim(configs, extended_registry())
+    seen = []
+    with pytest.raises(SimulationError, match=r"^recorded output big\.z of config 1 is inf at t=0\.2$"):
+        for row in rows:
+            seen.append(row)
+    assert len(seen) == len(times) == 6
 
 
 # --- run_sweep against the per-point path -----------------------------------

@@ -4,7 +4,9 @@
 checks a unit can still fail.  ``checked_run`` below is the master loop
 written against the public protocol alone (``set_input``, ``do_step``,
 ``get_output``, every check on every call); the plan must give exactly
-the same trace, and must fail with the same texts.
+the same trace, and must fail with the same texts.  ``run_cosim`` is
+``lockstep_cosim`` of one config, so each config's slice of a lock-step
+run over several is checked against ``checked_run`` too.
 """
 
 import math
@@ -24,6 +26,7 @@ from fieldsim.orchestrator import (
     InstanceSpec,
     MultiModelConfig,
     PortRef,
+    lockstep_cosim,
     run_cosim,
     validate_config,
 )
@@ -130,6 +133,40 @@ def test_plan_equals_checked_loop_on_replayed_commands(commands, step_size, dura
         return registry
 
     assert_same_as_checked(replay_vehicle_config(step_size, duration), make_registry)
+
+
+def two_vehicle_config(step_size, duration, mu):
+    """Replayed commands into veh, with friction ``mu``, and into a default vehicle fix."""
+    config = replay_vehicle_config(step_size, duration)
+    config.instances["veh"] = InstanceSpec("vehicle", {"mu": mu})
+    config.instances["fix"] = InstanceSpec("vehicle")
+    config.connections += [
+        Connection(PortRef("src", "velocity"), PortRef("fix", "velocity")),
+        Connection(PortRef("src", "delta_f"), PortRef("fix", "delta_f")),
+    ]
+    config.outputs += [PortRef("fix", "x"), PortRef("fix", "y")]
+    return config
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    commands=command_traces(),
+    step_size=st.floats(0.005, 0.5),
+    duration=st.floats(0.0, 4.0),
+    mus=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4, unique=True),
+)
+def test_lockstep_slices_equal_checked_loop_on_replayed_commands(commands, step_size, duration, mus):
+    # src and fix are shared; veh differs, so it is built and stepped per config
+    def make_registry():
+        registry = default_registry()
+        registry.register("replay", replay_factory(commands))
+        return registry
+
+    configs = [two_vehicle_config(step_size, duration, mu) for mu in mus]
+    _, times, rows = lockstep_cosim(configs, make_registry())
+    rows = list(rows)
+    for p, config in enumerate(configs):
+        assert (times, [row[p::len(configs)] for row in rows]) == checked_run(config, make_registry())
 
 
 def test_plan_equals_checked_loop_on_the_sample_closed_loop():
