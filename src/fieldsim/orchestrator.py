@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
 from ._shared import read_json
 from .errors import ConfigError, ContractViolation, SimulationError, UnknownUnitError
-from .simunit import PortDescriptor, PortDirection, PortKind, SimulationUnit, UnitRegistry
+from .simunit import PortDescriptor, PortDirection, PortKind, SimulationUnit, UnitGroup, UnitRegistry
 from .simunit import _check_boolean, _check_real
 from .traces import TimedTrace, write_trace_csv
 
@@ -287,8 +288,9 @@ def lockstep_cosim(
     An instance is shared when its spec is the same in every config and
     every instance feeding it is shared: under Jacobi exchange it then
     sees the same inputs in every copy, so it is built and stepped once.
-    Every other instance is built and stepped once per config.  With one
-    config every instance is shared, which is :func:`run_cosim`.
+    Every other instance is built once per config, and its copies step as
+    one :class:`UnitGroup` whose ports hold a list of one value per config.
+    With one config every instance is shared, which is :func:`run_cosim`.
 
     Returns the channels, the row times (``k * step_size``) and an
     iterator over the rows.  Each row is flat, ordered by channel and
@@ -328,70 +330,92 @@ def lockstep_cosim(
 
     base, n = plans[0], len(plans)
     h = base.step_size
-    # (config or None if shared, read, writes, sink is real, connection): a
-    # shared source is read and checked once, then written to each copy's
-    # sink (or to the one sink, if that is shared too)
+    # the copies of an instance that is not shared step as one group, whose
+    # ports hold one value per config
+    groups = {
+        name: unit._group([plan.units[name] for plan in plans])
+        for name, unit in base.units.items() if name not in shared
+    }
+    # (read, write, real sink, connection, source is a group): a shared
+    # source is read and checked once, then broadcast to a group's sink; a
+    # group's values are checked config by config
     exchange = []
-    for i, (read, write, real, conn) in enumerate(base.exchange):
-        if conn.source.instance not in shared:
-            exchange += [
-                (p, plan.exchange[i][0], [plan.exchange[i][1]], real, conn)
-                for p, plan in enumerate(plans)
-            ]
-        elif conn.sink.instance in shared:
-            exchange.append((None, read, [write], real, conn))
-        else:
-            exchange.append((None, read, [plan.exchange[i][1] for plan in plans], real, conn))
-    steppers = [(None, name, step) for name, step in base.steppers if name in shared] + [
-        (p, name, step)
-        for p, plan in enumerate(plans)
-        for name, step in plan.steppers
-        if name not in shared
-    ]
-    # a shared instance's copies are one unit, so its reader repeats
-    recorders = [plan.recorders[i] for i in range(len(base.channels)) for plan in plans]
+    for read, write, real, conn in base.exchange:
+        source, sink = groups.get(conn.source.instance), groups.get(conn.sink.instance)
+        if source is not None:
+            read = source._output_reader(conn.source.port)
+        if sink is not None:
+            write = sink._input_writer(conn.sink.port)
+            if source is None:
+                write = partial(_broadcast, write, n)
+        exchange.append((read, write, real, conn, source is not None))
+    steppers = [(name, step, None) for name, step in base.steppers if name in shared]
+    steppers += [(name, group.step, group) for name, group in groups.items()]
+    if n == 1:
+        recorders = base.recorders
+    else:  # each gives a channel's n values, which are ``row[j * n:(j + 1) * n]``
+        recorders = [
+            groups[ref.instance]._recorder(ref.port) if ref.instance in groups
+            else partial(_repeated, read, n)
+            for ref, read in zip(first.outputs, base.recorders)
+        ]
 
     def rows() -> Iterator[list[float]]:
         isfinite = math.isfinite
         bad = None  # (row, index, value) of the first non-finite recorded value
-        phase, k, p = "record", 0, None
+        phase, k, p, slots = "record", 0, 0, False
         try:
             for k in range(base.n_steps + 1):
                 if k:  # row 0 is the state before the first step
                     phase = "exchange"
-                    for p, read, writes, real, conn in exchange:
+                    for read, write, real, conn, slots in exchange:
                         v = read()
-                        if real:
+                        if slots:
+                            check = _check_real if real else _check_boolean
+                            v = list(v)
+                            for p, value in enumerate(v):
+                                v[p] = check(conn.sink.port, value)
+                        elif real:
                             if v.__class__ is not float or not isfinite(v):
                                 v = _check_real(conn.sink.port, v)
                         elif v is not True and v is not False:
                             v = _check_boolean(conn.sink.port, v)
-                        for write in writes:
-                            write(v)
+                        write(v)
                     phase = "step"
-                    for p, name, step in steppers:
+                    for name, step, group in steppers:
                         step(h)
                     phase = "record"
-                row = [float(read()) for read in recorders]
+                if n == 1:
+                    row = [float(read()) for read in recorders]
+                else:
+                    row = []
+                    for read in recorders:
+                        row += read()
                 # finite unless some value is not (or finite values overflow it)
                 if bad is None and not isfinite(sum(row)):
                     bad = next(((k, j, v) for j, v in enumerate(row) if not isfinite(v)), None)
                 yield row
         except Exception as exc:
-            of = "" if p is None else f" of config {p}"
             if phase == "exchange":
+                of = f" of config {p}" if slots else ""
                 raise SimulationError(
                     f"connection {conn.source.render()} -> {conn.sink.render()}{of} "
                     f"at t={(k - 1) * h:.6g}: {exc}"
                 ) from exc
             if phase == "step":
+                of = ""
+                if group is not None:
+                    later = list(groups.items())[list(groups).index(name) + 1:]
+                    name, p, exc = _first_failure(later, group.failed, h) or (name, group.failed, exc)
+                    of = f" of config {p}"
                 raise SimulationError(f"instance {name!r}{of} failed at t={(k - 1) * h:.6g}: {exc}") from exc
             for j, read in enumerate(recorders):  # the first that does not convert to float
                 try:
-                    float(read())
+                    float(read()) if n == 1 else read()
                 except Exception as error:
-                    channel = base.channels[j // n]
-                    raise SimulationError(f"recorded output {channel} at t={k * h:.6g}: {error}") from exc
+                    raise SimulationError(
+                        f"recorded output {base.channels[j]} at t={k * h:.6g}: {error}"
+                    ) from exc
             raise
         if bad is not None:
             k, j, v = bad
@@ -399,6 +423,27 @@ def lockstep_cosim(
             raise SimulationError(f"recorded output {base.channels[j // n]}{of} is {v!r} at t={k * h:.6g}")
 
     return base.channels, [k * h for k in range(base.n_steps + 1)], rows()
+
+
+def _broadcast(write: Callable[[list], None], n: int, value) -> None:
+    write([value] * n)
+
+
+def _repeated(read: Callable[[], object], n: int) -> list[float]:
+    return [float(read())] * n
+
+
+def _first_failure(groups: list[tuple[str, UnitGroup]], before: int, h: float):
+    """Step each copy before config ``before`` of ``groups`` alone, configs in
+    order and each config's instances in order; return the (instance,
+    config, exception) of the first that fails, or None."""
+    for p in range(before):
+        for name, group in groups:
+            try:
+                group._step_copy(p, h)
+            except Exception as exc:
+                return name, p, exc
+    return None
 
 
 def write_results_csv(trace: TimedTrace, path: str | Path) -> None:

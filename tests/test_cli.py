@@ -641,3 +641,36 @@ def test_non_finite_output_during_sweep_exits_3(tmp_path, capsys):
     assert "recorded output veh.x is inf at t=1.8" in stderr
     assert "Traceback" not in stderr
     assert not table.exists()
+
+
+def tiny_yaw_inertia_config(path, i_z):
+    doc = json.loads((SAMPLES / "vehicle_replay.json").read_text())
+    doc["instances"]["veh"]["parameters"] = {"I_z": i_z}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cosim_with_a_huge_yaw_rate_ends(tmp_path):
+    # I_z = 1e-300 drives theta past 1e17, where turn-by-turn wrapping never ended
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldsim.cli", "cosim",
+         "--config", str(tiny_yaw_inertia_config(tmp_path / "mm.json", 1e-300)),
+         "--scenario-inputs", str(SAMPLES / "sin_cal_inputs.csv"),
+         "--out", str(tmp_path / "run.csv")],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cosim_with_an_infinite_yaw_angle_exits_3(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    code, _, stderr = run_cli(
+        capsys, "cosim",
+        "--config", tiny_yaw_inertia_config(tmp_path / "mm.json", 1e-310),
+        "--scenario-inputs", SAMPLES / "sin_cal_inputs.csv",
+        "--out", out,
+    )
+    assert code == 3
+    assert stderr == "simulation error: instance 'veh' failed at t=0.11: yaw angle is inf\n"
+    assert not out.exists()

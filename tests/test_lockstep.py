@@ -62,6 +62,8 @@ from fieldsim.units import (
     read_grid_map,
     replay_factory,
     sensor_factory,
+    ReplayUnit,
+    VehicleUnit,
 )
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -288,6 +290,76 @@ def test_lockstep_on_the_sample_closed_loop():
     assert_lockstep_equals_run_cosim(configs, make_registry)
 
 
+TURN_S = 6.0  # long enough for the slowest turn drawn below to pass pi
+
+
+def vehicle_regimes(parameters, commands, step_size, duration):
+    """Whether a vehicle on ``commands`` decays its lateral state below
+    0.1 m/s, has an axle force at its friction cap and wraps its heading."""
+    veh, cmd = VehicleUnit(parameters), ReplayUnit(commands)
+    decay = clamp = wrap = False
+    for _ in range(math.ceil(duration / step_size)):
+        velocity = cmd.get_output("velocity")
+        veh.set_input("velocity", velocity)
+        veh.set_input("delta_f", cmd.get_output("delta_f"))
+        before = veh.theta
+        veh.do_step(step_size)
+        cmd.do_step(step_size)
+        decay |= velocity < 0.1 and (veh.v_y, veh.r) != (0.0, 0.0)
+        clamp |= any(abs(f) == veh._f_lim for f in veh.last_forces)
+        wrap |= abs(veh.theta - before) > math.pi
+    return decay, clamp, wrap
+
+
+@st.composite
+def vehicle_regime_cases(draw):
+    """1-5 vehicles on commands that turn hard, nearly stop, then drive on.
+
+    The first turn step asks for at least 20000 * 0.6 N of front force
+    against a cap of at most 1.0 * 1200 * 9.81 / 2 N, and the turn is long
+    enough to wrap the heading; the stop then decays a lateral state that
+    is not zero.
+    """
+    value = lambda lo, hi: draw(st.floats(lo, hi))  # noqa: E731
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    commands = TimedTrace(
+        ["velocity", "delta_f"], [0.0, TURN_S, TURN_S + 0.3],
+        [[value(1.0, 1.5), sign * value(0.6, 0.9)], [value(0.0, 0.099), value(-0.9, 0.9)],
+         [value(1.0, 1.5), value(-0.9, 0.9)]],
+    )
+    parameters = [
+        {"mu": value(0.3, 1.0), "cAlphaF": value(20000.0, 40000.0), "m_robot": value(800.0, 1200.0),
+         "l_f": value(0.3, 0.6), "l_r": value(0.3, 0.6)}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    return commands, draw(st.sampled_from([0.005, 0.01])), parameters
+
+
+@settings(max_examples=20, deadline=None)
+@given(vehicle_regime_cases())
+def test_vehicle_group_steps_each_config_as_the_scalar_vehicle(case):
+    commands, step_size, parameters = case
+    duration = TURN_S + 0.6
+    base = replay_vehicle(outputs=("veh.x", "veh.y", "veh.theta"), step_size=step_size, duration=duration)
+    configs = [
+        _apply_assignment(base, {f"veh.{name}": v for name, v in p.items()}) for p in parameters
+    ]
+
+    def make_registry():
+        registry = default_registry()
+        registry.register("replay", replay_factory(commands))
+        return registry
+
+    _, _, rows = lockstep_cosim(configs, make_registry())
+    rows = list(rows)
+    for p, config in enumerate(configs):
+        trace = run_cosim(config, make_registry())
+        assert [[v.hex() for v in row[p::len(configs)]] for row in rows] == [
+            [v.hex() for v in row] for row in trace.values
+        ]
+        assert vehicle_regimes(parameters[p], commands, step_size, duration) == (True, True, True)
+
+
 def test_lockstep_rejects_configs_that_differ_in_more_than_parameters():
     registry = default_registry()
     with pytest.raises(ConfigError, match="may differ only in instance parameters"):
@@ -361,6 +433,56 @@ def test_lockstep_reports_a_recorded_inf_after_the_last_row():
         for row in rows:
             seen.append(row)
     assert len(seen) == len(times) == 6
+
+
+def sin_registry():
+    registry = extended_registry()
+    registry.register("replay", replay_factory(generate_scenario(ScenarioSpec("s", "sin", 2.0, 1.5, 0.3))))
+    return registry
+
+
+def test_lockstep_names_the_config_whose_vehicle_fails():
+    # I_z = 1e-310 makes the yaw rate inf at t=0.1 and the heading inf a step later
+    configs = [_apply_assignment(replay_vehicle(), {"veh.I_z": i_z}) for i_z in (360.0, 1e-310)]
+    with pytest.raises(
+        SimulationError, match=r"^instance 'veh' of config 1 failed at t=0\.11: yaw angle is inf$"
+    ):
+        list(lockstep_cosim(configs, sin_registry())[2])
+
+
+@pytest.mark.parametrize("fuse_first", [False, True])
+def test_lockstep_reports_the_first_failure_in_config_order(fuse_first):
+    # on the same step the first instance fails in config 1 and the second in
+    # config 0; config 0 steps all its instances before config 1 does
+    mm = replay_vehicle(("a", "fuse"))
+    if fuse_first:
+        mm.instances = {"a": mm.instances.pop("a"), **mm.instances}
+    fuse_at, i_z = ([1000.0, 12.0], [1e-310, 360.0]) if fuse_first else ([12.0, 1000.0], [360.0, 1e-310])
+    configs = [_apply_assignment(mm, {"a.at": at, "veh.I_z": z}) for at, z in zip(fuse_at, i_z)]
+    expected = (r"^instance 'veh' of config 0 failed at t=0\.11: yaw angle is inf$" if fuse_first
+                else r"^instance 'a' of config 0 failed at t=0\.11: blown at step 12$")
+    with pytest.raises(SimulationError, match=expected):
+        list(lockstep_cosim(configs, sin_registry())[2])
+
+
+def test_sweep_raises_the_failing_vehicle_points_own_error(tmp_path, monkeypatch):
+    # one scenario on one worker: four slices of two points, the first of them failing in lock-step
+    i_z = [360.0, 1e-310, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0]
+    config = sweep_config(tmp_path, replay_vehicle(), {"veh.I_z": i_z}, scenarios=("s1",))
+    lockstep_errors = []
+    lockstep_scores = dse._lockstep_scores
+
+    def recording(*args):
+        try:
+            return lockstep_scores(*args)
+        except SimulationError as exc:
+            lockstep_errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(dse, "_lockstep_scores", recording)
+    with pytest.raises(SimulationError, match=r"^instance 'veh' failed at t=0\.11: yaw angle is inf$"):
+        run_sweep(config)
+    assert lockstep_errors == ["instance 'veh' of config 1 failed at t=0.11: yaw angle is inf"]
 
 
 # --- run_sweep against the per-point path -----------------------------------

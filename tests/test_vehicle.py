@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fieldsim.errors import ContractViolation
 from fieldsim.units import VehicleUnit
@@ -107,6 +109,43 @@ def test_heading_stays_wrapped():
     for _ in range(60_000):  # many full revolutions
         unit.do_step(0.01)
         assert -math.pi < unit.get_output("theta") <= math.pi
+
+
+def loop_wrap(theta):
+    """The heading wrap by repeated turns, which cannot move a theta above about 1e17."""
+    while theta > math.pi:
+        theta -= 2.0 * math.pi
+    while theta <= -math.pi:
+        theta += 2.0 * math.pi
+    return theta
+
+
+def heading_after_one_step(theta, r=0.0):
+    # standing still, theta only integrates r
+    unit = VehicleUnit()
+    unit.theta, unit.r = theta, r
+    unit.do_step(0.01)
+    return unit.get_output("theta")
+
+
+@given(st.floats(-3.0 * math.pi, 3.0 * math.pi))
+def test_heading_within_one_turn_wraps_as_the_loop_did(theta):
+    # theta + h * 0.0 turns -0.0 into 0.0
+    assert heading_after_one_step(theta).hex() == loop_wrap(theta + 0.0).hex()
+
+
+@pytest.mark.parametrize("theta", [4.0 * math.pi + 0.5, -7.5, 1e17, -3e18, 1e300, -1.7e308])
+def test_heading_beyond_one_turn_wraps_at_once(theta):
+    wrapped = heading_after_one_step(theta)
+    assert -math.pi < wrapped <= math.pi
+    if abs(theta) < 100.0:
+        assert wrapped == pytest.approx(loop_wrap(theta), abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf])
+def test_infinite_heading_raises(r):
+    with pytest.raises(OverflowError, match="^yaw angle is -?inf$"):
+        heading_after_one_step(0.0, r)
 
 
 # --- tyre forces ------------------------------------------------------------
