@@ -85,7 +85,7 @@ def expand_grid(space: ParameterSpace) -> list[ParameterAssignment]:
     return [dict(zip(names, combo)) for combo in product(*space.values())]
 
 
-@dataclass
+@dataclass(slots=True)  # a sweep holds one row per run: 120 bytes with slots, 160 without
 class SweepRow:
     """Objective of one (scenario, assignment) run."""
 
