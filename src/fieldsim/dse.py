@@ -315,9 +315,8 @@ def _run_task(task) -> list[tuple[float, float]]:
     """Score one scenario's grid slice; used by worker processes too.
 
     Without artifacts the slice runs in lock-step.  With artifacts, or
-    when the lock-step run fails or scores a point as non-finite, each
-    point runs on its own, so a failure raises the first failing point's
-    own error.
+    when the lock-step run fails, each point runs on its own, so a
+    failure raises the first failing point's own error.
     """
     mm, inputs_path, reference_path, assignments, run_dirs = task
     inputs_trace = cached_load(read_trace_csv, inputs_path, ("velocity", "delta_f"))
@@ -326,12 +325,9 @@ def _run_task(task) -> list[tuple[float, float]]:
     registry.register("replay", replay_factory(inputs_trace))
     if run_dirs is None:
         try:
-            scores = _lockstep_scores(mm, registry, reference, assignments)
+            return _lockstep_scores(mm, registry, reference, assignments)
         except (ConfigError, SimulationError):
-            scores = None
-        if scores is not None and all(map(math.isfinite, chain.from_iterable(scores))):
-            return scores
-        run_dirs = [None] * len(assignments)
+            run_dirs = [None] * len(assignments)
     return [
         _run_point(mm, registry, reference, assignment, run_dir)
         for assignment, run_dir in zip(assignments, run_dirs)

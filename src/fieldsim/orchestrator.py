@@ -15,7 +15,9 @@ There is one stepping loop, :func:`lockstep_cosim`: it steps configs that
 differ only in instance parameters side by side, one flat row per step,
 and :func:`run_cosim` is that loop over one config.  A recorded value that
 is not finite is reported after the last row, so a connection or instance
-failure it leads to is the one reported.
+failure it leads to is the one reported.  An error names the connection,
+instance or recorded output and the time, never a config: a sweep finds
+its failing point by running each point of the slice alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterator, Mapping
 
 from ._shared import read_json
 from .errors import ConfigError, ContractViolation, SimulationError, UnknownUnitError
-from .simunit import PortDescriptor, PortDirection, PortKind, SimulationUnit, UnitGroup, UnitRegistry
+from .simunit import PortDescriptor, PortDirection, PortKind, SimulationUnit, UnitRegistry
 from .simunit import _check_boolean, _check_real
 from .traces import TimedTrace, write_trace_csv
 
@@ -143,32 +145,20 @@ def load_multimodel(source: str | Path | Mapping) -> MultiModelConfig:
 
 def validate_config(config: MultiModelConfig, registry: UnitRegistry) -> list[str]:
     """Collect every problem with a config; an empty list means runnable."""
-    return _build(config, registry)[1]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """A validated run compiled once: validation proved the ports, kinds and
-    step size, so the loop re-checks only the values units emit."""
-
-    step_size: float
-    n_steps: int
-    channels: list[str]
-    # (read source, write sink, sink is real, connection), in config order
-    exchange: list[tuple[Callable[[], object], Callable[[object], None], bool, Connection]]
-    recorders: list[Callable[[], object]]
-    steppers: list[tuple[str, Callable[[float], None]]]
-    units: dict[str, SimulationUnit]
+    return _build(config, registry)[2]
 
 
 def _build(
     config: MultiModelConfig, registry: UnitRegistry, prebuilt: Mapping[str, SimulationUnit] = {}
-) -> tuple[_Plan | None, list[str]]:
-    """Build every instance and check the config; the plan is None if any diagnostic.
+) -> tuple[dict[str, SimulationUnit], int, list[str]]:
+    """Build every instance and check the config.
 
-    Instances named in ``prebuilt`` take that unit instead of a new one.
+    Returns the units, the step count and every diagnostic; the units and
+    the step count are only usable when there is no diagnostic.  Instances
+    named in ``prebuilt`` take that unit instead of a new one.
     """
     diagnostics: list[str] = []
+    n_steps = 0
 
     step_ok = (isinstance(config.step_size, (int, float)) and not isinstance(config.step_size, bool)
                and math.isfinite(config.step_size) and config.step_size > 0)
@@ -246,26 +236,7 @@ def _build(
     for ref in config.outputs:
         check_endpoint(ref, PortDirection.OUTPUT, "recorded output")
 
-    if diagnostics:
-        return None, diagnostics
-    plan = _Plan(
-        step_size=float(config.step_size),
-        n_steps=n_steps,
-        channels=[ref.render() for ref in config.outputs],
-        exchange=[
-            (
-                units[c.source.instance]._output_reader(c.source.port),
-                units[c.sink.instance]._input_writer(c.sink.port),
-                units[c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL,
-                c,
-            )
-            for c in config.connections
-        ],
-        recorders=[units[ref.instance]._output_reader(ref.port) for ref in config.outputs],
-        steppers=[(name, unit._step) for name, unit in units.items()],
-        units=units,
-    )
-    return plan, diagnostics
+    return units, n_steps, diagnostics
 
 
 def run_cosim(config: MultiModelConfig, registry: UnitRegistry) -> TimedTrace:
@@ -297,10 +268,10 @@ def lockstep_cosim(
     then by config: config ``p`` of ``n`` recorded ``row[p::n]``.  Raises
     :class:`ConfigError` with all diagnostics when a config is invalid.
     The iterator raises :class:`SimulationError` naming the connection,
-    instance or recorded output, and the config when there are several,
-    that failed.  A recorded value that is not finite fails the run only
-    after the last row, naming the first such value, so that a failure
-    it causes later (in a connection it feeds, say) is the one reported.
+    instance or recorded output that failed and the time.  A recorded
+    value that is not finite fails the run only after the last row,
+    naming the first such value, so that a failure it causes later (in a
+    connection it feeds, say) is the one reported.
     """
     first = configs[0]
     layout = (list(first.instances), first.connections, first.outputs, first.step_size, first.duration)
@@ -319,62 +290,60 @@ def lockstep_cosim(
             break
         shared -= fed
 
-    plans: list[_Plan] = []
+    built: list[dict[str, SimulationUnit]] = []  # each config's units
     prebuilt: dict[str, SimulationUnit] = {}
     for config in configs:
-        plan, diagnostics = _build(config, registry, prebuilt)
+        units, n_steps, diagnostics = _build(config, registry, prebuilt)
         if diagnostics:
             raise ConfigError("invalid multi-model configuration", diagnostics)
-        plans.append(plan)
-        prebuilt = {name: plans[0].units[name] for name in shared}
+        built.append(units)
+        prebuilt = {name: built[0][name] for name in shared}
 
-    base, n = plans[0], len(plans)
-    h = base.step_size
-    # the copies of an instance that is not shared step as one group, whose
-    # ports hold one value per config
-    groups = {
-        name: unit._group([plan.units[name] for plan in plans])
-        for name, unit in base.units.items() if name not in shared
+    n, h = len(configs), float(first.step_size)
+    # a shared instance is its own endpoint; the copies of any other step as
+    # one group, whose ports hold one value per config
+    endpoints = {
+        name: unit if name in shared else unit._group([each[name] for each in built])
+        for name, unit in built[0].items()
     }
     # (read, write, real sink, connection, source is a group): a shared
     # source is read and checked once, then broadcast to a group's sink; a
-    # group's values are checked config by config
+    # group's values are checked one by one
     exchange = []
-    for read, write, real, conn in base.exchange:
-        source, sink = groups.get(conn.source.instance), groups.get(conn.sink.instance)
-        if source is not None:
-            read = source._output_reader(conn.source.port)
-        if sink is not None:
-            write = sink._input_writer(conn.sink.port)
-            if source is None:
-                write = partial(_broadcast, write, n)
-        exchange.append((read, write, real, conn, source is not None))
-    steppers = [(name, step, None) for name, step in base.steppers if name in shared]
-    steppers += [(name, group.step, group) for name, group in groups.items()]
-    if n == 1:
-        recorders = base.recorders
-    else:  # each gives a channel's n values, which are ``row[j * n:(j + 1) * n]``
+    for c in first.connections:
+        write = endpoints[c.sink.instance]._input_writer(c.sink.port)
+        slots = c.source.instance not in shared
+        if not slots and c.sink.instance not in shared:
+            write = partial(_broadcast, write, n)
+        real = built[0][c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL
+        read = endpoints[c.source.instance]._output_reader(c.source.port)
+        exchange.append((read, write, real, c, slots))
+    # shared instances step first, then the groups, each in config order
+    steppers = [
+        (name, endpoints[name]._step) for name in sorted(endpoints, key=lambda name: name not in shared)
+    ]
+    recorders = [endpoints[ref.instance]._output_reader(ref.port) for ref in first.outputs]
+    if n > 1:  # each gives a channel's n values, which are ``row[j * n:(j + 1) * n]``
         recorders = [
-            groups[ref.instance]._recorder(ref.port) if ref.instance in groups
+            endpoints[ref.instance]._recorder(ref.port) if ref.instance not in shared
             else partial(_repeated, read, n)
-            for ref, read in zip(first.outputs, base.recorders)
+            for ref, read in zip(first.outputs, recorders)
         ]
+    channels = [ref.render() for ref in first.outputs]
 
     def rows() -> Iterator[list[float]]:
         isfinite = math.isfinite
         bad = None  # (row, index, value) of the first non-finite recorded value
-        phase, k, p, slots = "record", 0, 0, False
+        phase, k = "record", 0
         try:
-            for k in range(base.n_steps + 1):
+            for k in range(n_steps + 1):
                 if k:  # row 0 is the state before the first step
                     phase = "exchange"
                     for read, write, real, conn, slots in exchange:
                         v = read()
                         if slots:
                             check = _check_real if real else _check_boolean
-                            v = list(v)
-                            for p, value in enumerate(v):
-                                v[p] = check(conn.sink.port, value)
+                            v = [check(conn.sink.port, value) for value in v]
                         elif real:
                             if v.__class__ is not float or not isfinite(v):
                                 v = _check_real(conn.sink.port, v)
@@ -382,7 +351,7 @@ def lockstep_cosim(
                             v = _check_boolean(conn.sink.port, v)
                         write(v)
                     phase = "step"
-                    for name, step, group in steppers:
+                    for name, step in steppers:
                         step(h)
                     phase = "record"
                 if n == 1:
@@ -397,32 +366,25 @@ def lockstep_cosim(
                 yield row
         except Exception as exc:
             if phase == "exchange":
-                of = f" of config {p}" if slots else ""
                 raise SimulationError(
-                    f"connection {conn.source.render()} -> {conn.sink.render()}{of} "
+                    f"connection {conn.source.render()} -> {conn.sink.render()} "
                     f"at t={(k - 1) * h:.6g}: {exc}"
                 ) from exc
             if phase == "step":
-                of = ""
-                if group is not None:
-                    later = list(groups.items())[list(groups).index(name) + 1:]
-                    name, p, exc = _first_failure(later, group.failed, h) or (name, group.failed, exc)
-                    of = f" of config {p}"
-                raise SimulationError(f"instance {name!r}{of} failed at t={(k - 1) * h:.6g}: {exc}") from exc
+                raise SimulationError(f"instance {name!r} failed at t={(k - 1) * h:.6g}: {exc}") from exc
             for j, read in enumerate(recorders):  # the first that does not convert to float
                 try:
                     float(read()) if n == 1 else read()
                 except Exception as error:
                     raise SimulationError(
-                        f"recorded output {base.channels[j]} at t={k * h:.6g}: {error}"
+                        f"recorded output {channels[j]} at t={k * h:.6g}: {error}"
                     ) from exc
             raise
         if bad is not None:
             k, j, v = bad
-            of = f" of config {j % n}" if n > 1 else ""
-            raise SimulationError(f"recorded output {base.channels[j // n]}{of} is {v!r} at t={k * h:.6g}")
+            raise SimulationError(f"recorded output {channels[j // n]} is {v!r} at t={k * h:.6g}")
 
-    return base.channels, [k * h for k in range(base.n_steps + 1)], rows()
+    return channels, [k * h for k in range(n_steps + 1)], rows()
 
 
 def _broadcast(write: Callable[[list], None], n: int, value) -> None:
@@ -431,19 +393,6 @@ def _broadcast(write: Callable[[list], None], n: int, value) -> None:
 
 def _repeated(read: Callable[[], object], n: int) -> list[float]:
     return [float(read())] * n
-
-
-def _first_failure(groups: list[tuple[str, UnitGroup]], before: int, h: float):
-    """Step each copy before config ``before`` of ``groups`` alone, configs in
-    order and each config's instances in order; return the (instance,
-    config, exception) of the first that fails, or None."""
-    for p in range(before):
-        for name, group in groups:
-            try:
-                group._step_copy(p, h)
-            except Exception as exc:
-                return name, p, exc
-    return None
 
 
 def write_results_csv(trace: TimedTrace, path: str | Path) -> None:

@@ -117,8 +117,10 @@ class SimulationUnit:
 
     The orchestrator steps units through ``_step`` and the accessors
     from ``_output_reader``/``_input_writer``, so a subclass changes what
-    a run does only through ``_advance``, not by overriding the protocol;
-    a unit type whose copies step faster together also overrides ``_group``.
+    a run does only through ``_advance``, not by overriding the protocol.
+    A :class:`UnitGroup` of copies offers the same three, so the master
+    treats a unit and a group alike; a unit type whose copies step faster
+    together also overrides ``_group``.
 
     Instances are not thread safe; the orchestrator drives each unit
     from a single thread.
@@ -221,16 +223,15 @@ class UnitGroup:
     master replaces an input's list before a step and reads an output's
     list after it; a list it was handed is never changed in place.  This
     default group latches each copy's slot of the inputs onto it, steps
-    each copy through ``_step`` and gathers the outputs.  A unit type with
-    a faster way to step many copies returns its own group from
-    ``SimulationUnit._group``.
+    each copy through ``_step`` and gathers the outputs; an exception from
+    a copy propagates as it is.  A unit type with a faster way to step
+    many copies returns its own group from ``SimulationUnit._group``.
     """
 
     def __init__(self, copies: list[SimulationUnit]):
         self.copies = copies
         self.inputs = {port: [unit._inputs[port] for unit in copies] for port in copies[0]._inputs}
         self.outputs = {port: [unit._outputs[port] for unit in copies] for port in copies[0]._outputs}
-        self.failed: int | None = None  # the copy whose step raised
 
     def _output_reader(self, port: str) -> Callable[[], list]:
         return partial(self.outputs.__getitem__, port)
@@ -243,25 +244,15 @@ class UnitGroup:
         outputs = self.outputs
         return lambda: [float(v) for v in outputs[port]]
 
-    def step(self, h: float) -> None:
-        """Step every copy; when one raises, that copy's exception propagates
-        with ``failed`` set to its index, and the copies after it have not stepped."""
-        for p in range(len(self.copies)):
-            self._step_copy(p, h)
+    def _step(self, h: float) -> None:
+        """Step every copy on its slot of the inputs."""
+        for p, unit in enumerate(self.copies):
+            for port, values in self.inputs.items():
+                unit._inputs[port] = values[p]
+            unit._step(h)
         outputs = self.outputs
         for port in outputs:
             outputs[port] = [unit._outputs[port] for unit in self.copies]
-
-    def _step_copy(self, p: int, h: float) -> None:
-        """Step copy ``p`` alone on its slot of the inputs, setting ``failed`` if it raises."""
-        unit = self.copies[p]
-        for port, values in self.inputs.items():
-            unit._inputs[port] = values[p]
-        try:
-            unit._step(h)
-        except Exception:
-            self.failed = p
-            raise
 
 
 UnitFactory = Callable[[Mapping[str, float]], SimulationUnit]

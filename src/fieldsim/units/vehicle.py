@@ -179,10 +179,9 @@ class VehicleGroup(UnitGroup):
     """Copies of a vehicle advanced in one loop with ``_advance``'s arithmetic.
 
     The state and the constants of every copy sit in lists, so a step does
-    no attribute or dict traffic per copy.  A step builds new state lists
-    and swaps them in only once every copy has advanced, so a copy that
-    raises can be found by stepping the copies one at a time through
-    ``VehicleUnit._step`` from the same state.
+    no attribute or dict traffic per copy.  A step builds new state lists:
+    ``x``, ``y`` and ``theta`` are also the output lists it hands out,
+    which are never changed in place.
     """
 
     def __init__(self, copies: list[VehicleUnit]):
@@ -193,58 +192,49 @@ class VehicleGroup(UnitGroup):
     def _recorder(self, port: str):
         return self._output_reader(port)  # every output is a float already
 
-    def step(self, h: float) -> None:
+    def _step(self, h: float) -> None:
         xs, ys, thetas, v_ys, rs = self._state
         state = new_x, new_y, new_theta, new_v_y, new_r = [], [], [], [], []
         put_x, put_y, put_theta = new_x.append, new_y.append, new_theta.append
         put_v_y, put_r = new_v_y.append, new_r.append
         inputs = self.inputs
-        try:
-            for x, y, theta, v_y, r, v, delta_f, (m, cf, cr, lf, lr, iz, lim) in zip(
-                xs, ys, thetas, v_ys, rs, inputs["velocity"], inputs["delta_f"], self._constants
-            ):
-                if v < _SLOW_SPEED:
-                    dv_y = -v_y / _DECAY_TAU
-                    dr = -r / _DECAY_TAU
-                else:
-                    f_f = -cf * (atan((v_y + lf * r) / v) - delta_f)
-                    if f_f < -lim:
-                        f_f = -lim
-                    elif f_f > lim:
-                        f_f = lim
-                    f_r = -cr * atan((v_y - lr * r) / v)
-                    if f_r < -lim:
-                        f_r = -lim
-                    elif f_r > lim:
-                        f_r = lim
-                    dv_y = (f_f + f_r) / m - v * r
-                    dr = (lf * f_f - lr * f_r) / iz
+        for x, y, theta, v_y, r, v, delta_f, (m, cf, cr, lf, lr, iz, lim) in zip(
+            xs, ys, thetas, v_ys, rs, inputs["velocity"], inputs["delta_f"], self._constants
+        ):
+            if v < _SLOW_SPEED:
+                dv_y = -v_y / _DECAY_TAU
+                dr = -r / _DECAY_TAU
+            else:
+                f_f = -cf * (atan((v_y + lf * r) / v) - delta_f)
+                if f_f < -lim:
+                    f_f = -lim
+                elif f_f > lim:
+                    f_f = lim
+                f_r = -cr * atan((v_y - lr * r) / v)
+                if f_r < -lim:
+                    f_r = -lim
+                elif f_r > lim:
+                    f_r = lim
+                dv_y = (f_f + f_r) / m - v * r
+                dr = (lf * f_f - lr * f_r) / iz
 
-                cos_t = cos(theta)
-                sin_t = sin(theta)
-                put_x(x + h * (v * cos_t - v_y * sin_t))
-                put_y(y + h * (v * sin_t + v_y * cos_t))
-                theta += h * r
+            cos_t = cos(theta)
+            sin_t = sin(theta)
+            put_x(x + h * (v * cos_t - v_y * sin_t))
+            put_y(y + h * (v * sin_t + v_y * cos_t))
+            theta += h * r
+            if theta > pi:
+                theta -= 2.0 * pi
                 if theta > pi:
-                    theta -= 2.0 * pi
-                    if theta > pi:
-                        theta = _wrap(theta)
-                elif theta <= -pi:
-                    theta += 2.0 * pi
-                    if theta <= -pi:
-                        theta = _wrap(theta)
-                put_theta(theta)
-                put_v_y(v_y + h * dv_y)
-                put_r(r + h * dr)
-        except Exception:
-            for p in range(len(xs)):  # raises at the first copy that fails
-                self._step_copy(p, h)
-            raise
+                    theta = _wrap(theta)
+            elif theta <= -pi:
+                theta += 2.0 * pi
+                if theta <= -pi:
+                    theta = _wrap(theta)
+            put_theta(theta)
+            put_v_y(v_y + h * dv_y)
+            put_r(r + h * dr)
         self._state = state
         out = self.outputs
         out["x"], out["y"], out["theta"] = new_x, new_y, new_theta
 
-    def _step_copy(self, p: int, h: float) -> None:
-        unit = self.copies[p]
-        unit.x, unit.y, unit.theta, unit.v_y, unit.r = (values[p] for values in self._state)
-        super()._step_copy(p, h)

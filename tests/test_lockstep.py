@@ -5,10 +5,10 @@ checks what sharing instances and the flat row layout do to each
 config's values; ``tests/test_plan.py`` checks the loop itself against a
 master written on the public unit protocol.  A recorded value that is
 not finite is reported after the last row, so a connection or instance
-failure it leads to is the one a run reports, with ``of config p`` when
-several configs run.  ``run_sweep`` runs each scenario's grid slice in
-lock-step and scores it online.  Every score, and every failure, must be
-what running each point on its own through ``run_cosim``, ``align`` and
+failure it leads to is the one a run reports; an error never names a
+config.  ``run_sweep`` runs each scenario's grid slice in lock-step and
+scores it online.  Every score, and every failure, must be what running
+each point on its own through ``run_cosim``, ``align`` and
 ``cross_track_error`` gives.
 """
 
@@ -407,7 +407,7 @@ def test_recorded_nan_that_feeds_a_connection_fails_as_the_connection():
 def test_lockstep_recorded_nan_that_feeds_a_connection_fails_as_the_connection():
     with pytest.raises(
         SimulationError,
-        match=r"^connection s\.y -> e\.u of config 1 at t=0\.1: port 'u' given non-finite value nan$",
+        match=r"^connection s\.y -> e\.u at t=0\.1: port 'u' given non-finite value nan$",
     ):
         lockstep_rows([spike_config(0.0), spike_config(1.0)])
 
@@ -419,7 +419,7 @@ def test_instance_failure_after_a_recorded_inf_is_the_one_reported():
 
 def test_lockstep_instance_failure_after_a_recorded_inf_is_the_one_reported():
     with pytest.raises(
-        SimulationError, match=r"^instance 'f' of config 1 failed at t=0\.3: blown at step 4$"
+        SimulationError, match=r"^instance 'f' failed at t=0\.3: blown at step 4$"
     ):
         lockstep_rows([inf_then_fuse_config(0.0, 1000.0), inf_then_fuse_config(2.0, 4.0)])
 
@@ -429,7 +429,7 @@ def test_lockstep_reports_a_recorded_inf_after_the_last_row():
     configs = [inf_then_fuse_config(3.0, 1000.0), inf_then_fuse_config(2.0, 1000.0)]
     _, times, rows = lockstep_cosim(configs, extended_registry())
     seen = []
-    with pytest.raises(SimulationError, match=r"^recorded output big\.z of config 1 is inf at t=0\.2$"):
+    with pytest.raises(SimulationError, match=r"^recorded output big\.z is inf at t=0\.2$"):
         for row in rows:
             seen.append(row)
     assert len(seen) == len(times) == 6
@@ -441,27 +441,12 @@ def sin_registry():
     return registry
 
 
-def test_lockstep_names_the_config_whose_vehicle_fails():
+def test_lockstep_names_the_vehicle_that_fails():
     # I_z = 1e-310 makes the yaw rate inf at t=0.1 and the heading inf a step later
     configs = [_apply_assignment(replay_vehicle(), {"veh.I_z": i_z}) for i_z in (360.0, 1e-310)]
     with pytest.raises(
-        SimulationError, match=r"^instance 'veh' of config 1 failed at t=0\.11: yaw angle is inf$"
+        SimulationError, match=r"^instance 'veh' failed at t=0\.11: yaw angle is inf$"
     ):
-        list(lockstep_cosim(configs, sin_registry())[2])
-
-
-@pytest.mark.parametrize("fuse_first", [False, True])
-def test_lockstep_reports_the_first_failure_in_config_order(fuse_first):
-    # on the same step the first instance fails in config 1 and the second in
-    # config 0; config 0 steps all its instances before config 1 does
-    mm = replay_vehicle(("a", "fuse"))
-    if fuse_first:
-        mm.instances = {"a": mm.instances.pop("a"), **mm.instances}
-    fuse_at, i_z = ([1000.0, 12.0], [1e-310, 360.0]) if fuse_first else ([12.0, 1000.0], [360.0, 1e-310])
-    configs = [_apply_assignment(mm, {"a.at": at, "veh.I_z": z}) for at, z in zip(fuse_at, i_z)]
-    expected = (r"^instance 'veh' of config 0 failed at t=0\.11: yaw angle is inf$" if fuse_first
-                else r"^instance 'a' of config 0 failed at t=0\.11: blown at step 12$")
-    with pytest.raises(SimulationError, match=expected):
         list(lockstep_cosim(configs, sin_registry())[2])
 
 
@@ -482,7 +467,7 @@ def test_sweep_raises_the_failing_vehicle_points_own_error(tmp_path, monkeypatch
     monkeypatch.setattr(dse, "_lockstep_scores", recording)
     with pytest.raises(SimulationError, match=r"^instance 'veh' failed at t=0\.11: yaw angle is inf$"):
         run_sweep(config)
-    assert lockstep_errors == ["instance 'veh' of config 1 failed at t=0.11: yaw angle is inf"]
+    assert lockstep_errors == ["instance 'veh' failed at t=0.11: yaw angle is inf"]
 
 
 # --- run_sweep against the per-point path -----------------------------------
@@ -561,13 +546,37 @@ def test_sweep_against_an_empty_reference_fails_as_the_per_point_path(tmp_path):
         run_sweep(config)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_raises_the_first_failing_point_in_grid_order(tmp_path, test_units, workers):
+FAILING_POINTS = {
     # point 3 fails at step 20, before point 2 does at step 30; both share a
     # slice, of four points on one worker and of two on two
-    at = [1000.0, 999.0, 30.0, 20.0, 998.0, 997.0, 996.0, 995.0]
-    config = sweep_config(tmp_path, replay_vehicle(("fuse", "fuse")), {"fuse.at": at})
-    with pytest.raises(SimulationError, match=r"^instance 'fuse' failed at t=0\.29: blown at step 30$"):
+    "fuse_steps": (
+        ("cmd", "veh", "fuse"), {"fuse.at": [1000.0, 999.0, 30.0, 20.0, 998.0, 997.0, 996.0, 995.0]},
+        r"^instance 'fuse' failed at t=0\.29: blown at step 30$",
+    ),
+    # on step 12 (t=0.11) the fuse blows in point 1 and I_z = 1e-310 makes the
+    # heading inf in point 2; they share a slice on one worker and on two,
+    # and the vehicle steps first
+    "fuse_point_first": (
+        ("cmd", "veh", "fuse"), {"veh.I_z": [360.0, 1e-310, 300.0], "fuse.at": [1000.0, 12.0]},
+        r"^instance 'fuse' failed at t=0\.11: blown at step 12$",
+    ),
+    # the same, with the vehicle failing in point 1 and the fuse stepping first
+    "vehicle_point_first": (
+        ("fuse", "cmd", "veh"), {"fuse.at": [1000.0, 12.0, 999.0], "veh.I_z": [360.0, 1e-310]},
+        r"^instance 'veh' failed at t=0\.11: yaw angle is inf$",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("order, parameters, expected", FAILING_POINTS.values(), ids=FAILING_POINTS)
+def test_sweep_raises_the_first_failing_point_in_grid_order(
+    tmp_path, test_units, order, parameters, expected, workers
+):
+    mm = replay_vehicle(("fuse", "fuse"))
+    mm.instances = {name: mm.instances[name] for name in order}
+    config = sweep_config(tmp_path, mm, parameters)
+    with pytest.raises(SimulationError, match=expected):
         run_sweep(config, workers=workers)
 
 
