@@ -568,8 +568,11 @@ FAILING_POINTS = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("order, parameters, expected", FAILING_POINTS.values(), ids=FAILING_POINTS)
+@pytest.mark.parametrize("order, parameters, expected, workers", [
+    # the fuse_steps cases are named by their worker count alone, as before the others joined them
+    pytest.param(*case, workers, id=str(workers) if name == "fuse_steps" else f"{name}-{workers}")
+    for name, case in FAILING_POINTS.items() for workers in (1, 2)
+])
 def test_sweep_raises_the_first_failing_point_in_grid_order(
     tmp_path, test_units, order, parameters, expected, workers
 ):
