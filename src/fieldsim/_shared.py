@@ -1,14 +1,13 @@
 """Plumbing shared by the co-simulation, sweep and safety layers.
 
-One text file reader, one JSON document reader, one file-backed cache,
-one ordered process fan-out and one children-first graph walk.
+One text file reader, one JSON document reader, one ordered process
+fan-out and one children-first graph walk.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -34,35 +33,20 @@ def read_json(source: str | Path | Mapping):
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
 
-def cached_load(loader: Callable, path: str | Path, *args):
-    """``loader(path, *args)``, reused while the file keeps its mtime and size.
-
-    ``args`` must be hashable.  The result is shared between callers, so
-    they must not mutate it.
-    """
-    stat = Path(path).stat()
-    return _load(loader, str(path), args, stat.st_mtime_ns, stat.st_size)
-
-
-@lru_cache(maxsize=64)
-def _load(loader: Callable, path: str, args: tuple, mtime_ns: int, size: int):
-    return loader(path, *args)
-
-
 def fan_out(fn: Callable, tasks: Sequence, workers: int) -> list:
     """``[fn(task) for task in tasks]`` on up to ``workers`` processes.
 
     Results come back in task order whatever the worker count.  The pool
-    never has more processes than tasks; with one, the tasks run here.
+    never has more processes than tasks and hands them out one at a time;
+    with one, the tasks run here.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(fn, tasks))
 
 
 def postorder(

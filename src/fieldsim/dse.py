@@ -18,7 +18,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import cached_load, fan_out, read_json, read_text
+from ._shared import fan_out, read_json, read_text
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
     InstanceSpec,
@@ -319,8 +319,8 @@ def _run_task(task) -> list[tuple[float, float]]:
     failure raises the first failing point's own error.
     """
     mm, inputs_path, reference_path, assignments, run_dirs = task
-    inputs_trace = cached_load(read_trace_csv, inputs_path, ("velocity", "delta_f"))
-    reference = cached_load(read_trace_csv, reference_path)
+    inputs_trace = read_trace_csv(inputs_path, ["velocity", "delta_f"])
+    reference = read_trace_csv(reference_path)
     registry = default_registry()
     registry.register("replay", replay_factory(inputs_trace))
     if run_dirs is None:

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import cached_load, fan_out, postorder, read_json
+from ._shared import fan_out, postorder, read_json
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
     Connection,
@@ -609,8 +609,7 @@ def assess_run(trace: TimedTrace, grid_map: GridMap, gap_threshold: float) -> tu
 
 
 def _run_safety_case(args) -> EvidenceVerdict:
-    run, evidence_dir = args
-    grid_map = cached_load(read_grid_map, run.map_path)
+    run, grid_map, evidence_dir = args
     registry = default_registry()
     registry.register("pure_pursuit", pure_pursuit_factory(run.path))
     registry.register("sensor", sensor_factory(grid_map))
@@ -645,12 +644,16 @@ def run_safety_suite(
 ) -> list[EvidenceVerdict]:
     """Run every case, write evidence/<run_id>/{results.csv,verdict.json}.
 
-    Verdicts come back in suite order; a run that breaks mid-simulation
-    is recorded as failed with the reason in its note rather than
-    aborting the remaining runs.
+    Each map is read once, before the first run, so a bad map writes no
+    evidence.  Verdicts come back in suite order; a run that breaks
+    mid-simulation is recorded as failed with the reason in its note
+    rather than aborting the remaining runs.
     """
+    maps: dict[str, GridMap] = {}
     for run in suite.runs:
-        if not Path(run.map_path).is_file():
-            raise ConfigError(f"run {run.run_id!r}: missing map file {run.map_path}")
-    evidence_dir = str(evidence_dir)
-    return fan_out(_run_safety_case, [(run, evidence_dir) for run in suite.runs], workers)
+        if run.map_path not in maps:
+            if not Path(run.map_path).is_file():
+                raise ConfigError(f"run {run.run_id!r}: missing map file {run.map_path}")
+            maps[run.map_path] = read_grid_map(run.map_path)
+    tasks = [(run, maps[run.map_path], evidence_dir) for run in suite.runs]
+    return fan_out(_run_safety_case, tasks, workers)

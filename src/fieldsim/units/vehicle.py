@@ -117,7 +117,6 @@ class VehicleUnit(SimulationUnit):
         self.theta = 0.0
         self.v_y = 0.0
         self.r = 0.0
-        self.last_forces = (0.0, 0.0)  # (F_f, F_r) probe for tests
 
     def _advance(self, h: float) -> None:
         inputs = self._inputs
@@ -129,7 +128,6 @@ class VehicleUnit(SimulationUnit):
         if v < _SLOW_SPEED:
             dv_y = -v_y / _DECAY_TAU
             dr = -r / _DECAY_TAU
-            self.last_forces = (0.0, 0.0)
         else:
             lim = self._f_lim
             f_f = -self._cf * (atan((v_y + self._lf * r) / v) - delta_f)
@@ -144,7 +142,6 @@ class VehicleUnit(SimulationUnit):
                 f_r = lim
             dv_y = (f_f + f_r) / self._m - v * r
             dr = (self._lf * f_f - self._lr * f_r) / self._iz
-            self.last_forces = (f_f, f_r)
 
         theta = self.theta
         cos_t = cos(theta)

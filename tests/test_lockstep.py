@@ -299,14 +299,18 @@ def vehicle_regimes(parameters, commands, step_size, duration):
     veh, cmd = VehicleUnit(parameters), ReplayUnit(commands)
     decay = clamp = wrap = False
     for _ in range(math.ceil(duration / step_size)):
-        velocity = cmd.get_output("velocity")
+        velocity, delta_f = cmd.get_output("velocity"), cmd.get_output("delta_f")
         veh.set_input("velocity", velocity)
-        veh.set_input("delta_f", cmd.get_output("delta_f"))
+        veh.set_input("delta_f", delta_f)
+        if velocity >= 0.1:  # the axle forces before the friction cap
+            v_y, r = veh.v_y, veh.r
+            f_f = -veh._cf * (math.atan((v_y + veh._lf * r) / velocity) - delta_f)
+            f_r = -veh._cr * math.atan((v_y - veh._lr * r) / velocity)
+            clamp |= abs(f_f) >= veh._f_lim or abs(f_r) >= veh._f_lim
         before = veh.theta
         veh.do_step(step_size)
         cmd.do_step(step_size)
         decay |= velocity < 0.1 and (veh.v_y, veh.r) != (0.0, 0.0)
-        clamp |= any(abs(f) == veh._f_lim for f in veh.last_forces)
         wrap |= abs(veh.theta - before) > math.pi
     return decay, clamp, wrap
 

@@ -37,6 +37,7 @@ from fieldsim.units import (
     default_registry,
     pure_pursuit_factory,
     sensor_factory,
+    write_grid_map,
 )
 
 from conftest import build_field_map
@@ -685,6 +686,22 @@ def test_run_safety_suite_requires_map_files(tmp_path):
     suite = read_safety_suite(write_suite(tmp_path, doc))
     with pytest.raises(ConfigError, match="missing map file"):
         run_safety_suite(suite, tmp_path / "evidence")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_malformed_later_map_fails_before_any_run(tmp_path, workers):
+    write_grid_map(build_field_map(), tmp_path / "field.map")
+    (tmp_path / "bad.map").write_text("GRIDMAP 1\n1 1 0.25 0 0\nx\n")
+    doc = {
+        "map": "field.map",
+        "runs": [{"id": "a", "speed": 1.0, "duration": 0.1},
+                 {"id": "b", "speed": 1.0, "duration": 0.1, "map": "bad.map"}],
+    }
+    suite = read_safety_suite(write_suite(tmp_path, doc))
+    evidence = tmp_path / "evidence"
+    with pytest.raises(ConfigError, match=r"bad\.map:3: bad cell character 'x'"):
+        run_safety_suite(suite, evidence, workers=workers)
+    assert not evidence.exists()
 
 
 @pytest.mark.parametrize(

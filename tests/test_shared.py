@@ -1,5 +1,6 @@
-"""Shared plumbing: deep graph walks, the file cache and the capped fan-out."""
+"""Shared plumbing: deep graph walks, map reads and the capped fan-out."""
 
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from fieldsim.safety import (
     read_gsn,
     run_safety_suite,
 )
-from fieldsim.units import read_grid_map, write_grid_map
+from fieldsim.units import write_grid_map
 
 from conftest import build_blind_map, build_field_map
 
@@ -60,13 +61,16 @@ def test_postorder_puts_children_first_and_names_the_cycle():
         _shared.postorder({"a": ["b"], "b": ["a"]}.get, "ab", "graph")
 
 
-def test_cached_load_rereads_a_changed_file(tmp_path):
+def test_a_rerun_suite_reads_its_rewritten_map(tmp_path, blind_map_path):
     path = tmp_path / "m.map"
     write_grid_map(build_field_map(), path)
-    first = _shared.cached_load(read_grid_map, path)
-    assert _shared.cached_load(read_grid_map, path) is first
+    run = SafetyRun(run_id="run", map_path=str(path), speed=1.0, duration=0.1)
+    [first] = run_safety_suite(SafetySuite([run]), tmp_path / "first")
     write_grid_map(build_blind_map(), path)
-    assert _shared.cached_load(read_grid_map, path) == build_blind_map()
+    [second] = run_safety_suite(SafetySuite([run]), tmp_path / "second")
+    blind_run = dataclasses.replace(run, map_path=str(blind_map_path))
+    [blind] = run_safety_suite(SafetySuite([blind_run]), tmp_path / "blind")
+    assert second.measured == blind.measured != first.measured
 
 
 def test_suite_pool_is_capped_at_the_run_count(tmp_path, field_map_path, monkeypatch):

@@ -151,14 +151,19 @@ def test_infinite_heading_raises(r):
 # --- tyre forces ------------------------------------------------------------
 
 
+def state_after_one_step(unit, f_f, f_r, h):
+    """``(v_y, r)`` after one step from rest under axle forces ``f_f`` and
+    ``f_r``, in the model's order of operations."""
+    p = unit.parameters
+    return h * ((f_f + f_r) / p["m_robot"]), h * ((p["l_f"] * f_f - p["l_r"] * f_r) / p["I_z"])
+
+
 def test_front_force_saturates_at_friction_budget():
     unit = VehicleUnit()  # mu 0.3, m 1000, g 9.81 -> 1471.5 N per axle
     unit.set_input("velocity", 1.0)
     unit.set_input("delta_f", 0.5)
     unit.do_step(0.01)
-    f_f, f_r = unit.last_forces
-    assert f_f == 1471.5
-    assert f_r == 0.0
+    assert (unit.v_y, unit.r) == state_after_one_step(unit, 1471.5, 0.0, 0.01)
 
 
 def test_friction_cap_scales_with_mu_and_mass():
@@ -166,8 +171,7 @@ def test_friction_cap_scales_with_mu_and_mass():
     unit.set_input("velocity", 1.0)
     unit.set_input("delta_f", -0.8)
     unit.do_step(0.01)
-    f_f, _ = unit.last_forces
-    assert f_f == -0.6 * 2000.0 * 9.81 / 2
+    assert (unit.v_y, unit.r) == state_after_one_step(unit, -0.6 * 2000.0 * 9.81 / 2, 0.0, 0.01)
 
 
 def test_small_slip_force_is_linear():
@@ -175,9 +179,11 @@ def test_small_slip_force_is_linear():
     unit.set_input("velocity", 2.0)
     unit.set_input("delta_f", 0.01)
     unit.do_step(0.001)
-    f_f, _ = unit.last_forces
     # alpha_f = atan(0) - 0.01 on the first step
-    assert f_f == pytest.approx(10000.0 * 0.01, rel=1e-12)
+    v_y, r = state_after_one_step(unit, 10000.0 * 0.01, 0.0, 0.001)
+    # abs=0: the state is ~1e-4, so approx's default 1e-12 abs would loosen rel
+    assert unit.v_y == pytest.approx(v_y, rel=1e-12, abs=0)
+    assert unit.r == pytest.approx(r, rel=1e-12, abs=0)
 
 
 def test_stiffer_front_axle_turns_harder():
@@ -204,7 +210,6 @@ def test_lateral_state_decays_below_threshold():
     # one Euler step multiplies by (1 - h / 0.2) = 0.95
     assert unit.v_y == pytest.approx(v_y0 * 0.95**20, rel=1e-12)
     assert unit.r == pytest.approx(r0 * 0.95**20, rel=1e-12)
-    assert unit.last_forces == (0.0, 0.0)
 
 
 # --- parameters -------------------------------------------------------------
