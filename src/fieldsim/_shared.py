@@ -1,15 +1,16 @@
 """Plumbing shared by the co-simulation, sweep and safety layers.
 
-One text file reader, one JSON document reader, one ordered process
-fan-out and one children-first graph walk.
+One text file reader, one CSV table reader, one JSON document reader,
+one ordered process fan-out and one children-first graph walk.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError
 
@@ -20,6 +21,45 @@ def read_text(path: Path) -> str:
         return path.read_text()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file: {exc.reason} at byte {exc.start}") from None
+
+
+def read_csv_table(
+    path: Path, text_columns: int = 0
+) -> tuple[list[str], Iterator[tuple[int, list]]]:
+    """A CSV table's header and its data lines, each as (line number, fields).
+
+    Every header column needs its own non-empty name.  A data line has one
+    field per column: the first ``text_columns`` stay strings and the rest
+    must be finite numbers.  Blank lines are skipped.  Lines are parsed as
+    they are drawn, so a caller checks the header before any data line.
+    """
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise ConfigError(f"{path}: empty file, expected a header line")
+    header = lines[0].split(",")
+    for i, name in enumerate(header):
+        if not name:
+            raise ConfigError(f"{path}:1: header has an empty column name")
+        if name in header[:i]:
+            raise ConfigError(f"{path}:1: header names column {name!r} more than once")
+    return header, _csv_rows(path, lines, len(header), text_columns)
+
+
+def _csv_rows(path: Path, lines: list[str], width: int, text_columns: int):
+    isfinite = math.isfinite
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ConfigError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+        try:
+            numbers = list(map(float, fields[text_columns:]))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: malformed number in {line!r}") from None
+        if not all(map(isfinite, numbers)):
+            raise ConfigError(f"{path}:{lineno}: non-finite value")
+        yield lineno, fields[:text_columns] + numbers
 
 
 def read_json(source: str | Path | Mapping):

@@ -18,7 +18,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import fan_out, read_json, read_text
+from ._shared import fan_out, read_csv_table, read_json
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
     InstanceSpec,
@@ -430,18 +430,16 @@ def optimize(
         if set(block) != expected:
             raise ConfigError(f"scenario {scenario!r} does not cover the same grid as the others")
 
-    best_key = None
-    best_total = math.inf
-    for key in order:
-        total = 0.0
-        for block in per_scenario.values():
-            total += block[key]
-        if total < best_total:
-            best_total = total
-            best_key = key
-    if best_key is None:
+    # block by block, not sum(): from Python 3.12 on sum() rounds float sums differently
+    totals = [0.0] * len(order)
+    for block in per_scenario.values():
+        totals = list(map(add, totals, map(block.__getitem__, order)))
+    best = min(
+        (i for i, total in enumerate(totals) if total < math.inf), key=totals.__getitem__, default=None
+    )
+    if best is None:
         raise ConfigError("no assignment has a finite summed error")
-    return dict(zip(names, best_key)), best_total
+    return dict(zip(names, order[best])), totals[best]
 
 
 def pareto_rank(rows: Iterable[SweepRow]) -> list[SweepRow]:
@@ -451,25 +449,14 @@ def pareto_rank(rows: Iterable[SweepRow]) -> list[SweepRow]:
     is <.  Duplicates of a non-dominated point all survive.  The front
     comes back sorted by mean error ascending (stable for ties).
     """
-    rows = list(rows)
-    indexed = sorted(range(len(rows)), key=lambda i: (rows[i].mean_error, rows[i].max_error, i))
-    front: list[int] = []
-    best_max = math.inf
-    i = 0
-    while i < len(indexed):
-        # group rows sharing one mean_error value
-        j = i
-        mean = rows[indexed[i]].mean_error
-        while j < len(indexed) and rows[indexed[j]].mean_error == mean:
-            j += 1
-        group = indexed[i:j]
-        group_min_max = rows[group[0]].max_error  # sorted, so first has the smallest max
-        if group_min_max < best_max:
-            front.extend(k for k in group if rows[k].max_error == group_min_max)
-            best_max = group_min_max
-        i = j
-    front.sort(key=lambda k: (rows[k].mean_error, k))
-    return [rows[k] for k in front]
+    front: list[SweepRow] = []
+    last = (None, math.inf)  # (mean, max) of the last row kept
+    for row in sorted(rows, key=lambda row: (row.mean_error, row.max_error)):
+        point = (row.mean_error, row.max_error)
+        if point[1] < last[1] or point == last:
+            front.append(row)
+            last = point
+    return front
 
 
 # --- result files ------------------------------------------------------------
@@ -498,37 +485,16 @@ def write_dse_results(rows: list[SweepRow], path: str | Path, param_names: list[
 def read_dse_results(path: str | Path) -> tuple[list[str], list[SweepRow]]:
     """Read a sweep result table; returns (parameter names, rows)."""
     path = Path(path)
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty file, expected a header line")
-    header = lines[0].split(",")
+    header, lines = read_csv_table(path, text_columns=1)
     if len(header) < 3 or header[0] != "scenario" or header[-2:] != [_MEAN_COLUMN, _MAX_COLUMN]:
         raise ConfigError(
             f"{path}:1: header must be 'scenario,<params...>,{_MEAN_COLUMN},{_MAX_COLUMN}'"
         )
     param_names = header[1:-2]
-    rows: list[SweepRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            numbers = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: malformed number") from None
-        if not all(math.isfinite(v) for v in numbers):
-            raise ConfigError(f"{path}:{lineno}: non-finite value")
-        rows.append(
-            SweepRow(
-                scenario=parts[0],
-                assignment=dict(zip(param_names, numbers[:-2])),
-                mean_error=numbers[-2],
-                max_error=numbers[-1],
-            )
-        )
-    return param_names, rows
+    return param_names, [
+        SweepRow(scenario, dict(zip(param_names, params)), mean_error, max_error)
+        for _, (scenario, *params, mean_error, max_error) in lines
+    ]
 
 
 def write_objectives_json(path: str | Path, mean_error: float, max_error: float) -> None:

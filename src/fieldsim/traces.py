@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from ._shared import read_text
+from ._shared import read_csv_table
 from .errors import ConfigError
 
 
@@ -83,13 +83,9 @@ def read_trace_csv(path: str | Path, expected_channels: list[str] | None = None)
     order included.  Diagnostics carry the offending line number.
     """
     path = Path(path)
-    text = read_text(path)
-    lines = text.splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty file, expected a header line")
-    header = lines[0].split(",")
-    if header[:1] != ["time"]:
-        raise ConfigError(f"{path}:1: header must start with 'time', got {lines[0]!r}")
+    header, lines = read_csv_table(path)
+    if header[0] != "time":
+        raise ConfigError(f"{path}:1: header must start with 'time', got {','.join(header)!r}")
     channels = header[1:]
     if expected_channels is not None and channels != list(expected_channels):
         raise ConfigError(
@@ -97,26 +93,9 @@ def read_trace_csv(path: str | Path, expected_channels: list[str] | None = None)
         )
     times: list[float] = []
     values: list[list[float]] = []
-    arity = len(channels)
-    prev = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != arity + 1:
-            raise ConfigError(
-                f"{path}:{lineno}: expected {arity + 1} fields, got {len(parts)}"
-            )
-        try:
-            nums = [float(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: malformed number in {line!r}") from None
-        t, row = nums[0], nums[1:]
-        if not all(math.isfinite(v) for v in nums):
-            raise ConfigError(f"{path}:{lineno}: non-finite value")
-        if prev is not None and t <= prev:
-            raise ConfigError(f"{path}:{lineno}: time {t!r} not after {prev!r}")
-        prev = t
+    for lineno, (t, *row) in lines:
+        if times and t <= times[-1]:
+            raise ConfigError(f"{path}:{lineno}: time {t!r} not after {times[-1]!r}")
         times.append(t)
         values.append(row)
     return TimedTrace(channels=channels, times=times, values=values)
