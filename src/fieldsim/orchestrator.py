@@ -233,8 +233,10 @@ def _build(
             diagnostics.append(f"input {conn.sink.render()!r} has more than one incoming connection")
         bound_sinks.add(conn.sink)
 
-    for ref in config.outputs:
+    for i, ref in enumerate(config.outputs):
         check_endpoint(ref, PortDirection.OUTPUT, "recorded output")
+        if ref in config.outputs[:i]:
+            diagnostics.append(f"recorded output {ref.render()!r} is listed more than once")
 
     return units, n_steps, diagnostics
 
@@ -273,12 +275,13 @@ def lockstep_cosim(
     naming the first such value, so that a failure it causes later (in a
     connection it feeds, say) is the one reported.
     """
+    def layout(c: MultiModelConfig) -> tuple:
+        types = [(name, spec.unit_type) for name, spec in c.instances.items()]
+        return types, c.connections, c.outputs, c.step_size, c.duration
+
     first = configs[0]
-    layout = (list(first.instances), first.connections, first.outputs, first.step_size, first.duration)
-    for config in configs:
-        if (list(config.instances), config.connections, config.outputs,
-                config.step_size, config.duration) != layout:
-            raise ConfigError("lock-stepped configs may differ only in instance parameters")
+    if any(layout(config) != layout(first) for config in configs):
+        raise ConfigError("lock-stepped configs may differ only in instance parameters")
 
     shared = {
         name for name, spec in first.instances.items()

@@ -36,13 +36,11 @@ class TimedTrace:
     values: list[list[float]]
 
     def validate(self) -> None:
-        seen = set()
-        for name in self.channels:
-            if not name or "," in name:
+        for i, name in enumerate(self.channels):
+            if name in ("", "time") or "," in name:
                 raise ConfigError(f"bad channel name {name!r}")
-            if name in seen:
+            if name in self.channels[:i]:
                 raise ConfigError(f"duplicate channel name {name!r}")
-            seen.add(name)
         if len(self.times) != len(self.values):
             raise ConfigError("times and values differ in length")
         arity = len(self.channels)

@@ -87,6 +87,21 @@ def test_cosim_lists_every_diagnostic(tmp_path, capsys):
     assert len(bullets) >= 3
 
 
+def test_cosim_with_a_recorded_output_listed_twice_exits_2(tmp_path, capsys):
+    doc = json.loads((SAMPLES / "vehicle_replay.json").read_text())
+    doc["outputs"].append("veh.x")
+    path = tmp_path / "mm.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    code, _, stderr = run_cli(
+        capsys, "cosim", "--config", path,
+        "--scenario-inputs", SAMPLES / "sin_cal_inputs.csv", "--out", out,
+    )
+    assert code == 2
+    assert "  - recorded output 'veh.x' is listed more than once\n" in stderr
+    assert not out.exists()
+
+
 def test_cosim_needs_a_backing_trace_for_replay(tmp_path, capsys):
     # without --scenario-inputs no 'replay' unit type exists
     code, _, stderr = run_cli(
@@ -235,6 +250,30 @@ def test_sweep_optimize_and_rank(tmp_path, capsys):
     listed = json.loads(stdout)
     assert len(listed) == 1
     assert listed[0]["mean_cross_track_error"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["optimize", "rank"])
+@pytest.mark.parametrize(
+    "params,rows,fragment",
+    [
+        ("a,a", ["s,1,2,0.5,0.5", "s,3,4,0.1,0.1"], "header names column 'a' more than once"),
+        ("", ["s,1,0.5,0.5"], "header has an empty column name"),
+    ],
+    ids=["repeated", "empty"],
+)
+def test_a_table_that_does_not_name_each_column_once_exits_2(
+    tmp_path, capsys, command, params, rows, fragment
+):
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "\n".join([f"scenario,{params},mean_cross_track_error,max_cross_track_error"] + rows) + "\n"
+    )
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(capsys, "dse", command, "--results", table, "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {table}:1: {fragment}\n"
+    assert not out.exists()
 
 
 def test_sweep_worker_count_does_not_change_results(tmp_path, capsys):

@@ -371,6 +371,24 @@ def test_dse_results_reject_bad_header(tmp_path):
         read_dse_results(path)
 
 
+@pytest.mark.parametrize(
+    "params,fragment",
+    [
+        ("a,a", "header names column 'a' more than once"),
+        ("a,scenario", "header names column 'scenario' more than once"),
+        ("a,", "header has an empty column name"),
+    ],
+)
+def test_dse_results_reject_a_header_that_does_not_name_each_column_once(tmp_path, params, fragment):
+    path = tmp_path / "out.csv"
+    path.write_text(
+        f"scenario,{params},mean_cross_track_error,max_cross_track_error\n"
+        "s,1,2,0.5,0.5\n"
+    )
+    with pytest.raises(ConfigError, match=rf"out\.csv:1: {fragment}"):
+        read_dse_results(path)
+
+
 def test_objectives_json_shape(tmp_path):
     path = tmp_path / "objectives.json"
     write_objectives_json(path, 0.125, 0.5)
@@ -502,6 +520,29 @@ def test_sweep_writes_run_artifacts(sweep_workspace, tmp_path):
     doc = json.loads((art / "sin1" / "run_0003" / "objectives.json").read_text())
     assert doc["cross_track_mean"] == 0.0
     assert doc["cross_track_max"] == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ("time,veh.x,veh.y\n0,0,0\nx,1,1\n", r"bad_ref\.csv:3: malformed number"),
+        ("time,a,b\n0,0,0\n", "cannot identify position channels among \\['a', 'b'\\]"),
+    ],
+    ids=["malformed_number", "no_position_channels"],
+)
+def test_sweep_with_artifacts_reads_every_scenario_before_its_first_run(
+    sweep_workspace, tmp_path, workers, body, fragment
+):
+    config = read_dse_config(sweep_workspace / "sweep.json")
+    (tmp_path / "bad_ref.csv").write_text(body)
+    inputs, _ = config.scenario_files["sin1"]
+    config.scenarios = ["sin1", "later"]
+    config.scenario_files = {**config.scenario_files, "later": (inputs, tmp_path / "bad_ref.csv")}
+    art = tmp_path / "artifacts"
+    with pytest.raises(ConfigError, match=fragment):
+        run_sweep(config, workers=workers, artifacts_dir=art)
+    assert not list(art.glob("*/run_*"))
 
 
 def test_sweep_requires_multi_model(sweep_workspace):

@@ -65,6 +65,7 @@ from fieldsim.units import (
     ReplayUnit,
     VehicleUnit,
 )
+from fieldsim.units.vehicle import VEHICLE_DESCRIPTION
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -368,6 +369,27 @@ def test_lockstep_rejects_configs_that_differ_in_more_than_parameters():
     registry = default_registry()
     with pytest.raises(ConfigError, match="may differ only in instance parameters"):
         lockstep_cosim([replay_vehicle(), replay_vehicle(duration=2.0)], registry)
+
+
+class VehicleTwin(SimulationUnit):
+    """Another unit type with the vehicle's ports; it never moves."""
+
+    def __init__(self, parameters=None):
+        super().__init__(VEHICLE_DESCRIPTION, parameters)
+
+    def _advance(self, h):
+        pass
+
+
+def test_lockstep_rejects_configs_whose_instances_differ_in_unit_type():
+    registry = default_registry()
+    registry.register("replay", replay_factory(generate_scenario(ScenarioSpec("s", "sin", 1.0, 1.5, 0.2))))
+    registry.register("vehicle_twin", VehicleTwin)
+    twin = replay_vehicle()
+    twin.instances["veh"] = InstanceSpec("vehicle_twin")
+    for configs in ([replay_vehicle(), twin], [twin, replay_vehicle()]):
+        with pytest.raises(ConfigError, match="may differ only in instance parameters"):
+            lockstep_cosim(configs, registry)
 
 
 # --- which failure a run reports --------------------------------------------

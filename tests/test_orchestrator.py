@@ -215,6 +215,14 @@ def test_validate_rejects_self_coupling():
     assert any("distinct instances" in d for d in diags)
 
 
+def test_validate_reports_a_recorded_output_listed_twice():
+    config = counter_config(1.0, 0.1)
+    config.outputs.append(PortRef("c", "n"))
+    assert validate_config(config, probe_registry()) == [
+        "recorded output 'c.n' is listed more than once"
+    ]
+
+
 def test_validate_rejects_oversized_run():
     config = counter_config(20_000.0, 1e-4)
     diags = validate_config(config, probe_registry())

@@ -108,6 +108,29 @@ def test_read_rejects_missing_time_header(tmp_path):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize(
+    "header,fragment",
+    [
+        ("time,a,a", "header names column 'a' more than once"),
+        ("time,time", "header names column 'time' more than once"),
+        ("time,a,", "header has an empty column name"),
+        ("time,,a", "header has an empty column name"),
+    ],
+)
+def test_read_rejects_a_header_that_does_not_name_each_column_once(tmp_path, header, fragment):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,x\n")  # the header is reported before the bad line
+    with pytest.raises(ConfigError, match=rf"bad\.csv:1: {fragment}"):
+        read_trace_csv(path)
+
+
+def test_a_channel_named_time_is_not_written(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ConfigError, match="bad channel name 'time'"):
+        write_trace_csv(TimedTrace(["time"], [0.0], [[1.0]]), path)
+    assert not path.exists()
+
+
 def test_validate_catches_structural_problems():
     with pytest.raises(ConfigError, match="duplicate channel"):
         TimedTrace(["a", "a"], [0.0], [[1.0, 2.0]]).validate()
