@@ -311,14 +311,6 @@ def _lockstep_scores(
     return [(total / count, m) for total, m in zip(totals, worst)]
 
 
-def _read_scenario(inputs_path, reference_path) -> tuple[TimedTrace, TimedTrace]:
-    """A scenario's command trace and its reference, whose position channels must be found."""
-    inputs_trace = read_trace_csv(inputs_path, ["velocity", "delta_f"])
-    reference = read_trace_csv(reference_path)
-    position_channels(reference)
-    return inputs_trace, reference
-
-
 def _run_task(task) -> list[tuple[float, float]]:
     """Score one scenario's grid slice; used by worker processes too.
 
@@ -327,7 +319,8 @@ def _run_task(task) -> list[tuple[float, float]]:
     failure raises the first failing point's own error.
     """
     mm, inputs_path, reference_path, assignments, run_dirs = task
-    inputs_trace, reference = _read_scenario(inputs_path, reference_path)
+    inputs_trace = read_trace_csv(inputs_path, ["velocity", "delta_f"])
+    reference = read_trace_csv(reference_path)
     registry = default_registry()
     registry.register("replay", replay_factory(inputs_trace))
     if run_dirs is None:
@@ -375,8 +368,9 @@ def run_sweep(
             raise ConfigError(f"scenario {scenario!r}: missing inputs file {inputs_path}")
         if not Path(reference_path).is_file():
             raise ConfigError(f"scenario {scenario!r}: missing reference file {reference_path}")
-        if artifacts_dir is not None:  # runs write as they go, so read every file first
-            _read_scenario(inputs_path, reference_path)
+        if artifacts_dir is not None:  # runs write as they go, so check every file first
+            read_trace_csv(inputs_path, ["velocity", "delta_f"])
+            position_channels(read_trace_csv(reference_path))
         for lo, hi in zip(bounds, bounds[1:]):
             run_dirs = None
             if artifacts_dir is not None:

@@ -233,10 +233,12 @@ def _build(
             diagnostics.append(f"input {conn.sink.render()!r} has more than one incoming connection")
         bound_sinks.add(conn.sink)
 
-    for i, ref in enumerate(config.outputs):
+    recorded: set[PortRef] = set()
+    for ref in config.outputs:
         check_endpoint(ref, PortDirection.OUTPUT, "recorded output")
-        if ref in config.outputs[:i]:
+        if ref in recorded:
             diagnostics.append(f"recorded output {ref.render()!r} is listed more than once")
+        recorded.add(ref)
 
     return units, n_steps, diagnostics
 

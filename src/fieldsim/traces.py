@@ -36,11 +36,13 @@ class TimedTrace:
     values: list[list[float]]
 
     def validate(self) -> None:
-        for i, name in enumerate(self.channels):
+        seen = set()
+        for name in self.channels:
             if name in ("", "time") or "," in name:
                 raise ConfigError(f"bad channel name {name!r}")
-            if name in self.channels[:i]:
+            if name in seen:
                 raise ConfigError(f"duplicate channel name {name!r}")
+            seen.add(name)
         if len(self.times) != len(self.values):
             raise ConfigError("times and values differ in length")
         arity = len(self.channels)
