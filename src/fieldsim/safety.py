@@ -18,14 +18,7 @@ from typing import Iterable, Mapping
 
 from ._shared import fan_out, postorder, read_json
 from .errors import ConfigError, SimulationError
-from .orchestrator import (
-    Connection,
-    InstanceSpec,
-    MultiModelConfig,
-    PortRef,
-    run_cosim,
-    write_results_csv,
-)
+from .orchestrator import MultiModelConfig, load_multimodel, run_cosim, write_results_csv
 from .simunit import UnitRegistry
 from .traces import TimedTrace
 from .units import (
@@ -474,11 +467,6 @@ class SafetySuite:
     runs: list[SafetyRun]
 
 
-# the one built-in closed loop: path follower -> supervisor -> vehicle,
-# with the sensor watching the vehicle pose
-_HARVESTER_TOPOLOGY = "harvester"
-
-
 _REAL_FIELDS = ("speed", "decel", "margin", "duration", "step_size", "gap_threshold")
 
 
@@ -511,15 +499,9 @@ def read_safety_suite(path: str | Path) -> SafetySuite:
             raise ConfigError(f"{path}: duplicate run id {run_id!r}")
         seen.add(run_id)
         where = f"{path}: run {run_id!r}"
-        unknown = set(entry) - {"id", "map", "sensor", "path", "multi_model", *_REAL_FIELDS}
+        unknown = set(entry) - {"id", "map", "sensor", "path", *_REAL_FIELDS}
         if unknown:
             raise ConfigError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
-        topology = entry.get("multi_model", _HARVESTER_TOPOLOGY)
-        if topology != _HARVESTER_TOPOLOGY:
-            raise ConfigError(
-                f"{where}: unknown multi_model {topology!r}; "
-                f"only {_HARVESTER_TOPOLOGY!r} is built in"
-            )
         map_name = entry.get("map", default_map)
         if not map_name:
             raise ConfigError(f"{where} names no map")
@@ -547,45 +529,33 @@ def read_safety_suite(path: str | Path) -> SafetySuite:
 
 
 def harvester_config(run: SafetyRun) -> MultiModelConfig:
-    """The built-in supervised loop for one safety run."""
-
-    def ref(text: str) -> PortRef:
-        return PortRef.parse(text)
-
-    def conn(source: str, sink: str) -> Connection:
-        return Connection(ref(source), ref(sink))
-
-    return MultiModelConfig(
-        instances={
-            "ctl": InstanceSpec("pure_pursuit", {"cruise_speed": run.speed}),
-            "sns": InstanceSpec("sensor", dict(run.sensor)),
-            "sup": InstanceSpec("supervisor", {"decel": run.decel, "margin": run.margin}),
-            "veh": InstanceSpec("vehicle"),
+    """The built-in closed loop for one safety run: path follower -> supervisor
+    -> vehicle, with the sensor watching the vehicle pose."""
+    return load_multimodel({
+        "instances": {
+            "ctl": {"unit_type": "pure_pursuit", "parameters": {"cruise_speed": run.speed}},
+            "sns": {"unit_type": "sensor", "parameters": dict(run.sensor)},
+            "sup": {"unit_type": "supervisor", "parameters": {"decel": run.decel, "margin": run.margin}},
+            "veh": {"unit_type": "vehicle"},
         },
-        connections=[
-            conn("ctl.velocity", "sup.velocity_cmd"),
-            conn("ctl.delta_f", "veh.delta_f"),
-            conn("sns.obstacle_detected", "sup.obstacle_detected"),
-            conn("sns.obstacle_distance", "sup.obstacle_distance"),
-            conn("sup.velocity", "veh.velocity"),
-            conn("veh.x", "ctl.x"),
-            conn("veh.y", "ctl.y"),
-            conn("veh.theta", "ctl.theta"),
-            conn("veh.x", "sns.x"),
-            conn("veh.y", "sns.y"),
-            conn("veh.theta", "sns.theta"),
-        ],
-        outputs=[
-            ref("veh.x"),
-            ref("veh.y"),
-            ref("veh.theta"),
-            ref("sup.velocity"),
-            ref("sup.stop_engaged"),
-            ref("sns.obstacle_distance"),
-        ],
-        step_size=run.step_size,
-        duration=run.duration,
-    )
+        "connections": [{"source": source, "sink": sink} for source, sink in (
+            ("ctl.velocity", "sup.velocity_cmd"),
+            ("ctl.delta_f", "veh.delta_f"),
+            ("sns.obstacle_detected", "sup.obstacle_detected"),
+            ("sns.obstacle_distance", "sup.obstacle_distance"),
+            ("sup.velocity", "veh.velocity"),
+            ("veh.x", "ctl.x"),
+            ("veh.y", "ctl.y"),
+            ("veh.theta", "ctl.theta"),
+            ("veh.x", "sns.x"),
+            ("veh.y", "sns.y"),
+            ("veh.theta", "sns.theta"),
+        )],
+        "outputs": ["veh.x", "veh.y", "veh.theta", "sup.velocity", "sup.stop_engaged",
+                    "sns.obstacle_distance"],
+        "step_size": run.step_size,
+        "duration": run.duration,
+    })
 
 
 def assess_run(trace: TimedTrace, grid_map: GridMap, gap_threshold: float) -> tuple[float, bool]:

@@ -568,7 +568,7 @@ def test_read_safety_suite_defaults_and_overrides(tmp_path):
         ({"runs": [{"id": "a", "speed": -1.0}], "map": "m"}, "bad speed"),
         ({"runs": [{"id": "a", "speed": 1.0}]}, "names no map"),
         ({"runs": [{"id": "a", "speed": 1.0, "zz": 1}], "map": "m"}, "unknown keys"),
-        ({"runs": [{"id": "a", "speed": 1.0, "multi_model": "combine"}], "map": "m"}, "only 'harvester'"),
+        ({"runs": [{"id": "a", "speed": 1.0, "multi_model": "combine"}], "map": "m"}, "unknown keys multi_model"),
         ({"runs": {}}, "'runs' list"),
     ],
 )
