@@ -311,6 +311,14 @@ def _lockstep_scores(
     return [(total / count, m) for total, m in zip(totals, worst)]
 
 
+def _check_positions(what: str | Path, trace: TimedTrace) -> None:
+    """Fail before any run unless ``trace`` has position channels; name it ``what``."""
+    try:
+        position_channels(trace)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _run_task(task) -> list[tuple[float, float]]:
     """Score one scenario's grid slice; used by worker processes too.
 
@@ -321,6 +329,7 @@ def _run_task(task) -> list[tuple[float, float]]:
     mm, inputs_path, reference_path, assignments, run_dirs = task
     inputs_trace = read_trace_csv(inputs_path, ["velocity", "delta_f"])
     reference = read_trace_csv(reference_path)
+    _check_positions(reference_path, reference)
     registry = default_registry()
     registry.register("replay", replay_factory(inputs_trace))
     if run_dirs is None:
@@ -353,6 +362,9 @@ def run_sweep(
     if missing:
         raise ConfigError(f"no trace files for scenarios: {', '.join(missing)}")
 
+    outputs = [ref.render() for ref in config.multi_model.outputs]
+    _check_positions("multi-model outputs", TimedTrace(outputs, [], []))
+
     grid = expand_grid(config.parameters)
     for ref_text in config.parameters:
         ref = PortRef.parse(ref_text)
@@ -370,7 +382,7 @@ def run_sweep(
             raise ConfigError(f"scenario {scenario!r}: missing reference file {reference_path}")
         if artifacts_dir is not None:  # runs write as they go, so check every file first
             read_trace_csv(inputs_path, ["velocity", "delta_f"])
-            position_channels(read_trace_csv(reference_path))
+            _check_positions(reference_path, read_trace_csv(reference_path))
         for lo, hi in zip(bounds, bounds[1:]):
             run_dirs = None
             if artifacts_dir is not None:

@@ -151,9 +151,8 @@ class PurePursuitUnit(SimulationUnit):
         return best_s
 
     def _point_at_station(self, s: float) -> tuple[float, float]:
+        """The path point at arc length ``s``, which is positive: a station plus the lookahead."""
         stations = self._stations
-        if s <= 0.0:
-            return self._pts[0]
         if s >= stations[-1]:
             return self._pts[-1]
         i = bisect_right(stations, s) - 1

@@ -397,6 +397,40 @@ def test_ft_command_rejects_malformed_states(capsys):
     assert "must look like name=true|false" in stderr
 
 
+def test_ft_command_skips_empty_items_in_the_state_list(capsys):
+    code, stdout, _ = run_cli(
+        capsys, "ft", "--tree", SAMPLES / "fault_tree.json",
+        "--events", "sensor_blind=0,, obstacle_below_fov=FALSE,detection_late=1,brake_weak=True,",
+    )
+    assert (code, stdout) == (0, "TOP: true\n")
+
+
+@pytest.mark.parametrize(
+    "events,fragment",
+    [
+        ("sensor_blind=maybe", "event state 'sensor_blind=maybe' must be true or false"),
+        ("states.json", "event states must be a JSON object"),
+    ],
+    ids=["bad-state", "json-list"],
+)
+def test_ft_command_rejects_bad_event_states(tmp_path, capsys, events, fragment):
+    (tmp_path / "states.json").write_text('[["sensor_blind", true]]')
+    if events == "states.json":
+        events = tmp_path / events
+    code, stdout, stderr = run_cli(capsys, "ft", "--tree", SAMPLES / "fault_tree.json", "--events", events)
+    assert (code, stdout) == (2, "")
+    assert fragment in stderr
+
+
+def test_a_worker_count_below_one_exits_2(tmp_path, capsys):
+    code, stdout, stderr = run_cli(
+        capsys, "dse", "sweep", "--config", SAMPLES / "dse_sweep.json",
+        "--out", tmp_path / "t.csv", "--jobs", "0",
+    )
+    assert (code, stdout, stderr) == (2, "", "error: workers must be >= 1, got 0\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 # --- malformed documents exit 2 ---------------------------------------------
 
 
@@ -510,9 +544,10 @@ COSIM_DOC = {"duration": 1.0, "instances": {"veh": {"unit_type": "vehicle"}}, "o
          "scenarioFiles['sin_cal'].inputs must be a file path string, got 5"),
         ("sweep", {"scenarioFiles": {"sin_cal": {"inputs": "i.csv", "reference": [1]}}},
          "scenarioFiles['sin_cal'].reference must be a file path string, got [1]"),
+        ("sweep", {"scenarioFiles": ["sin_cal"]}, "'scenarioFiles' must be an object"),
     ],
     ids=["connections-int", "outputs-int", "outputs-string", "multimodel-int",
-         "inputs-int", "reference-list"],
+         "inputs-int", "reference-list", "scenariofiles-list"],
 )
 def test_mistyped_lists_and_paths_exit_2(tmp_path, capsys, command, change, fragment):
     if command == "cosim":

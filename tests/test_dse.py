@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from fieldsim import dse
 from fieldsim.dse import (
     DseConfig,
     SweepRow,
@@ -192,6 +193,22 @@ def test_optimize_rejects_duplicate_rows():
         optimize(rows + rows)
 
 
+@pytest.mark.parametrize(
+    "assignment,fragment",
+    [
+        ({"veh.a": 2.0}, "row is missing parameter 'veh.b'"),
+        ({"veh.a": 2.0, "veh.b": 1.0, "veh.c": 0.0},
+         r"row has parameters \['veh.a', 'veh.b', 'veh.c'\], expected \['veh.a', 'veh.b'\]"),
+    ],
+    ids=["missing", "extra"],
+)
+def test_optimize_rejects_a_row_whose_parameters_differ(assignment, fragment):
+    rows = rows_from({"s1": {(1.0, 1.0): (1.0, 1.0)}})
+    rows.append(SweepRow("s1", assignment, 0.5, 0.5))
+    with pytest.raises(ConfigError, match=fragment):
+        optimize(rows)
+
+
 def test_optimize_rejects_empty_table():
     with pytest.raises(ConfigError, match="empty result table"):
         optimize([])
@@ -296,6 +313,9 @@ def test_read_dse_config_splits_comma_joined_scenarios(tmp_path):
     doc = dict(BASE_DOC, scenarios=["sin1, sin2, turn_ramp1"])
     config = read_dse_config(write_config(tmp_path, doc))
     assert config.scenarios == ["sin1", "sin2", "turn_ramp1"]
+    # one string, not in a list, is read the same way
+    doc = dict(BASE_DOC, scenarios="a,b")
+    assert read_dse_config(write_config(tmp_path, doc)).scenarios == ["a", "b"]
 
 
 def test_read_dse_config_keeps_dotted_instance_prefix(tmp_path):
@@ -334,6 +354,14 @@ def test_read_dse_config_records_tolerated_keys(tmp_path):
         (lambda d: d.update(scenarios=[]), "no scenarios"),
         (lambda d: d.update(scenarios=["a, a"]), "unique"),
         (lambda d: d.update(surprise=1), "unknown keys"),
+        (lambda d: d.update(parameters={"veh.mu": [True]}), "'veh.mu': bad value True"),
+        (lambda d: d.update(parameters={"veh.mu": [None]}), "'veh.mu': bad value None"),
+        (lambda d: d.update(parameters={"veh.mu": ["inf"]}), "non-finite value 'inf'"),
+        (lambda d: d.update(scenarios=5), "'scenarios' must be a list of names"),
+        (lambda d: d.update(scenarios=["a", 5]), "scenario name 5 is not a string"),
+        (lambda d: d.update(scenarioFiles=[]), "'scenarioFiles' must be an object"),
+        (lambda d: d.update(scenarioFiles={"sin1": {"inputs": "i.csv"}}),
+         r"scenarioFiles\['sin1'\] needs exactly 'inputs' and 'reference'"),
     ],
 )
 def test_read_dse_config_rejections(tmp_path, mutate, fragment):
@@ -341,6 +369,11 @@ def test_read_dse_config_rejections(tmp_path, mutate, fragment):
     mutate(doc)
     with pytest.raises(ConfigError, match=fragment):
         read_dse_config(write_config(tmp_path, doc))
+
+
+def test_read_dse_config_rejects_a_document_that_is_not_an_object(tmp_path):
+    with pytest.raises(ConfigError, match="sweep config must be a JSON object"):
+        read_dse_config(write_config(tmp_path, [BASE_DOC]))
 
 
 def test_read_dse_config_rejects_bad_json(tmp_path):
@@ -362,6 +395,13 @@ def test_dse_results_roundtrip(tmp_path):
     names, back = read_dse_results(path)
     assert names == ["veh.a", "veh.b"]
     assert back == rows
+
+
+def test_dse_results_reject_a_scenario_name_with_a_comma(tmp_path):
+    rows = [SweepRow("a,b", {"veh.a": 1.0}, 0.5, 0.5)]
+    with pytest.raises(ConfigError, match="scenario name 'a,b' cannot contain a comma"):
+        write_dse_results(rows, tmp_path / "out.csv", ["veh.a"])
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_dse_results_reject_bad_header(tmp_path):
@@ -543,6 +583,46 @@ def test_sweep_with_artifacts_reads_every_scenario_before_its_first_run(
     with pytest.raises(ConfigError, match=fragment):
         run_sweep(config, workers=workers, artifacts_dir=art)
     assert not list(art.glob("*/run_*"))
+
+
+@pytest.mark.parametrize(
+    "case,fragment",
+    [
+        ("reference", r"bad_ref\.csv: cannot identify position channels among \['a', 'b', 'c'\]"),
+        ("outputs", r"^multi-model outputs: cannot identify position channels among \['veh\.theta'\]"),
+    ],
+    ids=["reference", "outputs"],
+)
+def test_sweep_without_position_channels_fails_before_any_run(
+    sweep_workspace, tmp_path, monkeypatch, case, fragment
+):
+    config = read_dse_config(sweep_workspace / "sweep.json")
+    if case == "reference":
+        (tmp_path / "bad_ref.csv").write_text("time,a,b,c\n0,0,0,0\n1,1,1,1\n")
+        inputs, _ = config.scenario_files["sin1"]
+        config.scenario_files = {"sin1": (inputs, tmp_path / "bad_ref.csv")}
+    else:
+        config.multi_model.outputs = [PortRef("veh", "theta")]
+
+    def forbidden(*args):
+        raise AssertionError("the sweep simulated a point")
+
+    monkeypatch.setattr(dse, "run_cosim", forbidden)
+    monkeypatch.setattr(dse, "lockstep_cosim", forbidden)
+    for artifacts_dir in (None, tmp_path / "artifacts"):
+        with pytest.raises(ConfigError, match=fragment):
+            run_sweep(config, artifacts_dir=artifacts_dir)
+    assert not (tmp_path / "artifacts").exists()
+
+
+@pytest.mark.parametrize("which", ["inputs", "reference"])
+def test_sweep_names_a_missing_scenario_file(sweep_workspace, tmp_path, which):
+    config = read_dse_config(sweep_workspace / "sweep.json")
+    files = dict(zip(("inputs", "reference"), config.scenario_files["sin1"]))
+    files[which] = tmp_path / "absent.csv"
+    config.scenario_files = {"sin1": (files["inputs"], files["reference"])}
+    with pytest.raises(ConfigError, match=rf"scenario 'sin1': missing {which} file .*absent\.csv"):
+        run_sweep(config)
 
 
 def test_sweep_requires_multi_model(sweep_workspace):

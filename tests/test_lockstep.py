@@ -365,6 +365,36 @@ def test_vehicle_group_steps_each_config_as_the_scalar_vehicle(case):
         assert vehicle_regimes(parameters[p], commands, step_size, duration) == (True, True, True)
 
 
+def test_vehicle_group_wraps_a_clockwise_step_of_more_than_one_turn():
+    # a yaw inertia this small swings the yaw rate by about 1700 rad/s a step,
+    # so at h = 0.01 a step turns clockwise by more than one turn
+    commands = TimedTrace(["velocity", "delta_f"], [0.0, 1.0], [[1.5, -0.5], [1.5, -0.5]])
+    base = replay_vehicle(outputs=("veh.x", "veh.y", "veh.theta"), duration=0.2)
+    configs = [_apply_assignment(base, {"veh.I_z": iz}) for iz in (0.005, 0.004)]
+
+    def make_registry():
+        registry = default_registry()
+        registry.register("replay", replay_factory(commands))
+        return registry
+
+    for config in configs:
+        veh = VehicleUnit(config.instances["veh"].parameters)
+        past_one_turn = False
+        for _ in range(20):
+            veh.set_input("velocity", 1.5)
+            veh.set_input("delta_f", -0.5)
+            past_one_turn |= veh.theta + 0.01 * veh.r <= -3.0 * math.pi
+            veh.do_step(0.01)
+        assert past_one_turn
+    _, _, rows = lockstep_cosim(configs, make_registry())
+    rows = list(rows)
+    for p, config in enumerate(configs):
+        trace = run_cosim(config, make_registry())
+        assert [[v.hex() for v in row[p::2]] for row in rows] == [
+            [v.hex() for v in row] for row in trace.values
+        ]
+
+
 def test_lockstep_rejects_configs_that_differ_in_more_than_parameters():
     registry = default_registry()
     with pytest.raises(ConfigError, match="may differ only in instance parameters"):

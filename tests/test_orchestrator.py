@@ -165,6 +165,12 @@ def test_load_multimodel_rejects_bad_json(tmp_path):
             },
             "exactly 'source' and 'sink'",
         ),
+        ([], "multi-model document must be a JSON object"),
+        ({"instances": [], "outputs": [], "duration": 1}, "'instances' must be an object"),
+        (
+            {"instances": {"a": {"unit_type": "counter", "parameters": [1]}}, "outputs": [], "duration": 1},
+            "instance 'a': 'parameters' must be an object",
+        ),
     ],
 )
 def test_load_multimodel_rejects_malformed(doc, fragment):
@@ -202,6 +208,18 @@ def test_validate_reports_every_problem_at_once():
     assert "port is output, expected input" in joined
     assert "recorded output 'e.u': port is input, expected output" in joined
     assert len(diags) >= 6
+
+
+@pytest.mark.parametrize(
+    "names,diagnostic",
+    [((), "no instances declared"), (("",), "bad instance name ''"), (("a,b",), "bad instance name 'a,b'")],
+    ids=["none", "empty", "comma"],
+)
+def test_validate_rejects_missing_and_bad_instance_names(names, diagnostic):
+    config = MultiModelConfig(
+        instances={name: InstanceSpec("counter") for name in names}, connections=[], outputs=[], duration=1.0
+    )
+    assert validate_config(config, probe_registry()) == [diagnostic]
 
 
 def test_validate_rejects_self_coupling():

@@ -570,6 +570,8 @@ def test_read_safety_suite_defaults_and_overrides(tmp_path):
         ({"runs": [{"id": "a", "speed": 1.0, "zz": 1}], "map": "m"}, "unknown keys"),
         ({"runs": [{"id": "a", "speed": 1.0, "multi_model": "combine"}], "map": "m"}, "unknown keys multi_model"),
         ({"runs": {}}, "'runs' list"),
+        ({"runs": [], "map": "m", "maps": "m"}, "unknown keys: maps"),
+        ({"runs": [{"id": "a", "speed": 1.0, "map": 5}]}, "bad map 5"),
     ],
 )
 def test_read_safety_suite_rejections(tmp_path, doc, fragment):

@@ -106,6 +106,16 @@ def test_read_diagnostics_carry_line_numbers(tmp_path, body, lineno, fragment):
         read_trace_csv(path)
 
 
+def test_read_rejects_an_empty_file_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("")
+    with pytest.raises(ConfigError, match=r"t\.csv: empty file, expected a header line"):
+        read_trace_csv(path)
+    path.write_text("time,a\n0,1\n\n  \n1,2\n")
+    trace = read_trace_csv(path)
+    assert (trace.times, trace.values) == ([0.0, 1.0], [[1.0], [2.0]])
+
+
 def test_read_rejects_missing_time_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n")
@@ -127,6 +137,12 @@ def test_validate_catches_structural_problems():
         TimedTrace(["a"], [0.0, 0.0], [[1.0], [1.0]]).validate()
     with pytest.raises(ConfigError, match="2 values, expected 1"):
         TimedTrace(["a"], [0.0], [[1.0, 2.0]]).validate()
+    with pytest.raises(ConfigError, match="times and values differ in length"):
+        TimedTrace(["a"], [0.0, 1.0], [[1.0]]).validate()
+    with pytest.raises(ConfigError, match="non-finite time nan"):
+        TimedTrace(["a"], [0.0, math.nan], [[1.0], [1.0]]).validate()
+    with pytest.raises(ConfigError, match="non-finite value at t=1.0"):
+        TimedTrace(["a"], [0.0, 1.0], [[1.0], [-math.inf]]).validate()
     with pytest.raises(ConfigError, match="no channel"):
         TimedTrace(["a"], [], []).column("b")
 

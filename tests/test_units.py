@@ -136,6 +136,28 @@ def test_stops_within_lookahead_of_goal():
     assert v == 0.0
 
 
+@pytest.mark.parametrize(
+    "path,x,y,goal",
+    [
+        # behind the first waypoint: the projection stops at station 0
+        (STRAIGHT, -5.0, 1.0, (2.0, 0.0)),
+        # past the last waypoint: the goal is the last waypoint
+        (STRAIGHT, 25.0, 1.0, (20.0, 0.0)),
+        # past the end of the first segment, nearer its end than the second
+        # segment's start: the projection stops at the corner, station 10
+        ([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)], 12.0, -3.0, (10.0, 2.0)),
+        # a zero-length segment at the corner projects onto its one point
+        ([(0.0, 0.0), (5.0, 0.0), (5.0, 0.0), (5.0, 10.0)], 7.0, -2.0, (5.0, 2.0)),
+    ],
+    ids=["behind-first", "past-last", "past-a-corner", "zero-length-segment"],
+)
+def test_goal_point_is_one_lookahead_past_the_nearest_projection(path, x, y, goal):
+    # at heading 0 the goal's body frame is the world frame shifted to the pose
+    _, delta = steer(PurePursuitUnit(path, {"lookahead": 2.0}), x, y, 0.0)
+    x_b, y_b = goal[0] - x, goal[1] - y
+    assert delta == math.atan(2.0 * y_b / (x_b * x_b + y_b * y_b) * 1.2)
+
+
 def test_path_validation():
     with pytest.raises(ContractViolation, match="two waypoints"):
         PurePursuitUnit([(0.0, 0.0)])
@@ -145,6 +167,8 @@ def test_path_validation():
         PurePursuitUnit(STRAIGHT, {"lookahead": 0.0})
     with pytest.raises(ContractViolation, match="cruise_speed"):
         PurePursuitUnit(STRAIGHT, {"cruise_speed": -1.0})
+    with pytest.raises(ContractViolation, match="wheelbase must be positive, got 0.0"):
+        PurePursuitUnit(STRAIGHT, {"wheelbase": 0.0})
 
 
 def test_closed_loop_converges_to_offset_path():
@@ -293,6 +317,10 @@ def test_grid_map_validation():
         GridMap(1, 1, 0.5, 0.0, 0.0, (2,))
     with pytest.raises(ConfigError, match="resolution"):
         GridMap(1, 1, -0.5, 0.0, 0.0, (1,))
+    with pytest.raises(ConfigError, match="at least 1x1, got 0x0"):
+        GridMap(0, 0, 0.5, 0.0, 0.0, ())
+    with pytest.raises(ConfigError, match="origin must be finite"):
+        GridMap(1, 1, 0.5, 0.0, math.inf, (1,))
 
 
 def test_grid_map_file_roundtrip(tmp_path):
@@ -313,6 +341,9 @@ def test_grid_map_file_roundtrip(tmp_path):
         ("GRIDMAP 1\n1 2 0.5 0 0\n1\n", "expected 2 cell rows"),
         ("GRIDMAP 1\n2 1 0.5 0 0\n1\n", "row has 1 cells"),
         ("GRIDMAP 1\n1 1 0.5 0 0\nx\n", "bad cell character"),
+        ("GRIDMAP 1\n1 1 0.5 0 y\n1\n", "malformed dimension line"),
+        ("GRIDMAP 1\n0 0 0.5 0 0\n", "at least 1x1"),
+        ("GRIDMAP 1\n1 1 0.5 nan 0\n1\n", "origin must be finite"),
     ],
 )
 def test_grid_map_read_errors(tmp_path, text, fragment):
