@@ -529,8 +529,7 @@ def read_safety_suite(path: str | Path) -> SafetySuite:
 
 
 def harvester_config(run: SafetyRun) -> MultiModelConfig:
-    """The built-in closed loop for one safety run: path follower -> supervisor
-    -> vehicle, with the sensor watching the vehicle pose."""
+    """One run's closed loop: path follower -> supervisor -> vehicle, the sensor watching the pose."""
     return load_multimodel({
         "instances": {
             "ctl": {"unit_type": "pure_pursuit", "parameters": {"cruise_speed": run.speed}},
