@@ -79,7 +79,7 @@ _DECAY_TAU = 0.2  # s, lateral state decay time constant at low speed
 
 
 def _wrap(theta: float) -> float:
-    """Bring into (-pi, pi] an angle that one turn does not; raise if it is not finite."""
+    """Bring any finite angle into (-pi, pi]; raise if it is not finite."""
     if not isfinite(theta):
         raise OverflowError(f"yaw angle is {theta!r}")
     theta = remainder(theta, 2.0 * pi)
@@ -104,13 +104,9 @@ class VehicleUnit(SimulationUnit):
         if not 0.0 < p["mu"] <= 2.0:
             raise ContractViolation(f"vehicle parameter mu must be in (0, 2], got {p['mu']}")
 
-        self._m = p["m_robot"]
-        self._cf = p["cAlphaF"]
-        self._cr = p["cAlphaR"]
-        self._lf = p["l_f"]
-        self._lr = p["l_r"]
-        self._iz = p["I_z"]
-        self._f_lim = p["mu"] * self._m * p["g"] * 0.5  # per-axle friction cap
+        m = p["m_robot"]
+        f_lim = p["mu"] * m * p["g"] * 0.5  # per-axle friction cap
+        self._constants = (m, p["cAlphaF"], p["cAlphaR"], p["l_f"], p["l_r"], p["I_z"], f_lim)
 
         self.x = 0.0
         self.y = 0.0
@@ -129,19 +125,19 @@ class VehicleUnit(SimulationUnit):
             dv_y = -v_y / _DECAY_TAU
             dr = -r / _DECAY_TAU
         else:
-            lim = self._f_lim
-            f_f = -self._cf * (atan((v_y + self._lf * r) / v) - delta_f)
+            m, cf, cr, lf, lr, iz, lim = self._constants
+            f_f = -cf * (atan((v_y + lf * r) / v) - delta_f)
             if f_f < -lim:
                 f_f = -lim
             elif f_f > lim:
                 f_f = lim
-            f_r = -self._cr * atan((v_y - self._lr * r) / v)
+            f_r = -cr * atan((v_y - lr * r) / v)
             if f_r < -lim:
                 f_r = -lim
             elif f_r > lim:
                 f_r = lim
-            dv_y = (f_f + f_r) / self._m - v * r
-            dr = (self._lf * f_f - self._lr * f_r) / self._iz
+            dv_y = (f_f + f_r) / m - v * r
+            dr = (lf * f_f - lr * f_r) / iz
 
         theta = self.theta
         cos_t = cos(theta)
@@ -149,15 +145,9 @@ class VehicleUnit(SimulationUnit):
         self.x += h * (v * cos_t - v_y * sin_t)
         self.y += h * (v * sin_t + v_y * cos_t)
         theta += h * r
-        # one turn unless a step turns by more than that; _wrap takes the rest
-        if theta > pi:
-            theta -= 2.0 * pi
-            if theta > pi:
-                theta = _wrap(theta)
-        elif theta <= -pi:
-            theta += 2.0 * pi
-            if theta <= -pi:
-                theta = _wrap(theta)
+        # remainder() is exact, as theta -+ 2 pi within one turn is (Sterbenz); NaN skips _wrap
+        if theta > pi or theta <= -pi:
+            theta = _wrap(theta)
         self.theta = theta
         self.v_y = v_y + h * dv_y
         self.r = r + h * dr
@@ -184,7 +174,7 @@ class VehicleGroup(UnitGroup):
     def __init__(self, copies: list[VehicleUnit]):
         super().__init__(copies)
         self._state = tuple([getattr(u, name) for u in copies] for name in ("x", "y", "theta", "v_y", "r"))
-        self._constants = [(u._m, u._cf, u._cr, u._lf, u._lr, u._iz, u._f_lim) for u in copies]
+        self._constants = [u._constants for u in copies]
 
     def _recorder(self, port: str):
         return self._output_reader(port)  # every output is a float already
@@ -220,14 +210,8 @@ class VehicleGroup(UnitGroup):
             put_x(x + h * (v * cos_t - v_y * sin_t))
             put_y(y + h * (v * sin_t + v_y * cos_t))
             theta += h * r
-            if theta > pi:
-                theta -= 2.0 * pi
-                if theta > pi:
-                    theta = _wrap(theta)
-            elif theta <= -pi:
-                theta += 2.0 * pi
-                if theta <= -pi:
-                    theta = _wrap(theta)
+            if theta > pi or theta <= -pi:
+                theta = _wrap(theta)
             put_theta(theta)
             put_v_y(v_y + h * dv_y)
             put_r(r + h * dr)

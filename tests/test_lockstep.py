@@ -305,9 +305,10 @@ def vehicle_regimes(parameters, commands, step_size, duration):
         veh.set_input("delta_f", delta_f)
         if velocity >= 0.1:  # the axle forces before the friction cap
             v_y, r = veh.v_y, veh.r
-            f_f = -veh._cf * (math.atan((v_y + veh._lf * r) / velocity) - delta_f)
-            f_r = -veh._cr * math.atan((v_y - veh._lr * r) / velocity)
-            clamp |= abs(f_f) >= veh._f_lim or abs(f_r) >= veh._f_lim
+            _, cf, cr, lf, lr, _, lim = veh._constants
+            f_f = -cf * (math.atan((v_y + lf * r) / velocity) - delta_f)
+            f_r = -cr * math.atan((v_y - lr * r) / velocity)
+            clamp |= abs(f_f) >= lim or abs(f_r) >= lim
         before = veh.theta
         veh.do_step(step_size)
         cmd.do_step(step_size)
