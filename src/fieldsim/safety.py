@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from ._shared import fan_out, postorder, read_json
 from .errors import ConfigError, SimulationError
-from .orchestrator import MultiModelConfig, load_multimodel, run_cosim, write_results_csv
+from .orchestrator import MultiModelConfig, load_multimodel, run_cosim, validate_config, write_results_csv
 from .simunit import UnitRegistry
 from .traces import TimedTrace
 from .units import (
@@ -577,19 +577,21 @@ def assess_run(trace: TimedTrace, grid_map: GridMap, gap_threshold: float) -> tu
     return min_gap, passed
 
 
-def _run_safety_case(args) -> EvidenceVerdict:
-    run, grid_map, evidence_dir = args
+def _registry(run: SafetyRun, grid_map: GridMap) -> UnitRegistry:
     registry = default_registry()
     registry.register("pure_pursuit", pure_pursuit_factory(run.path))
     registry.register("sensor", sensor_factory(grid_map))
+    return registry
+
+
+def _run_safety_case(args) -> EvidenceVerdict:
+    run, grid_map, evidence_dir = args
     run_dir = Path(evidence_dir) / run.run_id
     measured, passed, note = -1.0, False, ""
     try:
-        trace = run_cosim(harvester_config(run), registry)
-    except (ConfigError, SimulationError) as exc:
+        trace = run_cosim(harvester_config(run), _registry(run, grid_map))
+    except SimulationError as exc:
         note = f"simulation failed: {exc}"
-        if isinstance(exc, ConfigError) and exc.diagnostics != [str(exc)]:
-            note += ": " + "; ".join(exc.diagnostics)
         # a results table left by an earlier run must not sit beside this verdict
         (run_dir / "results.csv").unlink(missing_ok=True)
     else:
@@ -613,16 +615,21 @@ def run_safety_suite(
 ) -> list[EvidenceVerdict]:
     """Run every case, write evidence/<run_id>/{results.csv,verdict.json}.
 
-    Each map is read once, before the first run, so a bad map writes no
-    evidence.  Verdicts come back in suite order; a run that breaks
-    mid-simulation is recorded as failed with the reason in its note
-    rather than aborting the remaining runs.
+    Each map is read and each run's loop validated before the first run,
+    so a bad map or loop writes no evidence.  Verdicts come back in suite
+    order; a run that breaks mid-simulation is recorded as failed with the
+    reason in its note rather than aborting the remaining runs.
     """
     maps: dict[str, GridMap] = {}
+    diagnostics: list[str] = []
     for run in suite.runs:
         if run.map_path not in maps:
             if not Path(run.map_path).is_file():
                 raise ConfigError(f"run {run.run_id!r}: missing map file {run.map_path}")
             maps[run.map_path] = read_grid_map(run.map_path)
+        problems = validate_config(harvester_config(run), _registry(run, maps[run.map_path]))
+        diagnostics += [f"run {run.run_id!r}: {problem}" for problem in problems]
+    if diagnostics:
+        raise ConfigError("invalid safety suite", diagnostics)
     tasks = [(run, maps[run.map_path], evidence_dir) for run in suite.runs]
     return fan_out(_run_safety_case, tasks, workers)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from fieldsim.errors import ConfigError
+from fieldsim.errors import ConfigError, SimulationError
 from fieldsim.orchestrator import validate_config
 from fieldsim.safety import (
     AnnotatedGsn,
@@ -635,8 +635,6 @@ def suite_workspace(tmp_path):
             {"id": "stop_v2", "speed": 2.0, "duration": 15.0,
              "sensor": {"min_range": 0.1, "max_range": 2.0}},
             {"id": "standstill", "speed": 0.0, "duration": 5.0},
-            {"id": "bad_sensor", "speed": 1.0, "duration": 5.0,
-             "sensor": {"min_range": -1.0}},
         ],
     }
     return read_safety_suite(write_suite(tmp_path, doc))
@@ -646,7 +644,7 @@ def test_run_safety_suite_end_to_end(tmp_path):
     suite = suite_workspace(tmp_path)
     evidence = tmp_path / "evidence"
     verdicts = run_safety_suite(suite, evidence)
-    assert [v.run_id for v in verdicts] == ["stop_v2", "standstill", "bad_sensor"]
+    assert [v.run_id for v in verdicts] == ["stop_v2", "standstill"]
 
     supervised = verdicts[0]
     assert supervised.passed is True
@@ -657,16 +655,9 @@ def test_run_safety_suite_end_to_end(tmp_path):
     assert parked.passed is True
     assert parked.measured == pytest.approx(10.0)  # never moves off the origin
 
-    broken = verdicts[2]
-    assert broken.passed is False
-    assert broken.measured == -1.0
-    assert broken.note.startswith("simulation failed:")
-
     for run_id in ("stop_v2", "standstill"):
         assert (evidence / run_id / "results.csv").is_file()
         assert (evidence / run_id / "verdict.json").is_file()
-    # a broken run still leaves its verdict behind
-    assert (evidence / "bad_sensor" / "verdict.json").is_file()
 
     assert read_verdicts(evidence) == {v.run_id: v for v in verdicts}
 
@@ -727,37 +718,49 @@ def test_read_fault_tree_rejects_malformed_events():
         read_fault_tree({"top": "t", "events": {"t": {"gate": "or", "children": "ab"}}})
 
 
-def test_failed_rerun_leaves_no_stale_results(tmp_path):
+def test_failed_rerun_leaves_no_stale_results(tmp_path, monkeypatch):
+    from fieldsim import safety
     from fieldsim.units import write_grid_map
 
     write_grid_map(build_field_map(), tmp_path / "field.map")
     evidence = tmp_path / "evidence"
     run = {"id": "a", "speed": 1.0, "duration": 2.0}
-    run_safety_suite(read_safety_suite(write_suite(tmp_path, {"map": "field.map", "runs": [run]})),
-                     evidence)
+    suite = read_safety_suite(write_suite(tmp_path, {"map": "field.map", "runs": [run]}))
+    run_safety_suite(suite, evidence)
     assert (evidence / "a" / "results.csv").is_file()
 
-    run["sensor"] = {"min_range": 3.0, "max_range": 2.0}
-    suite = read_safety_suite(write_suite(tmp_path, {"map": "field.map", "runs": [run]}))
+    def breaks(config, registry):
+        raise SimulationError("instance 'veh' failed at t=0.5")
+
+    monkeypatch.setattr(safety, "run_cosim", breaks)
     [verdict] = run_safety_suite(suite, evidence)
     assert verdict.passed is False
     assert not (evidence / "a" / "results.csv").exists()
     assert read_verdicts(evidence) == {"a": verdict}
 
 
-def test_failed_run_note_lists_every_diagnostic(tmp_path):
-    from fieldsim.units import write_grid_map
-
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "runs,diagnostics",
+    [
+        ([{"id": "a", "speed": 1.0, "duration": 2.0, "sensor": {"min_range": 3.0, "max_range": 2.0}}],
+         ["run 'a': instance 'sns': max_range must exceed min_range, got 2.0 <= 3.0"]),
+        ([{"id": "a", "speed": 2.0, "sensor": {"max_rnage": 2.0}}, {"id": "b", "speed": 2.0, "decel": 0.0}],
+         ["run 'a': instance 'sns': unit 'sensor': unknown parameter 'max_rnage'",
+          "run 'b': instance 'sup': decel must be positive, got 0.0"]),
+        ([{"id": "a", "speed": 2.0}, {"id": "b", "speed": 2.0, "duration": 1e9}],
+         ["run 'b': run of 1000000000.0s at 0.01s exceeds 100000000 steps"]),
+    ],
+    ids=["range", "two-runs", "oversized"],
+)
+def test_an_invalid_loop_fails_the_suite_before_any_run(tmp_path, runs, diagnostics, workers):
     write_grid_map(build_field_map(), tmp_path / "field.map")
-    doc = {"map": "field.map", "runs": [
-        {"id": "a", "speed": 1.0, "duration": 2.0,
-         "sensor": {"min_range": 3.0, "max_range": 2.0}},
-    ]}
-    [verdict] = run_safety_suite(read_safety_suite(write_suite(tmp_path, doc)), tmp_path / "e")
-    assert verdict.note == (
-        "simulation failed: invalid multi-model configuration: "
-        "instance 'sns': max_range must exceed min_range, got 2.0 <= 3.0"
-    )
+    suite = read_safety_suite(write_suite(tmp_path, {"map": "field.map", "runs": runs}))
+    evidence = tmp_path / "evidence"
+    with pytest.raises(ConfigError, match="^invalid safety suite$") as caught:
+        run_safety_suite(suite, evidence, workers=workers)
+    assert caught.value.diagnostics == diagnostics
+    assert not evidence.exists()
 
 
 def test_graphs_are_validated_when_built():
