@@ -20,7 +20,7 @@ from ..simunit import (
     SimulationUnit,
     UnitDescription,
 )
-from ..traces import TimedTrace
+from ..traces import COMMAND_CHANNELS, TimedTrace
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
@@ -45,9 +45,9 @@ class ReplayUnit(SimulationUnit):
 
     def __init__(self, trace: TimedTrace, parameters: Mapping[str, float] | None = None):
         trace.validate()
-        if trace.channels != ["velocity", "delta_f"]:
+        if trace.channels != list(COMMAND_CHANNELS):
             raise ContractViolation(
-                f"replay trace must have channels ['velocity', 'delta_f'], got {trace.channels}"
+                f"replay trace must have channels {list(COMMAND_CHANNELS)}, got {trace.channels}"
             )
         if not trace.times:
             raise ContractViolation("replay trace must have at least one row")
@@ -155,9 +155,9 @@ class PurePursuitUnit(SimulationUnit):
         stations = self._stations
         if s >= stations[-1]:
             return self._pts[-1]
+        # bisect_right skips repeated stations, so stations[i] <= s < stations[i + 1]
         i = bisect_right(stations, s) - 1
-        span = stations[i + 1] - stations[i]
-        w = (s - stations[i]) / span if span > 0.0 else 0.0
+        w = (s - stations[i]) / (stations[i + 1] - stations[i])
         x0, y0 = self._pts[i]
         x1, y1 = self._pts[i + 1]
         return x0 + w * (x1 - x0), y0 + w * (y1 - y0)

@@ -256,18 +256,15 @@ class SensorUnit(SimulationUnit):
             else:
                 phi = theta
             cos_p, sin_p = cos(phi), sin(phi)
-            # clip to the grown box, one slab per axis, spelled out on this hot path
+            # clip to the grown box, one slab per axis, spelled out on this hot path (cos is never 0)
             s_in, s_out = gap, max_range
-            if cos_p:
-                a, b = (bx0 - x) / cos_p, (bx1 - x) / cos_p
-                if a > b:
-                    a, b = b, a
-                if a > s_in:
-                    s_in = a
-                if b < s_out:
-                    s_out = b
-            elif not bx0 <= x <= bx1:
-                continue
+            a, b = (bx0 - x) / cos_p, (bx1 - x) / cos_p
+            if a > b:
+                a, b = b, a
+            if a > s_in:
+                s_in = a
+            if b < s_out:
+                s_out = b
             if sin_p:
                 a, b = (by0 - y) / sin_p, (by1 - y) / sin_p
                 if a > b:
