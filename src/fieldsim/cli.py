@@ -34,7 +34,14 @@ from .safety import (
     render_gsn_dot,
     run_safety_suite,
 )
-from .traces import ScenarioSpec, generate_scenario, read_trace_csv, write_trace_csv
+from .traces import (
+    COMMAND_CHANNELS,
+    SCENARIO_KINDS,
+    ScenarioSpec,
+    generate_scenario,
+    read_trace_csv,
+    write_trace_csv,
+)
 from .units import default_registry, replay_factory
 
 
@@ -46,7 +53,7 @@ def _cmd_cosim(args) -> int:
         config = replace(config, duration=args.duration)
     registry = default_registry()
     if args.scenario_inputs:
-        trace_in = read_trace_csv(args.scenario_inputs, ["velocity", "delta_f"])
+        trace_in = read_trace_csv(args.scenario_inputs, COMMAND_CHANNELS)
         registry.register("replay", replay_factory(trace_in))
     start = time.perf_counter()
     trace = run_cosim(config, registry)
@@ -193,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cosim)
 
     p = sub.add_parser("scenario-gen", help="generate a synthetic command trace")
-    p.add_argument("--kind", required=True, choices=["sin", "turn_ramp", "speed_ramp", "speed_step"])
+    p.add_argument("--kind", required=True, choices=SCENARIO_KINDS)
     p.add_argument("--name", default="scenario")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--base-speed", dest="base_speed", type=float, required=True)

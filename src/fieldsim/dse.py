@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from operator import add
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ._shared import fan_out, read_csv_table, read_json
 from .errors import ConfigError, SimulationError
@@ -31,6 +31,7 @@ from .orchestrator import (
 )
 from .simunit import UnitRegistry
 from .traces import (
+    COMMAND_CHANNELS,
     AlignedPair,
     TimedTrace,
     align,
@@ -327,7 +328,7 @@ def _run_task(task) -> list[tuple[float, float]]:
     failure raises the first failing point's own error.
     """
     mm, inputs_path, reference_path, assignments, run_dirs = task
-    inputs_trace = read_trace_csv(inputs_path, ["velocity", "delta_f"])
+    inputs_trace = read_trace_csv(inputs_path, COMMAND_CHANNELS)
     reference = read_trace_csv(reference_path)
     _check_positions(reference_path, reference)
     registry = default_registry()
@@ -381,7 +382,7 @@ def run_sweep(
         if not Path(reference_path).is_file():
             raise ConfigError(f"scenario {scenario!r}: missing reference file {reference_path}")
         if artifacts_dir is not None:  # runs write as they go, so check every file first
-            read_trace_csv(inputs_path, ["velocity", "delta_f"])
+            read_trace_csv(inputs_path, COMMAND_CHANNELS)
             _check_positions(reference_path, read_trace_csv(reference_path))
         for lo, hi in zip(bounds, bounds[1:]):
             run_dirs = None

@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from ._shared import read_csv_table
 from .errors import ConfigError
@@ -76,7 +77,7 @@ def write_trace_csv(trace: TimedTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def read_trace_csv(path: str | Path, expected_channels: list[str] | None = None) -> TimedTrace:
+def read_trace_csv(path: str | Path, expected_channels: Sequence[str] | None = None) -> TimedTrace:
     """Read a trace CSV written by :func:`write_trace_csv` or a recorder.
 
     If ``expected_channels`` is given the header must match it exactly,
@@ -104,6 +105,7 @@ def read_trace_csv(path: str | Path, expected_channels: list[str] | None = None)
 # --- scenario generation ----------------------------------------------------
 
 SCENARIO_KINDS = ("sin", "turn_ramp", "speed_ramp", "speed_step")
+COMMAND_CHANNELS = ("velocity", "delta_f")  # a command trace's channels, in order
 # A generated sample costs about 136 bytes in memory, so this is about 136 MB.
 MAX_SCENARIO_SAMPLES = 1_000_000
 
@@ -173,7 +175,7 @@ def generate_scenario(spec: ScenarioSpec) -> TimedTrace:
             v = 0.25 * spec.base_speed * (plateau + 1)
             d = 0.0
         rows.append([v, d])
-    return TimedTrace(channels=["velocity", "delta_f"], times=times, values=rows)
+    return TimedTrace(channels=list(COMMAND_CHANNELS), times=times, values=rows)
 
 
 # --- alignment ---------------------------------------------------------------
