@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from operator import add
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ._shared import fan_out, read_csv_table, read_json
 from .errors import ConfigError, SimulationError

@@ -145,7 +145,7 @@ class VehicleUnit(SimulationUnit):
         self.x += h * (v * cos_t - v_y * sin_t)
         self.y += h * (v * sin_t + v_y * cos_t)
         theta += h * r
-        # remainder() is exact, as theta -+ 2 pi within one turn is (Sterbenz); NaN skips _wrap
+        # remainder() is exact: within one turn it equals theta -+ 2 pi (Sterbenz); NaN skips _wrap
         if theta > pi or theta <= -pi:
             theta = _wrap(theta)
         self.theta = theta
