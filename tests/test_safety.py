@@ -735,6 +735,8 @@ def test_failed_rerun_leaves_no_stale_results(tmp_path, monkeypatch):
     monkeypatch.setattr(safety, "run_cosim", breaks)
     [verdict] = run_safety_suite(suite, evidence)
     assert verdict.passed is False
+    assert verdict.measured == -1.0
+    assert verdict.note == "simulation failed: instance 'veh' failed at t=0.5"
     assert not (evidence / "a" / "results.csv").exists()
     assert read_verdicts(evidence) == {"a": verdict}
 
