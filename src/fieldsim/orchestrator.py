@@ -264,7 +264,7 @@ def lockstep_cosim(
     every instance feeding it is shared: under Jacobi exchange it then
     sees the same inputs in every copy, so it is built and stepped once.
     Every other instance is built once per config, and its copies step as
-    one :class:`UnitGroup` whose ports hold a list of one value per config.
+    one :class:`UnitGroup` whose ports hold one value per config.
     With one config every instance is shared, which is :func:`run_cosim`.
 
     Returns the channels, the row times (``k * step_size``) and an

@@ -219,9 +219,10 @@ class SimulationUnit:
 class UnitGroup:
     """The copies of one instance in a lock-step run, stepped as one.
 
-    Each port holds a list with one value per copy, in config order.  The
-    master replaces an input's list before a step and reads an output's
-    list after it; a list it was handed is never changed in place.  This
+    Each port holds a list with one value per copy, in config order; a
+    group may hand out an output as a tuple instead.  The master replaces
+    an input's list before a step and reads an output after it; a list or
+    tuple it was handed is never changed in place.  This
     default group latches each copy's slot of the inputs onto it, steps
     each copy through ``_step`` and gathers the outputs; an exception from
     a copy propagates as it is.  A unit type with a faster way to step

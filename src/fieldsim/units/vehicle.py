@@ -32,7 +32,9 @@ positive yaw rate, i.e. a counter-clockwise (left) turn.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import atan, cos, isfinite, remainder, sin, pi
+from operator import is_, itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -163,30 +165,125 @@ class VehicleUnit(SimulationUnit):
 
 
 class VehicleGroup(UnitGroup):
-    """Copies of a vehicle advanced in one loop with ``_advance``'s arithmetic.
+    """Copies of a vehicle advanced with ``_advance``'s arithmetic, each class of equal copies once.
 
-    The state and the constants of every copy sit in lists, so a step does
-    no attribute or dict traffic per copy.  A step builds new state lists:
-    ``x``, ``y`` and ``theta`` are also the output lists it hands out,
-    which are never changed in place.
+    Copies whose state is equal bit for bit form a class, which steps once.
+    Before a step, a class splits when its copies would get different bits:
+    by the bits of an input that differs between them, and, when the step
+    reads the constants, by the six constants other than the friction cap
+    and then by the caps that clamp a force.  A step reads no constant
+    below 0.1 m/s or when ``v_y``, ``r`` and ``delta_f`` are all zero: a
+    zero keeps its sign through every product with a positive constant,
+    and no cap clamps it.  A class holds the least cap among its copies.
+
+    The state and the constants of every class sit in lists, ordered by
+    each class's first copy, so a step does no attribute or dict traffic per
+    class and fails at the same copy first as stepping each copy would.  A
+    step builds new state lists, and ``x``, ``y`` and ``theta`` go out as
+    these lists while every class is one copy, else as one tuple with each
+    copy's value.  Neither is changed in place.
     """
 
     def __init__(self, copies: list[VehicleUnit]):
         super().__init__(copies)
-        self._state = tuple([getattr(u, name) for u in copies] for name in ("x", "y", "theta", "v_y", "r"))
         self._constants = [u._constants for u in copies]
+        state = [(u.x, u.y, u.theta, u.v_y, u.r) for u in copies]
+        self._state = tuple(map(list, zip(*state)))
+        self._regroup([
+            (members, members[0])
+            for members in _partition(range(len(copies)), lambda p: tuple(map(float.hex, state[p])))
+        ])
 
     def _recorder(self, port: str):
         return self._output_reader(port)  # every output is a float already
 
+    def _regroup(self, parts: list[tuple[list[int], int]]) -> None:
+        """Make each ``(members, c)`` of ``parts`` a class holding class ``c``'s state."""
+        parts.sort(key=lambda part: part[0][0])
+        constants = self._constants
+        self._members = [members for members, _ in parts]
+        self._state = tuple([column[c] for _, c in parts] for column in self._state)
+        self._class_constants = [
+            constants[members[0]][:6] + (min(constants[p][6] for p in members),) for members in self._members
+        ]
+        # (class, whether the six constants differ) of each class whose copies' constants differ
+        self._mixed = [
+            (c, any(constants[p][:6] != constants[members[0]][:6] for p in members))
+            for c, members in enumerate(self._members)
+            if any(constants[p] != constants[members[0]] for p in members)
+        ]
+        owner = [0] * len(constants)
+        for c, members in enumerate(self._members):
+            for p in members:
+                owner[p] = c
+        self._getter = itemgetter(*owner) if len(parts) < len(owner) else None
+
+    def _class_inputs(self, vs: list[float], ds: list[float]) -> tuple[list[float], list[float]]:
+        """Split each class whose copies would get different bits this step; return each class's inputs."""
+        v_one, d_one = _one_value(vs), _one_value(ds)
+        varying = [values for values, one in ((vs, v_one), (ds, d_one)) if not one]
+        if varying:
+            parts = []
+            for c, members in enumerate(self._members):
+                if len(members) > 1 and not all(_one_value([values[p] for p in members]) for values in varying):
+                    key = lambda p: tuple(values[p].hex() for values in varying)  # noqa: E731
+                    parts += [(sub, c) for sub in _partition(members, key)]
+                else:
+                    parts.append((members, c))
+            if len(parts) > len(self._members):
+                self._regroup(parts)
+        cvs, cds = self._class_values(vs, v_one), self._class_values(ds, d_one)
+
+        _, _, _, v_ys, rs = self._state
+        class_constants = self._class_constants
+        splits = {}
+        for c, six_differ in self._mixed:
+            v, delta_f, v_y, r = cvs[c], cds[c], v_ys[c], rs[c]
+            if v < _SLOW_SPEED or not (v_y or r or delta_f):
+                continue  # the step reads no constant
+            if not six_differ:
+                _, cf, cr, lf, lr, _, least = class_constants[c]
+                f_f, f_r = _forces(v_y, r, v, delta_f, cf, cr, lf, lr)
+                if not (abs(f_f) > least or abs(f_r) > least):
+                    continue  # no copy's cap clamps a force
+            splits[c] = self._split_by_constants(self._members[c], v_y, r, v, delta_f)
+        if splits:
+            self._regroup([
+                (sub, c) for c, members in enumerate(self._members) for sub in splits.get(c, [members])
+            ])
+            cvs, cds = self._class_values(vs, v_one), self._class_values(ds, d_one)
+        return cvs, cds
+
+    def _class_values(self, values: list[float], one: bool) -> list[float]:
+        """Each class's slot of ``values``: its first copy's, or the one value of them all."""
+        if one:
+            return [values[0]] * len(self._members)
+        return [values[members[0]] for members in self._members]
+
+    def _split_by_constants(
+        self, members: list[int], v_y: float, r: float, v: float, delta_f: float
+    ) -> list[list[int]]:
+        """``members`` by their six constants other than the cap, then by the cap of each that clamps."""
+        constants = self._constants
+
+        def key(p: int) -> tuple:
+            _, cf, cr, lf, lr, _, cap = constants[p]
+            f_f, f_r = _forces(v_y, r, v, delta_f, cf, cr, lf, lr)
+            return constants[p][:6], cap if abs(f_f) > cap or abs(f_r) > cap else None
+
+        return _partition(members, key)
+
     def _step(self, h: float) -> None:
+        inputs = self.inputs
+        vs, ds = inputs["velocity"], inputs["delta_f"]
+        if self._getter is not None:  # some class holds more than one copy
+            vs, ds = self._class_inputs(vs, ds)
         xs, ys, thetas, v_ys, rs = self._state
         state = new_x, new_y, new_theta, new_v_y, new_r = [], [], [], [], []
         put_x, put_y, put_theta = new_x.append, new_y.append, new_theta.append
         put_v_y, put_r = new_v_y.append, new_r.append
-        inputs = self.inputs
         for x, y, theta, v_y, r, v, delta_f, (m, cf, cr, lf, lr, iz, lim) in zip(
-            xs, ys, thetas, v_ys, rs, inputs["velocity"], inputs["delta_f"], self._constants
+            xs, ys, thetas, v_ys, rs, vs, ds, self._class_constants
         ):
             if v < _SLOW_SPEED:
                 dv_y = -v_y / _DECAY_TAU
@@ -216,6 +313,32 @@ class VehicleGroup(UnitGroup):
             put_v_y(v_y + h * dv_y)
             put_r(r + h * dr)
         self._state = state
-        out = self.outputs
-        out["x"], out["y"], out["theta"] = new_x, new_y, new_theta
+        out, getter = self.outputs, self._getter
+        if getter is None:
+            out["x"], out["y"], out["theta"] = new_x, new_y, new_theta
+        else:
+            out["x"], out["y"], out["theta"] = getter(new_x), getter(new_y), getter(new_theta)
+
+
+def _forces(v_y: float, r: float, v: float, delta_f: float, cf: float, cr: float, lf: float, lr: float):
+    """The front and rear axle forces of ``_advance`` before the friction cap."""
+    return -cf * (atan((v_y + lf * r) / v) - delta_f), -cr * atan((v_y - lr * r) / v)
+
+
+def _partition(members, key) -> list[list[int]]:
+    """``members`` grouped by ``key``, each group and the groups in the order of ``members``."""
+    groups: dict = {}
+    for p in members:
+        groups.setdefault(key(p), []).append(p)
+    return list(groups.values())
+
+
+def _one_value(values: list[float]) -> bool:
+    """Whether every slot of ``values`` holds the bits of the first, as a broadcast input does.
+
+    ``list.count`` compares with ``==``, which tells floats apart by their bits
+    except for -0.0 and 0.0; so a zero needs every slot to hold its object.
+    """
+    first = values[0]
+    return bool(first) and values.count(first) == len(values) or all(map(is_, values, repeat(first)))
 

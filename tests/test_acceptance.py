@@ -16,6 +16,7 @@ import pytest
 
 from fieldsim.dse import (
     SweepRow,
+    _apply_assignment,
     cross_track_error,
     expand_grid,
     optimize,
@@ -25,7 +26,7 @@ from fieldsim.dse import (
     run_sweep,
     write_dse_results,
 )
-from fieldsim.orchestrator import load_multimodel, run_cosim, write_results_csv
+from fieldsim.orchestrator import load_multimodel, lockstep_cosim, run_cosim, write_results_csv
 from fieldsim.safety import (
     EvidenceVerdict,
     FaultTree,
@@ -42,6 +43,7 @@ from fieldsim.safety import (
     run_safety_suite,
 )
 from fieldsim.traces import (
+    COMMAND_CHANNELS,
     AlignedPair,
     ScenarioSpec,
     TimedTrace,
@@ -56,6 +58,7 @@ from fieldsim.units import (
     replay_factory,
     write_grid_map,
 )
+from fieldsim.units.vehicle import VehicleGroup
 
 from conftest import build_field_map
 
@@ -188,6 +191,29 @@ def test_criterion_03_self_calibration(sweep_outcome):
     ok = best == TRUTH and total < 1e-6
     label = ", ".join(f"{k}={v:g}" for k, v in best.items())
     report(3, ok, f"sweep+optimize recovered {label} (summed mean error {total:.3g} m)")
+
+
+def test_each_a01_scenario_ends_with_one_vehicle_class_per_distinct_score(sweep_outcome, monkeypatch):
+    # no class splits needlessly here: the classes left after a scenario's
+    # run are exactly its distinct trajectories
+    config = sweep_outcome.config
+    groups = []
+    monkeypatch.setattr(
+        VehicleUnit, "_group",
+        classmethod(lambda cls, copies: groups.append(VehicleGroup(copies)) or groups[-1]),
+    )
+    configs = [_apply_assignment(config.multi_model, a) for a in expand_grid(config.parameters)]
+    classes, distinct = {}, {}
+    for name in config.scenarios:
+        inputs_path, _ = config.scenario_files[name]
+        registry = default_registry()
+        registry.register("replay", replay_factory(read_trace_csv(inputs_path, COMMAND_CHANNELS)))
+        for _ in lockstep_cosim(configs, registry)[2]:
+            pass
+        classes[name] = len(groups[-1]._members)
+        distinct[name] = len({(r.mean_error, r.max_error) for r in sweep_outcome.rows if r.scenario == name})
+    assert classes == distinct
+    assert [classes[name] for name in CURVED + STRAIGHT] == [25, 35, 71, 25, 25, 63] + [1] * 6
 
 
 def test_criterion_04_objective_oracle():

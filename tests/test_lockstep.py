@@ -65,7 +65,7 @@ from fieldsim.units import (
     ReplayUnit,
     VehicleUnit,
 )
-from fieldsim.units.vehicle import VEHICLE_DESCRIPTION
+from fieldsim.units.vehicle import VEHICLE_DESCRIPTION, VehicleGroup
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -394,6 +394,175 @@ def test_vehicle_group_wraps_a_clockwise_step_of_more_than_one_turn():
         assert [[v.hex() for v in row[p::2]] for row in rows] == [
             [v.hex() for v in row] for row in trace.values
         ]
+
+
+# --- classes of bit-identical vehicle copies -------------------------------
+
+
+class SteerUnit(SimulationUnit):
+    """Steers ``sign * 0.0`` before step ``at``, then ramps to ``angle`` over 8 steps.
+
+    From step ``at`` on, every step's angle is a new float object.
+    """
+
+    DESC = UnitDescription(
+        "steer",
+        (PortDescriptor("delta_f", _OUT), PortDescriptor("sign", _PAR), PortDescriptor("at", _PAR),
+         PortDescriptor("angle", _PAR)),
+        {"sign": 1.0, "at": 0.0, "angle": 0.0},
+    )
+
+    def __init__(self, parameters=None):
+        super().__init__(self.DESC, parameters)
+        self._ticks = 0
+        self._advance(0.0)
+
+    def _advance(self, h):
+        p = self.parameters
+        ramp = (self._ticks - p["at"] + 1) / 8.0
+        self._outputs["delta_f"] = p["sign"] * 0.0 if ramp <= 0.0 else p["angle"] * min(ramp, 1.0)
+        self._ticks += 1
+
+
+def steered_vehicle(step_size=0.01, duration=1.5):
+    """Replayed speed into a vehicle steered by a ``SteerUnit``."""
+    return MultiModelConfig(
+        instances={"cmd": InstanceSpec("replay"), "steer": InstanceSpec("steer"), "veh": InstanceSpec("vehicle")},
+        connections=[
+            Connection(PortRef("cmd", "velocity"), PortRef("veh", "velocity")),
+            Connection(PortRef("steer", "delta_f"), PortRef("veh", "delta_f")),
+        ],
+        outputs=[PortRef.parse(text) for text in ("veh.x", "veh.y", "veh.theta")],
+        step_size=step_size,
+        duration=duration,
+    )
+
+
+def steer_registry():
+    # creeps below 0.1 m/s for 0.2 s, then drives on at 1.5 m/s
+    registry = default_registry()
+    registry.register("replay", replay_factory(
+        TimedTrace(["velocity", "delta_f"], [0.0, 0.2], [[0.05, 0.0], [1.5, 0.0]])
+    ))
+    registry.register("steer", SteerUnit)
+    return registry
+
+
+@pytest.fixture
+def vehicle_groups(monkeypatch):
+    """The vehicle groups that lock-stepped runs form, in the order they form."""
+    groups = []
+    monkeypatch.setattr(
+        VehicleUnit, "_group",
+        classmethod(lambda cls, copies: groups.append(VehicleGroup(copies)) or groups[-1]),
+    )
+    return groups
+
+
+def assert_slices_are_run_cosim_bits(configs, make_registry):
+    _, _, rows = lockstep_cosim(configs, make_registry())
+    rows = list(rows)
+    for p, config in enumerate(configs):
+        trace = run_cosim(config, make_registry())
+        assert [[v.hex() for v in row[p::len(configs)]] for row in rows] == [
+            [v.hex() for v in row] for row in trace.values
+        ]
+
+
+@st.composite
+def class_split_cases(draw):
+    """2-8 steered vehicles, often alike, that creep, drive straight, then turn.
+
+    Until the turn no step reads a constant, so alike copies share one class;
+    the turn splits copies that differ in ``cAlphaF`` or ``m_robot``.  A turn of
+    0.05 rad reaches the cap of some ``mu`` values and not of others, a few
+    steps into its ramp, after copies that differ in ``mu`` alone have stepped
+    as one class.  The steer
+    is per config (a zero of either sign, then equal angles in distinct
+    objects) or, when every config draws the same one, shared and broadcast.
+    """
+    pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
+    steer = lambda: {  # noqa: E731
+        "steer.sign": pick([-1.0, 1.0]), "steer.at": pick([0.0, 40.0]), "steer.angle": pick([0.05, -0.3]),
+    }
+    shared = steer() if draw(st.booleans()) else None
+    assignments = [
+        {"veh.cAlphaF": pick([20000.0, 38000.0]), "veh.m_robot": pick([800.0, 2000.0]),
+         "veh.mu": pick([0.05, 0.3, 1.0]), **(shared or steer())}
+        for _ in range(draw(st.integers(2, 8)))
+    ]
+    return pick([0.01, 0.02]), assignments
+
+
+@settings(max_examples=25, deadline=None)
+@given(class_split_cases())
+def test_each_config_of_a_classed_vehicle_group_is_its_run_cosim_bits(case):
+    step_size, assignments = case
+    base = steered_vehicle(step_size)
+    configs = [_apply_assignment(base, a) for a in assignments]
+    assert_slices_are_run_cosim_bits(configs, steer_registry)
+
+
+def test_copies_split_by_input_bits_and_not_by_input_objects(vehicle_groups):
+    # copies 0 and 2 steer -0.0, each in its own object, and copy 1 steers 0.0
+    # for 40 steps; then all three steer 0.02, again in distinct objects
+    base = steered_vehicle()
+    signed = [_apply_assignment(base, {"steer.sign": sign, "steer.at": 40.0, "steer.angle": 0.02})
+              for sign in (-1.0, 1.0, -1.0)]
+    assert_slices_are_run_cosim_bits(signed, steer_registry)
+    assert vehicle_groups[-1]._members == [[0, 2], [1]]
+    # equal angles in distinct objects from the first step on, beside another angle
+    alike = [_apply_assignment(base, {"steer.sign": sign, "steer.angle": angle})
+             for sign, angle in ((-1.0, 0.02), (1.0, 0.02), (1.0, -0.02))]
+    assert_slices_are_run_cosim_bits(alike, steer_registry)
+    assert vehicle_groups[-1]._members == [[0, 1], [2]]
+
+
+def test_copies_split_only_when_a_step_gives_them_different_bits(vehicle_groups):
+    base = steered_vehicle()
+    grid = expand_grid({"veh.mu": [0.05, 0.3, 1.0], "veh.cAlphaF": [20000.0, 38000.0]})
+    configs = [_apply_assignment(base, {"steer.at": 40.0, "steer.angle": 0.05, **a}) for a in grid]
+    _, _, rows = lockstep_cosim(configs, steer_registry())
+    group = vehicle_groups[-1]
+    for _ in range(41):  # row 0, the creep and the straight stretch: one class
+        next(rows)
+        assert group._members == [list(range(6))]
+    list(rows)
+    # mu = 0.3 and 1.0 never reach the cap, so they share a class per cAlphaF
+    assert group._members == [[0], [1], [2, 4], [3, 5]]
+    assert_slices_are_run_cosim_bits(configs, steer_registry)
+
+
+def test_a_classed_group_fails_at_the_first_failing_copy():
+    # copies 1 and 2 turn opposite ways with a yaw inertia that sends the yaw
+    # rate to -inf and inf; copy 2 shares copy 0's steer, so they form one class
+    # until the first step that reads I_z
+    base = steered_vehicle()
+    configs = [
+        _apply_assignment(base, {"steer.angle": angle, "veh.I_z": i_z})
+        for angle, i_z in ((0.3, 360.0), (-0.3, 1e-310), (0.3, 1e-310))
+    ]
+    with pytest.raises(SimulationError, match="yaw angle is -inf$") as own:
+        run_cosim(configs[1], steer_registry())
+    with pytest.raises(SimulationError) as lockstep:
+        list(lockstep_cosim(configs, steer_registry())[2])
+    assert str(lockstep.value) == str(own.value)
+
+
+def test_lockstep_on_the_closed_loop_with_varying_inputs_is_run_cosim_bits():
+    # the vehicle's inputs come from per-config units, so they differ between copies
+    run = read_safety_suite(SAMPLES / "safety_suite.json").runs[0]
+    grid_map = read_grid_map(run.map_path)
+
+    def make_registry():
+        registry = default_registry()
+        registry.register("pure_pursuit", pure_pursuit_factory(run.path))
+        registry.register("sensor", sensor_factory(grid_map))
+        return registry
+
+    grid = expand_grid({"sup.decel": [1.0, 3.0], "veh.mu": [0.05, 0.3]})
+    configs = [_apply_assignment(harvester_config(run), a) for a in grid]
+    assert_slices_are_run_cosim_bits(configs, make_registry)
 
 
 def test_lockstep_rejects_configs_that_differ_in_more_than_parameters():
