@@ -477,9 +477,9 @@ def class_split_cases(draw):
     the turn splits copies that differ in ``cAlphaF`` or ``m_robot``.  A turn of
     0.05 rad reaches the cap of some ``mu`` values and not of others, a few
     steps into its ramp, after copies that differ in ``mu`` alone have stepped
-    as one class.  The steer
-    is per config (a zero of either sign, then equal angles in distinct
-    objects) or, when every config draws the same one, shared and broadcast.
+    as one class.  The steer is per config (a zero of either sign, then
+    equal angles in distinct objects) or, when every config draws the same
+    one, shared and broadcast.
     """
     pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
     steer = lambda: {  # noqa: E731
@@ -531,6 +531,25 @@ def test_copies_split_only_when_a_step_gives_them_different_bits(vehicle_groups)
     # mu = 0.3 and 1.0 never reach the cap, so they share a class per cAlphaF
     assert group._members == [[0], [1], [2, 4], [3, 5]]
     assert_slices_are_run_cosim_bits(configs, steer_registry)
+
+
+def test_a_rear_force_past_the_least_cap_splits_a_class():
+    # v_y = -l_f * r: the front slip is zero and the rear slip is not, so only
+    # the rear force (about 900 N) can pass a cap, and only mu = 0.05's (245 N)
+    copies, lone = ([VehicleUnit({"mu": mu}) for mu in (0.05, 0.3, 1.0)] for _ in range(2))
+    for unit in copies + lone:
+        unit.r, unit.v_y = 0.03, -0.6 * 0.03
+    group = VehicleGroup(copies)
+    for _ in range(3):
+        group.inputs["velocity"], group.inputs["delta_f"] = [1.5] * 3, [0.0] * 3
+        group._step(0.01)
+        for unit in lone:
+            unit.set_input("velocity", 1.5)
+            unit.set_input("delta_f", 0.0)
+            unit.do_step(0.01)
+        assert group._members == [[0], [1, 2]]
+        for port in ("x", "y", "theta"):
+            assert [v.hex() for v in group.outputs[port]] == [u.get_output(port).hex() for u in lone]
 
 
 def test_a_classed_group_fails_at_the_first_failing_copy():
