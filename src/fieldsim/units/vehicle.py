@@ -167,21 +167,22 @@ class VehicleUnit(SimulationUnit):
 class VehicleGroup(UnitGroup):
     """Copies of a vehicle advanced with ``_advance``'s arithmetic, each class of equal copies once.
 
-    Copies whose state is equal bit for bit form a class, which steps once.
-    Before a step, a class splits when its copies would get different bits:
-    by the bits of an input that differs between them, and, when the step
-    reads the constants, by the six constants other than the friction cap
-    and then by the caps that clamp a force.  A step reads no constant
+    Copies whose state is equal bit for bit form a class, which steps once
+    and splits when its copies would get different bits.  Before the step,
+    an input splits it by its bits when they differ between its copies.
+    The step splits it in the step that would read constants its copies
+    differ in, right after the class's unclamped forces: by the six
+    constants other than the friction cap when they differ, else, when a
+    force passes the class's least cap, by the cap of each copy that
+    clamps; then the step goes on at that class.  A step reads no constant
     below 0.1 m/s or when ``v_y``, ``r`` and ``delta_f`` are all zero: a
-    zero keeps its sign through every product with a positive constant,
-    and no cap clamps it.  A class holds the least cap among its copies.
+    zero keeps its sign through every product with a positive constant.
 
     The state and the constants of every class sit in lists, ordered by
-    each class's first copy, so a step does no attribute or dict traffic per
-    class and fails at the same copy first as stepping each copy would.  A
-    step builds new state lists, and ``x``, ``y`` and ``theta`` go out as
-    these lists while every class is one copy, else as one tuple with each
-    copy's value.  Neither is changed in place.
+    each class's first copy, so a step fails at the same copy first as
+    stepping each copy would.  A step builds new state lists, which go out
+    as ``x``, ``y`` and ``theta`` while every class is one copy, else as
+    tuples with each copy's value.  Neither is changed in place.
     """
 
     def __init__(self, copies: list[VehicleUnit]):
@@ -197,29 +198,30 @@ class VehicleGroup(UnitGroup):
     def _recorder(self, port: str):
         return self._output_reader(port)  # every output is a float already
 
-    def _regroup(self, parts: list[tuple[list[int], int]]) -> None:
-        """Make each ``(members, c)`` of ``parts`` a class holding class ``c``'s state."""
+    def _regroup(self, parts: list[tuple[list[int], int]], *columns: list) -> list[list]:
+        """Make each ``(members, c)`` of ``parts`` a class with class ``c``'s state; so remap ``columns``."""
         parts.sort(key=lambda part: part[0][0])
         constants = self._constants
         self._members = [members for members, _ in parts]
         self._state = tuple([column[c] for _, c in parts] for column in self._state)
-        self._class_constants = [
-            constants[members[0]][:6] + (min(constants[p][6] for p in members),) for members in self._members
-        ]
-        # (class, whether the six constants differ) of each class whose copies' constants differ
-        self._mixed = [
-            (c, any(constants[p][:6] != constants[members[0]][:6] for p in members))
-            for c, members in enumerate(self._members)
-            if any(constants[p] != constants[members[0]] for p in members)
-        ]
+        # each class's six constants, its least cap, and whether its copies'
+        # constants differ: None if not, else whether the six differ
+        self._class_constants = []
+        for members in self._members:
+            first = constants[members[0]]
+            mixed = None
+            if any(constants[p] != first for p in members):
+                mixed = any(constants[p][:6] != first[:6] for p in members)
+            self._class_constants.append(first[:6] + (min(constants[p][6] for p in members), mixed))
         owner = [0] * len(constants)
         for c, members in enumerate(self._members):
             for p in members:
                 owner[p] = c
         self._getter = itemgetter(*owner) if len(parts) < len(owner) else None
+        return [[column[c] for _, c in parts] for column in columns]
 
     def _class_inputs(self, vs: list[float], ds: list[float]) -> tuple[list[float], list[float]]:
-        """Split each class whose copies would get different bits this step; return each class's inputs."""
+        """Split each class whose copies get inputs with different bits; return each class's inputs."""
         v_one, d_one = _one_value(vs), _one_value(ds)
         varying = [values for values, one in ((vs, v_one), (ds, d_one)) if not one]
         if varying:
@@ -232,97 +234,84 @@ class VehicleGroup(UnitGroup):
                     parts.append((members, c))
             if len(parts) > len(self._members):
                 self._regroup(parts)
-        cvs, cds = self._class_values(vs, v_one), self._class_values(ds, d_one)
+        if v_one and d_one:
+            return [vs[0]] * len(self._members), [ds[0]] * len(self._members)
+        return [vs[members[0]] for members in self._members], [ds[members[0]] for members in self._members]
 
-        _, _, _, v_ys, rs = self._state
-        class_constants = self._class_constants
-        splits = {}
-        for c, six_differ in self._mixed:
-            v, delta_f, v_y, r = cvs[c], cds[c], v_ys[c], rs[c]
-            if v < _SLOW_SPEED or not (v_y or r or delta_f):
-                continue  # the step reads no constant
-            if not six_differ:
-                _, cf, cr, lf, lr, _, least = class_constants[c]
-                f_f, f_r = _forces(v_y, r, v, delta_f, cf, cr, lf, lr)
-                if not (abs(f_f) > least or abs(f_r) > least):
-                    continue  # no copy's cap clamps a force
-            splits[c] = self._split_by_constants(self._members[c], v_y, r, v, delta_f)
-        if splits:
-            self._regroup([
-                (sub, c) for c, members in enumerate(self._members) for sub in splits.get(c, [members])
-            ])
-            cvs, cds = self._class_values(vs, v_one), self._class_values(ds, d_one)
-        return cvs, cds
+    def _split(self, c: int, f_f: float, f_r: float, vs: list[float], ds: list[float]) -> list[list]:
+        """Split class ``c`` by its six constants if they differ, else by each cap that clamps its
+        unclamped forces ``f_f`` or ``f_r``; return ``vs`` and ``ds`` for the new classes."""
+        constants, six_differ = self._constants, self._class_constants[c][7]
 
-    def _class_values(self, values: list[float], one: bool) -> list[float]:
-        """Each class's slot of ``values``: its first copy's, or the one value of them all."""
-        if one:
-            return [values[0]] * len(self._members)
-        return [values[members[0]] for members in self._members]
+        def key(p: int):
+            if six_differ:
+                return constants[p][:6]
+            cap = constants[p][6]
+            return cap if abs(f_f) > cap or abs(f_r) > cap else None
 
-    def _split_by_constants(
-        self, members: list[int], v_y: float, r: float, v: float, delta_f: float
-    ) -> list[list[int]]:
-        """``members`` by their six constants other than the cap, then by the cap of each that clamps."""
-        constants = self._constants
-
-        def key(p: int) -> tuple:
-            _, cf, cr, lf, lr, _, cap = constants[p]
-            f_f, f_r = _forces(v_y, r, v, delta_f, cf, cr, lf, lr)
-            return constants[p][:6], cap if abs(f_f) > cap or abs(f_r) > cap else None
-
-        return _partition(members, key)
+        parts = [
+            (sub, k) for k, members in enumerate(self._members)
+            for sub in (_partition(members, key) if k == c else [members])
+        ]
+        assert len(parts) > len(self._members), "the step would split this class again and again"
+        return self._regroup(parts, vs, ds)
 
     def _step(self, h: float) -> None:
         inputs = self.inputs
         vs, ds = inputs["velocity"], inputs["delta_f"]
         if self._getter is not None:  # some class holds more than one copy
             vs, ds = self._class_inputs(vs, ds)
-        xs, ys, thetas, v_ys, rs = self._state
         state = new_x, new_y, new_theta, new_v_y, new_r = [], [], [], [], []
         put_x, put_y, put_theta = new_x.append, new_y.append, new_theta.append
         put_v_y, put_r = new_v_y.append, new_r.append
-        for x, y, theta, v_y, r, v, delta_f, (m, cf, cr, lf, lr, iz, lim) in zip(
-            xs, ys, thetas, v_ys, rs, vs, ds, self._class_constants
-        ):
-            if v < _SLOW_SPEED:
-                dv_y = -v_y / _DECAY_TAU
-                dr = -r / _DECAY_TAU
-            else:
-                f_f = -cf * (atan((v_y + lf * r) / v) - delta_f)
-                if f_f < -lim:
-                    f_f = -lim
-                elif f_f > lim:
-                    f_f = lim
-                f_r = -cr * atan((v_y - lr * r) / v)
-                if f_r < -lim:
-                    f_r = -lim
-                elif f_r > lim:
-                    f_r = lim
-                dv_y = (f_f + f_r) / m - v * r
-                dr = (lf * f_f - lr * f_r) / iz
+        columns = (*self._state, vs, ds, self._class_constants)
+        while True:
+            for x, y, theta, v_y, r, v, delta_f, (m, cf, cr, lf, lr, iz, lim, mixed) in zip(*columns):
+                if v < _SLOW_SPEED:
+                    dv_y = -v_y / _DECAY_TAU
+                    dr = -r / _DECAY_TAU
+                else:
+                    f_f = -cf * (atan((v_y + lf * r) / v) - delta_f)
+                    f_r = -cr * atan((v_y - lr * r) / v)
+                    # with v_y, r and delta_f zero the step reads no constant: a zero
+                    # keeps its sign through every product with a positive constant
+                    if mixed is not None and (v_y or r or delta_f) and (
+                        mixed or abs(f_f) > lim or abs(f_r) > lim
+                    ):
+                        break  # this class's copies would get different bits
+                    if f_f < -lim:
+                        f_f = -lim
+                    elif f_f > lim:
+                        f_f = lim
+                    if f_r < -lim:
+                        f_r = -lim
+                    elif f_r > lim:
+                        f_r = lim
+                    dv_y = (f_f + f_r) / m - v * r
+                    dr = (lf * f_f - lr * f_r) / iz
 
-            cos_t = cos(theta)
-            sin_t = sin(theta)
-            put_x(x + h * (v * cos_t - v_y * sin_t))
-            put_y(y + h * (v * sin_t + v_y * cos_t))
-            theta += h * r
-            if theta > pi or theta <= -pi:
-                theta = _wrap(theta)
-            put_theta(theta)
-            put_v_y(v_y + h * dv_y)
-            put_r(r + h * dr)
+                cos_t = cos(theta)
+                sin_t = sin(theta)
+                put_x(x + h * (v * cos_t - v_y * sin_t))
+                put_y(y + h * (v * sin_t + v_y * cos_t))
+                theta += h * r
+                if theta > pi or theta <= -pi:
+                    theta = _wrap(theta)
+                put_theta(theta)
+                put_v_y(v_y + h * dv_y)
+                put_r(r + h * dr)
+            else:
+                break
+            # the classes before this one keep their new state; step on from this one
+            c = len(new_x)
+            vs, ds = self._split(c, f_f, f_r, vs, ds)
+            columns = [column[c:] for column in (*self._state, vs, ds, self._class_constants)]
         self._state = state
         out, getter = self.outputs, self._getter
         if getter is None:
             out["x"], out["y"], out["theta"] = new_x, new_y, new_theta
         else:
             out["x"], out["y"], out["theta"] = getter(new_x), getter(new_y), getter(new_theta)
-
-
-def _forces(v_y: float, r: float, v: float, delta_f: float, cf: float, cr: float, lf: float, lr: float):
-    """The front and rear axle forces of ``_advance`` before the friction cap."""
-    return -cf * (atan((v_y + lf * r) / v) - delta_f), -cr * atan((v_y - lr * r) / v)
 
 
 def _partition(members, key) -> list[list[int]]:

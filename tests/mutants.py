@@ -31,6 +31,11 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 VEHICLE = "fieldsim/units/vehicle.py"
 LOCKSTEP = "tests/test_lockstep.py"
+BITS = f"{LOCKSTEP}::test_copies_split_by_input_bits_and_not_by_input_objects"
+VARYING = f"{LOCKSTEP}::test_lockstep_on_the_closed_loop_with_varying_inputs_is_run_cosim_bits"
+SPLITS = f"{LOCKSTEP}::test_copies_split_only_when_a_step_gives_them_different_bits"
+REAR = f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class"
+FIRST_FAILING = f"{LOCKSTEP}::test_a_classed_group_fails_at_the_first_failing_copy"
 
 
 class Mutant(NamedTuple):
@@ -46,64 +51,73 @@ MUTANTS = {
         VEHICLE,
         "key = lambda p: tuple(values[p].hex() for values in varying)",
         "key = lambda p: tuple(values[p] for values in varying)",
-        (f"{LOCKSTEP}::test_copies_split_by_input_bits_and_not_by_input_objects", LOCKSTEP),
+        (BITS,),
     ),
     # list.count alone takes a -0.0 among 0.0s for one value
     "count-without-zero-guard": Mutant(
         VEHICLE,
         "return bool(first) and values.count(first) == len(values) or",
         "return values.count(first) == len(values) or",
-        (f"{LOCKSTEP}::test_copies_split_by_input_bits_and_not_by_input_objects", LOCKSTEP),
+        (BITS,),
     ),
     "no-input-split": Mutant(
         VEHICLE,
         "if varying:",
         "if False:",
-        (LOCKSTEP,),
+        (VARYING,),
     ),
+    # split classes keep their place, so a step fails at the wrong copy first
     "unsorted-classes": Mutant(
         VEHICLE,
         "parts.sort(key=lambda part: part[0][0])",
         "parts",
-        (f"{LOCKSTEP}::test_a_classed_group_fails_at_the_first_failing_copy", LOCKSTEP),
+        (FIRST_FAILING,),
     ),
     "keep-greatest-cap": Mutant(
         VEHICLE,
         "min(constants[p][6] for p in members)",
         "max(constants[p][6] for p in members)",
-        (LOCKSTEP,),
+        (SPLITS,),
     ),
     "no-cap-split": Mutant(
         VEHICLE,
-        "if not (abs(f_f) > least or abs(f_r) > least):",
-        "if True:",
-        (LOCKSTEP,),
+        "mixed or abs(f_f) > lim or abs(f_r) > lim",
+        "mixed",
+        (SPLITS,),
     ),
     # the front force alone decides whether a cap clamps
     "cap-test-ignores-rear-force": Mutant(
         VEHICLE,
-        "if not (abs(f_f) > least or abs(f_r) > least):",
-        "if not abs(f_f) > least:",
-        (f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class",),
+        "mixed or abs(f_f) > lim or abs(f_r) > lim",
+        "mixed or abs(f_f) > lim",
+        (REAR,),
     ),
     "cap-key-ignores-rear-force": Mutant(
         VEHICLE,
-        "cap if abs(f_f) > cap or abs(f_r) > cap else None",
-        "cap if abs(f_f) > cap else None",
-        (f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class",),
+        "return cap if abs(f_f) > cap or abs(f_r) > cap else None",
+        "return cap if abs(f_f) > cap else None",
+        (REAR,),
     ),
+    # copies that differ in the six constants split only when a force passes a cap
     "no-six-constant-split": Mutant(
         VEHICLE,
-        "return constants[p][:6], cap if",
-        "return None, cap if",
-        (LOCKSTEP,),
+        "mixed = any(constants[p][:6] != first[:6] for p in members)",
+        "mixed = False",
+        (SPLITS,),
     ),
     # every step at speed reads the constants, so alike classes split early
     "no-reads-no-constant-shortcut": Mutant(
         VEHICLE,
-        "if v < _SLOW_SPEED or not (v_y or r or delta_f):",
-        "if v < _SLOW_SPEED:",
-        (f"{LOCKSTEP}::test_copies_split_only_when_a_step_gives_them_different_bits",),
+        "if mixed is not None and (v_y or r or delta_f) and (",
+        "if mixed is not None and (",
+        (SPLITS,),
+    ),
+    # after a split the step goes on past the class it split, which never steps
+    "resume-past-the-split-class": Mutant(
+        VEHICLE,
+        "columns = [column[c:] for column in",
+        "columns = [column[c + 1:] for column in",
+        (SPLITS,),
     ),
 }
 
@@ -118,7 +132,10 @@ def _run_tests(src: Path, tests: tuple[str, ...]) -> tuple[int, str]:
     """pytest's exit code on ``tests`` against ``src``, and the first test that failed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    except subprocess.TimeoutExpired:  # a hung step hangs the suite too
+        return 1, "a run of more than 120 s"
     failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
     return done.returncode, failed[0] if failed else ""
 

@@ -532,6 +532,21 @@ def test_copies_split_only_when_a_step_gives_them_different_bits(vehicle_groups)
     assert group._members == [[0], [1], [2, 4], [3, 5]]
     assert_slices_are_run_cosim_bits(configs, steer_registry)
 
+    # from the first step on, copies 0 and 2 steer -0.0 and copies 1 and 3 steer
+    # 0.0 until the turn, whose first step splits both classes: one by cAlphaF,
+    # the other by the cap of mu = 0.02 (98 N), which that step's front force
+    # (about 240 N) passes
+    configs = [
+        _apply_assignment(base, {"steer.sign": sign, "steer.at": 40.0, "steer.angle": 0.05, **a})
+        for sign, a in ((-1.0, {"veh.cAlphaF": 20000.0}), (1.0, {"veh.mu": 0.02}), (-1.0, {}), (1.0, {}))
+    ]
+    _, _, rows = lockstep_cosim(configs, steer_registry())
+    group = vehicle_groups[-1]
+    classes = [group._members for _ in rows]
+    assert classes[:41] == [[[0, 1, 2, 3]]] + [[[0, 2], [1, 3]]] * 40
+    assert classes[41:] == [[[0], [1], [2], [3]]] * (len(classes) - 41)
+    assert_slices_are_run_cosim_bits(configs, steer_registry)
+
 
 def test_a_rear_force_past_the_least_cap_splits_a_class():
     # v_y = -l_f * r: the front slip is zero and the rear slip is not, so only
@@ -563,6 +578,20 @@ def test_a_classed_group_fails_at_the_first_failing_copy():
     ]
     with pytest.raises(SimulationError, match="yaw angle is -inf$") as own:
         run_cosim(configs[1], steer_registry())
+    with pytest.raises(SimulationError) as lockstep:
+        list(lockstep_cosim(configs, steer_registry())[2])
+    assert str(lockstep.value) == str(own.value)
+
+    # copy 1 turns a step before copies 0 and 2, so its heading goes to -inf in
+    # the step that splits their class by I_z, and that step fails at copy 1
+    configs = [
+        _apply_assignment(base, {"steer.at": at, "steer.angle": angle, "veh.I_z": i_z})
+        for at, angle, i_z in ((41.0, 0.3, 360.0), (40.0, -0.3, 1e-310), (41.0, 0.3, 1e-310))
+    ]
+    with pytest.raises(SimulationError, match=r"t=0\.41: yaw angle is -inf$") as own:
+        run_cosim(configs[1], steer_registry())
+    with pytest.raises(SimulationError, match=r"t=0\.42: yaw angle is inf$"):
+        run_cosim(configs[2], steer_registry())
     with pytest.raises(SimulationError) as lockstep:
         list(lockstep_cosim(configs, steer_registry())[2])
     assert str(lockstep.value) == str(own.value)
