@@ -87,7 +87,11 @@ def expand_grid(space: ParameterSpace) -> list[ParameterAssignment]:
 
 
 # a sweep holds one row per run: 72 bytes with slots, 112 without, plus 48 for
-# scores that it shares with no other row (see _lockstep_scores)
+# scores that it shares with no other row (see _lockstep_scores), and one grid
+# assignment per point: 192 bytes with three parameters, so 0.6 GB at the budget
+MAX_SWEEP_RUNS = 2_000_000
+
+
 @dataclass(slots=True)
 class SweepRow:
     """Objective of one (scenario, assignment) run."""
@@ -372,6 +376,9 @@ def run_sweep(
     outputs = [ref.render() for ref in config.multi_model.outputs]
     _check_positions("multi-model outputs", TimedTrace(outputs, [], []))
 
+    runs = math.prod(map(len, config.parameters.values())) * len(config.scenarios)
+    if runs > MAX_SWEEP_RUNS:
+        raise ConfigError(f"sweep of {runs} runs exceeds the budget of {MAX_SWEEP_RUNS} runs")
     grid = expand_grid(config.parameters)
     for ref_text in config.parameters:
         ref = PortRef.parse(ref_text)

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from fieldsim import dse
+from fieldsim.cli import main
 from fieldsim.dse import (
+    MAX_SWEEP_RUNS,
     DseConfig,
     SweepRow,
     cross_track_error,
@@ -644,6 +646,28 @@ def test_sweep_rejects_parameter_for_unknown_instance(sweep_workspace):
     config.parameters = {"nobody.mu": [0.3]}
     with pytest.raises(ConfigError, match="no instance 'nobody'"):
         run_sweep(config)
+
+
+def test_a_sweep_over_the_run_budget_exits_2_before_expanding_its_grid(
+    sweep_workspace, tmp_path, monkeypatch, capsys
+):
+    doc = json.loads((sweep_workspace / "sweep.json").read_text())
+    doc["multiModel"] = str(sweep_workspace / "mm.json")
+    doc["scenarioFiles"]["sin1"] = {
+        key: str(sweep_workspace / name) for key, name in doc["scenarioFiles"]["sin1"].items()
+    }
+    # 200 ** 3 = 8e6 points, four times the budget
+    doc["parameters"] = {name: list(range(1, 201)) for name in ("veh.cAlphaF", "veh.mu", "veh.m_robot")}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+
+    def forbidden(space):
+        raise AssertionError("the sweep expanded its grid")
+
+    monkeypatch.setattr(dse, "expand_grid", forbidden)
+    out = tmp_path / "t.csv"
+    assert main(["dse", "sweep", "--config", str(tmp_path / "sweep.json"), "--out", str(out)]) == 2
+    assert f"sweep of 8000000 runs exceeds the budget of {MAX_SWEEP_RUNS} runs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_expand_grid_rejects_a_repeated_value():
