@@ -199,7 +199,7 @@ class VehicleGroup(UnitGroup):
         return self._output_reader(port)  # every output is a float already
 
     def _regroup(self, parts: list[tuple[list[int], int]], *columns: list) -> list[list]:
-        """Make each ``(members, c)`` of ``parts`` a class with class ``c``'s state; so remap ``columns``."""
+        """Make each ``(members, c)`` of ``parts`` a class from class ``c``; remap ``columns`` too."""
         parts.sort(key=lambda part: part[0][0])
         constants = self._constants
         self._members = [members for members, _ in parts]
@@ -239,8 +239,10 @@ class VehicleGroup(UnitGroup):
         return [vs[members[0]] for members in self._members], [ds[members[0]] for members in self._members]
 
     def _split(self, c: int, f_f: float, f_r: float, vs: list[float], ds: list[float]) -> list[list]:
-        """Split class ``c`` by its six constants if they differ, else by each cap that clamps its
-        unclamped forces ``f_f`` or ``f_r``; return ``vs`` and ``ds`` for the new classes."""
+        """Split class ``c`` so that its copies get the same bits; return ``vs`` and ``ds`` for its parts.
+
+        That is by its six constants if they differ, else by each cap that clamps its unclamped forces.
+        """
         constants, six_differ = self._constants, self._class_constants[c][7]
 
         def key(p: int):
