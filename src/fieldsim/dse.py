@@ -334,8 +334,8 @@ def _run_task(task) -> list[tuple[float, float]]:
     """Score one scenario's grid slice; used by worker processes too.
 
     Without artifacts the slice runs in lock-step.  With artifacts, or
-    when the lock-step run fails, each point runs on its own, so a
-    failure raises the first failing point's own error.
+    when lock-step declines the slice or the run fails, each point runs
+    on its own, so a failure raises the first failing point's own error.
     """
     mm, inputs_path, reference_path, assignments, run_dirs = task
     inputs_trace = read_trace_csv(inputs_path, COMMAND_CHANNELS)

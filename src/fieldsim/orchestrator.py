@@ -260,12 +260,14 @@ def lockstep_cosim(
 ) -> tuple[list[str], list[float], Iterator[list[float]]]:
     """Run configs that differ only in instance parameters side by side.
 
-    An instance is shared when its spec is the same in every config and
-    every instance feeding it is shared: under Jacobi exchange it then
-    sees the same inputs in every copy, so it is built and stepped once.
-    Every other instance is built once per config, and its copies step as
-    one :class:`UnitGroup` whose ports hold one value per config.
-    With one config every instance is shared, which is :func:`run_cosim`.
+    An instance whose spec is the same in every config is built and
+    stepped once.  The configs may vary only instances of a unit type
+    that groups its copies (``SimulationUnit._group``), and such an
+    instance may feed no other: then every instance sees the same inputs
+    in every config, and the copies of a varying one step as one group.
+    Any other set of configs raises :class:`ConfigError` before the
+    second config is built; run each config on its own instead.  With one
+    config nothing varies, which is :func:`run_cosim`.
 
     Returns the channels, the row times (``k * step_size``) and an
     iterator over the rows.  Each row is flat, ordered by channel and
@@ -284,16 +286,10 @@ def lockstep_cosim(
     first = configs[0]
     if any(layout(config) != layout(first) for config in configs):
         raise ConfigError("lock-stepped configs may differ only in instance parameters")
-
-    shared = {
+    varying = [
         name for name, spec in first.instances.items()
-        if all(config.instances[name] == spec for config in configs)
-    }
-    while True:
-        fed = {c.sink.instance for c in first.connections if c.source.instance not in shared}
-        if not shared & fed:
-            break
-        shared -= fed
+        if any(config.instances[name] != spec for config in configs)
+    ]
 
     built: list[dict[str, SimulationUnit]] = []  # each config's units
     prebuilt: dict[str, SimulationUnit] = {}
@@ -301,37 +297,36 @@ def lockstep_cosim(
         units, n_steps, diagnostics = _build(config, registry, prebuilt)
         if diagnostics:
             raise ConfigError("invalid multi-model configuration", diagnostics)
+        if not built:
+            for name in varying:
+                if units[name]._group is None:
+                    raise ConfigError(f"instance {name!r} varies, but its copies do not step as one group")
+                if any(c.source.instance == name for c in first.connections):
+                    raise ConfigError(f"instance {name!r} varies and feeds another instance")
+            prebuilt = {name: unit for name, unit in units.items() if name not in varying}
         built.append(units)
-        prebuilt = {name: built[0][name] for name in shared}
 
     n, h = len(configs), float(first.step_size)
-    # a shared instance is its own endpoint; the copies of any other step as
-    # one group, whose ports hold one value per config
+    # a shared instance is its own endpoint; the copies of a varying one step
+    # as one group, whose outputs hold one value per config
     endpoints = {
-        name: unit if name in shared else unit._group([each[name] for each in built])
+        name: unit._group([each[name] for each in built]) if name in varying else unit
         for name, unit in built[0].items()
     }
-    # (read, write, real sink, connection, source is a group): a shared
-    # source is read and checked once, then broadcast to a group's sink; a
-    # group's values are checked one by one
-    exchange = []
-    for c in first.connections:
-        write = endpoints[c.sink.instance]._input_writer(c.sink.port)
-        slots = c.source.instance not in shared
-        if not slots and c.sink.instance not in shared:
-            write = partial(_broadcast, write, n)
-        real = built[0][c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL
-        read = endpoints[c.source.instance]._output_reader(c.source.port)
-        exchange.append((read, write, real, c, slots))
-    # shared instances step first, then the groups, each in config order
-    steppers = [
-        (name, endpoints[name]._step) for name in sorted(endpoints, key=lambda name: name not in shared)
+    # (read, write, real sink, connection): every source is shared, so its
+    # value is read and checked once, and a group takes it for all its copies
+    exchange = [
+        (endpoints[c.source.instance]._output_reader(c.source.port),
+         endpoints[c.sink.instance]._input_writer(c.sink.port),
+         built[0][c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL, c)
+        for c in first.connections
     ]
+    # shared instances step first, then the groups, each in config order
+    steppers = [(name, endpoints[name]._step) for name in sorted(endpoints, key=lambda name: name in varying)]
     recorders = [endpoints[ref.instance]._output_reader(ref.port) for ref in first.outputs]
     if n > 1:  # each gives a channel's n values, which are ``row[j * n:(j + 1) * n]``
         recorders = [
-            endpoints[ref.instance]._recorder(ref.port) if ref.instance not in shared
-            else partial(_repeated, read, n)
+            read if ref.instance in varying else partial(_repeated, read, n)
             for ref, read in zip(first.outputs, recorders)
         ]
     channels = [ref.render() for ref in first.outputs]
@@ -344,12 +339,9 @@ def lockstep_cosim(
             for k in range(n_steps + 1):
                 if k:  # row 0 is the state before the first step
                     phase = "exchange"
-                    for read, write, real, conn, slots in exchange:
+                    for read, write, real, conn in exchange:
                         v = read()
-                        if slots:
-                            check = _check_real if real else _check_boolean
-                            v = [check(conn.sink.port, value) for value in v]
-                        elif real:
+                        if real:
                             if v.__class__ is not float or not isfinite(v):
                                 v = _check_real(conn.sink.port, v)
                         elif v is not True and v is not False:
@@ -390,10 +382,6 @@ def lockstep_cosim(
             raise SimulationError(f"recorded output {channels[j // n]} is {v!r} at t={k * h:.6g}")
 
     return channels, [k * h for k in range(n_steps + 1)], rows()
-
-
-def _broadcast(write: Callable[[list], None], n: int, value) -> None:
-    write([value] * n)
 
 
 def _repeated(read: Callable[[], object], n: int) -> list[float]:

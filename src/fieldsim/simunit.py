@@ -9,9 +9,9 @@ Inputs are held constant over a step (zero-order hold); outputs must
 stay consistent with the state reached by the most recent step.
 
 Units are plain Python objects registered under a string type name, so
-models, controllers and test probes all plug in the same way.  In a
-lock-step run the copies of one instance step together as a
-:class:`UnitGroup`.
+models, controllers and test probes all plug in the same way.  A unit
+type whose copies step faster together offers a group of them for
+lock-step runs through ``SimulationUnit._group``.
 """
 
 from __future__ import annotations
@@ -106,6 +106,13 @@ def _check_boolean(port: str, value) -> bool:
     raise ContractViolation(f"port {port!r} expects a boolean, got {value!r}")
 
 
+def _check_parameters(checks: Mapping[str, bool]) -> None:
+    """Raise one violation listing, joined by ``; ``, each message whose check is true."""
+    failed = [message for message, bad in checks.items() if bad]
+    if failed:
+        raise ContractViolation("; ".join(failed))
+
+
 class SimulationUnit:
     """Base class implementing the port protocol and time bookkeeping.
 
@@ -118,13 +125,15 @@ class SimulationUnit:
     The orchestrator steps units through ``_step`` and the accessors
     from ``_output_reader``/``_input_writer``, so a subclass changes what
     a run does only through ``_advance``, not by overriding the protocol.
-    A :class:`UnitGroup` of copies offers the same three, so the master
-    treats a unit and a group alike; a unit type whose copies step faster
-    together also overrides ``_group``.
+    A unit type whose copies step faster together sets ``_group`` to a
+    callable that takes the copies and returns a group offering the same
+    three: an output holds one value per copy, an input one value for all.
 
     Instances are not thread safe; the orchestrator drives each unit
     from a single thread.
     """
+
+    _group = None  # a unit type whose copies do not step faster together has no group
 
     def __init__(self, description: UnitDescription, parameters: Mapping[str, float] | None = None):
         self.description = description
@@ -209,51 +218,6 @@ class SimulationUnit:
 
     def _advance(self, h: float) -> None:
         raise NotImplementedError
-
-    @classmethod
-    def _group(cls, copies: list["SimulationUnit"]) -> "UnitGroup":
-        """Return the group stepping ``copies``, one instance's units in a lock-step run."""
-        return UnitGroup(copies)
-
-
-class UnitGroup:
-    """The copies of one instance in a lock-step run, stepped as one.
-
-    Each port holds a list with one value per copy, in config order; a
-    group may hand out an output as a tuple instead.  The master replaces
-    an input's list before a step and reads an output after it; a list or
-    tuple it was handed is never changed in place.  This
-    default group latches each copy's slot of the inputs onto it, steps
-    each copy through ``_step`` and gathers the outputs; an exception from
-    a copy propagates as it is.  A unit type with a faster way to step
-    many copies returns its own group from ``SimulationUnit._group``.
-    """
-
-    def __init__(self, copies: list[SimulationUnit]):
-        self.copies = copies
-        self.inputs = {port: [unit._inputs[port] for unit in copies] for port in copies[0]._inputs}
-        self.outputs = {port: [unit._outputs[port] for unit in copies] for port in copies[0]._outputs}
-
-    def _output_reader(self, port: str) -> Callable[[], list]:
-        return partial(self.outputs.__getitem__, port)
-
-    def _input_writer(self, port: str) -> Callable[[list], None]:
-        return partial(setitem, self.inputs, port)
-
-    def _recorder(self, port: str) -> Callable[[], list[float]]:
-        """Return a callable giving the values of ``port`` as floats."""
-        outputs = self.outputs
-        return lambda: [float(v) for v in outputs[port]]
-
-    def _step(self, h: float) -> None:
-        """Step every copy on its slot of the inputs."""
-        for p, unit in enumerate(self.copies):
-            for port, values in self.inputs.items():
-                unit._inputs[port] = values[p]
-            unit._step(h)
-        outputs = self.outputs
-        for port in outputs:
-            outputs[port] = [unit._outputs[port] for unit in self.copies]
 
 
 UnitFactory = Callable[[Mapping[str, float]], SimulationUnit]

@@ -19,6 +19,7 @@ from ..simunit import (
     PortKind,
     SimulationUnit,
     UnitDescription,
+    _check_parameters,
 )
 from ..traces import COMMAND_CHANNELS, TimedTrace
 
@@ -115,12 +116,11 @@ class PurePursuitUnit(SimulationUnit):
             raise ContractViolation("pure pursuit path is degenerate: all waypoints coincide")
         super().__init__(PURE_PURSUIT_DESCRIPTION, parameters)
         p = self.parameters
-        if p["lookahead"] <= 0.0:
-            raise ContractViolation(f"lookahead must be positive, got {p['lookahead']}")
-        if p["wheelbase"] <= 0.0:
-            raise ContractViolation(f"wheelbase must be positive, got {p['wheelbase']}")
-        if p["cruise_speed"] < 0.0:
-            raise ContractViolation(f"cruise_speed must be non-negative, got {p['cruise_speed']}")
+        _check_parameters({
+            f"lookahead must be positive, got {p['lookahead']}": p["lookahead"] <= 0.0,
+            f"wheelbase must be positive, got {p['wheelbase']}": p["wheelbase"] <= 0.0,
+            f"cruise_speed must be non-negative, got {p['cruise_speed']}": p["cruise_speed"] < 0.0,
+        })
         self._pts = pts
         self._stations = stations
         self._advance(0.0)
@@ -213,10 +213,10 @@ class SupervisoryBrake(SimulationUnit):
     def __init__(self, parameters: Mapping[str, float] | None = None):
         super().__init__(SUPERVISOR_DESCRIPTION, parameters)
         p = self.parameters
-        if p["decel"] <= 0.0:
-            raise ContractViolation(f"decel must be positive, got {p['decel']}")
-        if p["margin"] < 0.0:
-            raise ContractViolation(f"margin must be non-negative, got {p['margin']}")
+        _check_parameters({
+            f"decel must be positive, got {p['decel']}": p["decel"] <= 0.0,
+            f"margin must be non-negative, got {p['margin']}": p["margin"] < 0.0,
+        })
         self._latched = False
 
     def _advance(self, h: float) -> None:

@@ -19,13 +19,14 @@ from pathlib import Path
 from typing import Mapping
 
 from .._shared import read_text
-from ..errors import ConfigError, ContractViolation
+from ..errors import ConfigError
 from ..simunit import (
     PortDescriptor,
     PortDirection,
     PortKind,
     SimulationUnit,
     UnitDescription,
+    _check_parameters,
 )
 
 _IN = PortDirection.INPUT
@@ -183,17 +184,14 @@ class SensorUnit(SimulationUnit):
     def __init__(self, grid_map: GridMap, parameters: Mapping[str, float] | None = None):
         super().__init__(SENSOR_DESCRIPTION, parameters)
         p = self.parameters
-        if p["min_range"] < 0.0:
-            raise ContractViolation(f"min_range must be non-negative, got {p['min_range']}")
-        if p["max_range"] <= p["min_range"]:
-            raise ContractViolation(
-                f"max_range must exceed min_range, got {p['max_range']} <= {p['min_range']}"
-            )
-        if not 0.0 < p["fov"] <= 2.0 * pi:
-            raise ContractViolation(f"fov must be in (0, 2*pi], got {p['fov']}")
         rays = p["ray_count"]
-        if rays < 1 or rays != int(rays):
-            raise ContractViolation(f"ray_count must be a positive integer, got {rays}")
+        _check_parameters({
+            f"min_range must be non-negative, got {p['min_range']}": p["min_range"] < 0.0,
+            f"max_range must exceed min_range, got {p['max_range']} <= {p['min_range']}":
+                p["max_range"] <= p["min_range"],
+            f"fov must be in (0, 2*pi], got {p['fov']}": not 0.0 < p["fov"] <= 2.0 * pi,
+            f"ray_count must be a positive integer, got {rays}": rays < 1 or rays != int(rays),
+        })
         self._map = grid_map
         self._rays = int(rays)
         self._march = march = grid_map.resolution * 0.5

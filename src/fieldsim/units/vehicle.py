@@ -32,14 +32,13 @@ positive yaw rate, i.e. a counter-clockwise (left) turn.
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import partial
 from math import atan, cos, isfinite, remainder, sin, pi
-from operator import is_, itemgetter
+from operator import itemgetter, setitem
 from types import MappingProxyType
 from typing import Mapping
 
-from ..errors import ContractViolation
-from ..simunit import PortDescriptor, PortDirection, SimulationUnit, UnitDescription, UnitGroup
+from ..simunit import PortDescriptor, PortDirection, SimulationUnit, UnitDescription, _check_parameters
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
@@ -100,11 +99,11 @@ class VehicleUnit(SimulationUnit):
         if "I_z" not in explicit:
             p["I_z"] = p["m_robot"] * p["l_f"] * p["l_r"]
         self.parameters = MappingProxyType(p)
-        for name in ("m_robot", "cAlphaF", "cAlphaR", "l_f", "l_r", "I_z", "g"):
-            if p[name] <= 0.0:
-                raise ContractViolation(f"vehicle parameter {name} must be positive, got {p[name]}")
-        if not 0.0 < p["mu"] <= 2.0:
-            raise ContractViolation(f"vehicle parameter mu must be in (0, 2], got {p['mu']}")
+        _check_parameters({
+            **{f"vehicle parameter {name} must be positive, got {p[name]}": p[name] <= 0.0
+               for name in ("m_robot", "cAlphaF", "cAlphaR", "l_f", "l_r", "I_z", "g")},
+            f"vehicle parameter mu must be in (0, 2], got {p['mu']}": not 0.0 < p["mu"] <= 2.0,
+        })
 
         m = p["m_robot"]
         f_lim = p["mu"] * m * p["g"] * 0.5  # per-axle friction cap
@@ -164,19 +163,19 @@ class VehicleUnit(SimulationUnit):
         return VehicleGroup(copies)
 
 
-class VehicleGroup(UnitGroup):
+class VehicleGroup:
     """Copies of a vehicle advanced with ``_advance``'s arithmetic, each class of equal copies once.
 
-    Copies whose state is equal bit for bit form a class, which steps once
-    and splits when its copies would get different bits.  Before the step,
-    an input splits it by its bits when they differ between its copies.
-    The step splits it in the step that would read constants its copies
-    differ in, right after the class's unclamped forces: by the six
-    constants other than the friction cap when they differ, else, when a
-    force passes the class's least cap, by the cap of each copy that
-    clamps; then the step goes on at that class.  A step reads no constant
-    below 0.1 m/s or when ``v_y``, ``r`` and ``delta_f`` are all zero: a
-    zero keeps its sign through every product with a positive constant.
+    Its inputs hold one value for all its copies, and its outputs one value
+    per copy.  Copies whose state is equal bit for bit form a class, which steps
+    once and splits when its copies would get different bits: in the step
+    that would read constants its copies differ in, right after the class's
+    unclamped forces.  It splits by the six constants other than the
+    friction cap when they differ, else, when a force passes the class's
+    least cap, by the cap of each copy that clamps; then the step goes on
+    at that class.  A step reads no constant below 0.1 m/s or when ``v_y``,
+    ``r`` and ``delta_f`` are all zero: a zero keeps its sign through every
+    product with a positive constant.
 
     The state and the constants of every class sit in lists, ordered by
     each class's first copy, so a step fails at the same copy first as
@@ -186,7 +185,8 @@ class VehicleGroup(UnitGroup):
     """
 
     def __init__(self, copies: list[VehicleUnit]):
-        super().__init__(copies)
+        self.inputs = dict(copies[0]._inputs)
+        self.outputs = {port: [u._outputs[port] for u in copies] for port in copies[0]._outputs}
         self._constants = [u._constants for u in copies]
         state = [(u.x, u.y, u.theta, u.v_y, u.r) for u in copies]
         self._state = tuple(map(list, zip(*state)))
@@ -195,11 +195,14 @@ class VehicleGroup(UnitGroup):
             for members in _partition(range(len(copies)), lambda p: tuple(map(float.hex, state[p])))
         ])
 
-    def _recorder(self, port: str):
-        return self._output_reader(port)  # every output is a float already
+    def _output_reader(self, port: str):
+        return partial(self.outputs.__getitem__, port)
 
-    def _regroup(self, parts: list[tuple[list[int], int]], *columns: list) -> list[list]:
-        """Make each ``(members, c)`` of ``parts`` a class from class ``c``; remap ``columns`` too."""
+    def _input_writer(self, port: str):
+        return partial(setitem, self.inputs, port)
+
+    def _regroup(self, parts: list[tuple[list[int], int]]) -> None:
+        """Make each ``(members, c)`` of ``parts`` a class from class ``c``."""
         parts.sort(key=lambda part: part[0][0])
         constants = self._constants
         self._members = [members for members, _ in parts]
@@ -218,28 +221,9 @@ class VehicleGroup(UnitGroup):
             for p in members:
                 owner[p] = c
         self._getter = itemgetter(*owner) if len(parts) < len(owner) else None
-        return [[column[c] for _, c in parts] for column in columns]
 
-    def _class_inputs(self, vs: list[float], ds: list[float]) -> tuple[list[float], list[float]]:
-        """Split each class whose copies get inputs with different bits; return each class's inputs."""
-        v_one, d_one = _one_value(vs), _one_value(ds)
-        varying = [values for values, one in ((vs, v_one), (ds, d_one)) if not one]
-        if varying:
-            parts = []
-            for c, members in enumerate(self._members):
-                if len(members) > 1 and not all(_one_value([values[p] for p in members]) for values in varying):
-                    key = lambda p: tuple(values[p].hex() for values in varying)  # noqa: E731
-                    parts += [(sub, c) for sub in _partition(members, key)]
-                else:
-                    parts.append((members, c))
-            if len(parts) > len(self._members):
-                self._regroup(parts)
-        if v_one and d_one:
-            return [vs[0]] * len(self._members), [ds[0]] * len(self._members)
-        return [vs[members[0]] for members in self._members], [ds[members[0]] for members in self._members]
-
-    def _split(self, c: int, f_f: float, f_r: float, vs: list[float], ds: list[float]) -> list[list]:
-        """Split class ``c`` so that its copies get the same bits; return ``vs`` and ``ds`` for its parts.
+    def _split(self, c: int, f_f: float, f_r: float) -> None:
+        """Split class ``c`` so that its copies get the same bits.
 
         That is by its six constants if they differ, else by each cap that clamps its unclamped forces.
         """
@@ -256,19 +240,16 @@ class VehicleGroup(UnitGroup):
             for sub in (_partition(members, key) if k == c else [members])
         ]
         assert len(parts) > len(self._members), "the step would split this class again and again"
-        return self._regroup(parts, vs, ds)
+        self._regroup(parts)
 
     def _step(self, h: float) -> None:
-        inputs = self.inputs
-        vs, ds = inputs["velocity"], inputs["delta_f"]
-        if self._getter is not None:  # some class holds more than one copy
-            vs, ds = self._class_inputs(vs, ds)
+        v, delta_f = self.inputs["velocity"], self.inputs["delta_f"]
         state = new_x, new_y, new_theta, new_v_y, new_r = [], [], [], [], []
         put_x, put_y, put_theta = new_x.append, new_y.append, new_theta.append
         put_v_y, put_r = new_v_y.append, new_r.append
-        columns = (*self._state, vs, ds, self._class_constants)
+        columns = (*self._state, self._class_constants)
         while True:
-            for x, y, theta, v_y, r, v, delta_f, (m, cf, cr, lf, lr, iz, lim, mixed) in zip(*columns):
+            for x, y, theta, v_y, r, (m, cf, cr, lf, lr, iz, lim, mixed) in zip(*columns):
                 if v < _SLOW_SPEED:
                     dv_y = -v_y / _DECAY_TAU
                     dr = -r / _DECAY_TAU
@@ -306,8 +287,8 @@ class VehicleGroup(UnitGroup):
                 break
             # the classes before this one keep their new state; step on from this one
             c = len(new_x)
-            vs, ds = self._split(c, f_f, f_r, vs, ds)
-            columns = [column[c:] for column in (*self._state, vs, ds, self._class_constants)]
+            self._split(c, f_f, f_r)
+            columns = [column[c:] for column in (*self._state, self._class_constants)]
         self._state = state
         out, getter = self.outputs, self._getter
         if getter is None:
@@ -322,14 +303,3 @@ def _partition(members, key) -> list[list[int]]:
     for p in members:
         groups.setdefault(key(p), []).append(p)
     return list(groups.values())
-
-
-def _one_value(values: list[float]) -> bool:
-    """Whether every slot of ``values`` holds the bits of the first, as a broadcast input does.
-
-    ``list.count`` compares with ``==``, which tells floats apart by their bits
-    except for -0.0 and 0.0; so a zero needs every slot to hold its object.
-    """
-    first = values[0]
-    return bool(first) and values.count(first) == len(values) or all(map(is_, values, repeat(first)))
-

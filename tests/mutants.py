@@ -1,4 +1,7 @@
-"""Mutation check: each named mutant of the vehicle group's class rules must fail a test.
+"""Mutation check: each named mutant of the lock-step fast path must fail a test.
+
+The mutants change the vehicle group's class rules, the rule that decides
+what may vary in lock-step, and the interpolation of lock-step scoring.
 
 A mutant is a file under ``src/``, an exact old text, the new text that
 replaces it and a selection of tests.  For each mutant the script copies
@@ -11,7 +14,7 @@ fails anyway.
 Run it from anywhere (pytest and hypothesis must be installed)::
 
     python tests/mutants.py            # every mutant
-    python tests/mutants.py keep-greatest-cap no-input-split
+    python tests/mutants.py keep-greatest-cap interpolation-weight
 
 It exits 0 when every mutant is caught and 1 otherwise.  pytest does not
 collect this file: its name does not match ``test_*.py``.
@@ -30,12 +33,14 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 VEHICLE = "fieldsim/units/vehicle.py"
+ORCHESTRATOR = "fieldsim/orchestrator.py"
+DSE = "fieldsim/dse.py"
 LOCKSTEP = "tests/test_lockstep.py"
-BITS = f"{LOCKSTEP}::test_copies_split_by_input_bits_and_not_by_input_objects"
-VARYING = f"{LOCKSTEP}::test_lockstep_on_the_closed_loop_with_varying_inputs_is_run_cosim_bits"
 SPLITS = f"{LOCKSTEP}::test_copies_split_only_when_a_step_gives_them_different_bits"
 REAR = f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class"
 FIRST_FAILING = f"{LOCKSTEP}::test_a_classed_group_fails_at_the_first_failing_copy"
+SHARES = f"{LOCKSTEP}::test_lockstep_shares_only_what_sees_the_same_inputs"
+INTERPOLATES = f"{LOCKSTEP}::test_sweep_interpolates_between_steps_as_align_does"
 
 
 class Mutant(NamedTuple):
@@ -46,26 +51,6 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = {
-    # inputs keyed by value: -0.0 and 0.0 compare equal and share a class
-    "input-key-by-value": Mutant(
-        VEHICLE,
-        "key = lambda p: tuple(values[p].hex() for values in varying)",
-        "key = lambda p: tuple(values[p] for values in varying)",
-        (BITS,),
-    ),
-    # list.count alone takes a -0.0 among 0.0s for one value
-    "count-without-zero-guard": Mutant(
-        VEHICLE,
-        "return bool(first) and values.count(first) == len(values) or",
-        "return values.count(first) == len(values) or",
-        (BITS,),
-    ),
-    "no-input-split": Mutant(
-        VEHICLE,
-        "if varying:",
-        "if False:",
-        (VARYING,),
-    ),
     # split classes keep their place, so a step fails at the wrong copy first
     "unsorted-classes": Mutant(
         VEHICLE,
@@ -118,6 +103,20 @@ MUTANTS = {
         "columns = [column[c:] for column in",
         "columns = [column[c + 1:] for column in",
         (SPLITS,),
+    ),
+    # a varying vehicle feeds another instance, which then gets a list per step
+    "no-feeds-another-check": Mutant(
+        ORCHESTRATOR,
+        "if any(c.source.instance == name for c in first.connections):",
+        "if False:",
+        (SHARES,),
+    ),
+    # a reference row between two steps weighs them the wrong way round
+    "interpolation-weight": Mutant(
+        DSE,
+        "at_x = [a + w * (b - a) for a, b in zip(last_x, xs)]",
+        "at_x = [a + (1 - w) * (b - a) for a, b in zip(last_x, xs)]",
+        (INTERPOLATES,),
     ),
 }
 

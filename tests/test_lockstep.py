@@ -3,18 +3,20 @@
 ``run_cosim`` is ``lockstep_cosim`` of one config, so comparing the two
 checks what sharing instances and the flat row layout do to each
 config's values; ``tests/test_plan.py`` checks the loop itself against a
-master written on the public unit protocol.  A recorded value that is
-not finite is reported after the last row, so a connection or instance
-failure it leads to is the one a run reports; an error never names a
-config.  ``run_sweep`` runs each scenario's grid slice in lock-step and
-scores it online.  Every score, and every failure, must be what running
-each point on its own through ``run_cosim``, ``align`` and
-``cross_track_error`` gives.
+master written on the public unit protocol.  Lock-step varies only
+vehicles that feed no other instance and declines any other set of
+configs.  A recorded value that is not finite is reported after the last
+row, so a connection or instance failure it leads to is the one a run
+reports; an error never names a config.  ``run_sweep`` runs each
+scenario's grid slice in lock-step when it can and scores it online.
+Every score, and every failure, must be what running each point on its
+own through ``run_cosim``, ``align`` and ``cross_track_error`` gives.
 """
 
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -242,28 +244,8 @@ def assert_lockstep_equals_run_cosim(configs, make_registry):
         assert [row[p::len(configs)] for row in rows] == trace.values
 
 
-def test_lockstep_shares_only_what_sees_the_same_inputs(monkeypatch):
-    # cmd and fix are shared; veh varies, so sup, which it feeds, is per config
-    commands = generate_scenario(ScenarioSpec("s", "turn_ramp", 2.0, 2.0, 0.4))
-    base = replay_vehicle(
-        ("fix", "vehicle"), ("sup", "supervisor"),
-        outputs=("veh.x", "veh.y", "fix.theta", "sup.velocity", "sup.stop_engaged", "cmd.velocity"),
-    )
-    base.connections += [
-        Connection(PortRef("cmd", "velocity"), PortRef("fix", "velocity")),
-        Connection(PortRef("cmd", "delta_f"), PortRef("fix", "delta_f")),
-        Connection(PortRef("cmd", "velocity"), PortRef("sup", "velocity_cmd")),
-        Connection(PortRef("veh", "x"), PortRef("sup", "obstacle_distance")),
-    ]
-    configs = [_apply_assignment(base, {"veh.mu": mu}) for mu in (0.2, 0.5, 0.9)]
-
-    def make_registry():
-        registry = default_registry()
-        registry.register("replay", replay_factory(commands))
-        return registry
-
-    assert_lockstep_equals_run_cosim(configs, make_registry)
-
+def counting_instantiate(monkeypatch) -> list[str]:
+    """The unit types the registries build from now on, in order."""
     built = []
     instantiate = UnitRegistry.instantiate
     monkeypatch.setattr(
@@ -271,24 +253,55 @@ def test_lockstep_shares_only_what_sees_the_same_inputs(monkeypatch):
         lambda self, unit_type, parameters=None: built.append(unit_type)
         or instantiate(self, unit_type, parameters),
     )
-    lockstep_cosim(configs, make_registry())
-    assert sorted(built) == ["replay", "supervisor", "supervisor", "supervisor",
-                             "vehicle", "vehicle", "vehicle", "vehicle"]
+    return built
 
 
-def test_lockstep_on_the_sample_closed_loop():
-    # a loop: varying the supervisor makes every instance per config
-    run = read_safety_suite(SAMPLES / "safety_suite.json").runs[0]
-    grid_map = read_grid_map(run.map_path)
+def test_lockstep_shares_only_what_sees_the_same_inputs(monkeypatch):
+    # cmd and fix are shared and veh varies; sup, which veh feeds, would see
+    # different inputs per config, so the configs are declined after the first
+    commands = generate_scenario(ScenarioSpec("s", "turn_ramp", 2.0, 2.0, 0.4))
+    base = replay_vehicle(("fix", "vehicle"), outputs=("veh.x", "veh.y", "fix.theta", "cmd.velocity"))
+    base.connections += [
+        Connection(PortRef("cmd", "velocity"), PortRef("fix", "velocity")),
+        Connection(PortRef("cmd", "delta_f"), PortRef("fix", "delta_f")),
+    ]
+    looped = replace(base, instances={**base.instances, "sup": InstanceSpec("supervisor")}, connections=[
+        *base.connections,
+        Connection(PortRef("cmd", "velocity"), PortRef("sup", "velocity_cmd")),
+        Connection(PortRef("veh", "x"), PortRef("sup", "obstacle_distance")),
+    ])
 
     def make_registry():
         registry = default_registry()
-        registry.register("pure_pursuit", pure_pursuit_factory(run.path))
-        registry.register("sensor", sensor_factory(grid_map))
+        registry.register("replay", replay_factory(commands))
         return registry
 
-    configs = [_apply_assignment(harvester_config(run), {"sup.decel": d}) for d in (1.0, 3.0)]
+    built = counting_instantiate(monkeypatch)
+    with pytest.raises(ConfigError, match="^instance 'veh' varies and feeds another instance$"):
+        lockstep_cosim([_apply_assignment(looped, {"veh.mu": mu}) for mu in (0.2, 0.5, 0.9)], make_registry())
+    assert built == ["replay", "vehicle", "vehicle", "supervisor"]
+
+    configs = [_apply_assignment(base, {"veh.mu": mu}) for mu in (0.2, 0.5, 0.9)]
+    built.clear()
+    lockstep_cosim(configs, make_registry())
+    assert sorted(built) == ["replay", "vehicle", "vehicle", "vehicle", "vehicle"]
     assert_lockstep_equals_run_cosim(configs, make_registry)
+
+
+def test_lockstep_declines_a_varying_unit_that_does_not_group_its_copies(monkeypatch):
+    # the varying supervisor is fed by the shared replay and feeds the vehicle
+    base = replay_vehicle(("sup", "supervisor"))
+    base.connections = [
+        Connection(PortRef("cmd", "velocity"), PortRef("sup", "velocity_cmd")),
+        Connection(PortRef("sup", "velocity"), PortRef("veh", "velocity")),
+        Connection(PortRef("cmd", "delta_f"), PortRef("veh", "delta_f")),
+    ]
+    built = counting_instantiate(monkeypatch)
+    for grid in ({"sup.decel": [1.0, 3.0]}, {"sup.decel": [1.0, 3.0], "veh.mu": [0.3, 0.5]}):
+        built.clear()
+        with pytest.raises(ConfigError, match="^instance 'sup' varies, but its copies do not step as one group$"):
+            lockstep_cosim([_apply_assignment(base, a) for a in expand_grid(grid)], sin_registry())
+        assert sorted(built) == ["replay", "supervisor", "vehicle"]
 
 
 TURN_S = 6.0  # long enough for the slowest turn drawn below to pass pi
@@ -400,10 +413,7 @@ def test_vehicle_group_wraps_a_clockwise_step_of_more_than_one_turn():
 
 
 class SteerUnit(SimulationUnit):
-    """Steers ``sign * 0.0`` before step ``at``, then ramps to ``angle`` over 8 steps.
-
-    From step ``at`` on, every step's angle is a new float object.
-    """
+    """Steers ``sign * 0.0`` before step ``at``, then ramps to ``angle`` over 8 steps."""
 
     DESC = UnitDescription(
         "steer",
@@ -471,24 +481,19 @@ def assert_slices_are_run_cosim_bits(configs, make_registry):
 
 @st.composite
 def class_split_cases(draw):
-    """2-8 steered vehicles, often alike, that creep, drive straight, then turn.
+    """2-8 vehicles, often alike, on one steer: they creep, drive straight, then turn.
 
     Until the turn no step reads a constant, so alike copies share one class;
     the turn splits copies that differ in ``cAlphaF`` or ``m_robot``.  A turn of
     0.05 rad reaches the cap of some ``mu`` values and not of others, a few
     steps into its ramp, after copies that differ in ``mu`` alone have stepped
-    as one class.  The steer is per config (a zero of either sign, then
-    equal angles in distinct objects) or, when every config draws the same
-    one, shared and broadcast.
+    as one class.  The shared steer holds a zero of either sign until it turns.
     """
     pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
-    steer = lambda: {  # noqa: E731
-        "steer.sign": pick([-1.0, 1.0]), "steer.at": pick([0.0, 40.0]), "steer.angle": pick([0.05, -0.3]),
-    }
-    shared = steer() if draw(st.booleans()) else None
+    steer = {"steer.sign": pick([-1.0, 1.0]), "steer.at": pick([0.0, 40.0]), "steer.angle": pick([0.05, -0.3])}
     assignments = [
         {"veh.cAlphaF": pick([20000.0, 38000.0]), "veh.m_robot": pick([800.0, 2000.0]),
-         "veh.mu": pick([0.05, 0.3, 1.0]), **(shared or steer())}
+         "veh.mu": pick([0.05, 0.3, 1.0]), **steer}
         for _ in range(draw(st.integers(2, 8)))
     ]
     return pick([0.01, 0.02]), assignments
@@ -501,21 +506,6 @@ def test_each_config_of_a_classed_vehicle_group_is_its_run_cosim_bits(case):
     base = steered_vehicle(step_size)
     configs = [_apply_assignment(base, a) for a in assignments]
     assert_slices_are_run_cosim_bits(configs, steer_registry)
-
-
-def test_copies_split_by_input_bits_and_not_by_input_objects(vehicle_groups):
-    # copies 0 and 2 steer -0.0, each in its own object, and copy 1 steers 0.0
-    # for 40 steps; then all three steer 0.02, again in distinct objects
-    base = steered_vehicle()
-    signed = [_apply_assignment(base, {"steer.sign": sign, "steer.at": 40.0, "steer.angle": 0.02})
-              for sign in (-1.0, 1.0, -1.0)]
-    assert_slices_are_run_cosim_bits(signed, steer_registry)
-    assert vehicle_groups[-1]._members == [[0, 2], [1]]
-    # equal angles in distinct objects from the first step on, beside another angle
-    alike = [_apply_assignment(base, {"steer.sign": sign, "steer.angle": angle})
-             for sign, angle in ((-1.0, 0.02), (1.0, 0.02), (1.0, -0.02))]
-    assert_slices_are_run_cosim_bits(alike, steer_registry)
-    assert vehicle_groups[-1]._members == [[0, 1], [2]]
 
 
 def test_copies_split_only_when_a_step_gives_them_different_bits(vehicle_groups):
@@ -532,19 +522,18 @@ def test_copies_split_only_when_a_step_gives_them_different_bits(vehicle_groups)
     assert group._members == [[0], [1], [2, 4], [3, 5]]
     assert_slices_are_run_cosim_bits(configs, steer_registry)
 
-    # from the first step on, copies 0 and 2 steer -0.0 and copies 1 and 3 steer
-    # 0.0 until the turn, whose first step splits both classes: one by cAlphaF,
-    # the other by the cap of mu = 0.02 (98 N), which that step's front force
-    # (about 240 N) passes
+    # the turn's first step splits the class twice: by cAlphaF, and then, going
+    # on at the class it split, by the cap of mu = 0.02 (98 N), which that
+    # step's front force (about 240 N) passes
     configs = [
-        _apply_assignment(base, {"steer.sign": sign, "steer.at": 40.0, "steer.angle": 0.05, **a})
-        for sign, a in ((-1.0, {"veh.cAlphaF": 20000.0}), (1.0, {"veh.mu": 0.02}), (-1.0, {}), (1.0, {}))
+        _apply_assignment(base, {"steer.sign": -1.0, "steer.at": 40.0, "steer.angle": 0.05, **a})
+        for a in ({"veh.cAlphaF": 20000.0}, {"veh.mu": 0.02}, {}, {})
     ]
     _, _, rows = lockstep_cosim(configs, steer_registry())
     group = vehicle_groups[-1]
     classes = [group._members for _ in rows]
-    assert classes[:41] == [[[0, 1, 2, 3]]] + [[[0, 2], [1, 3]]] * 40
-    assert classes[41:] == [[[0], [1], [2], [3]]] * (len(classes) - 41)
+    assert classes[:41] == [[[0, 1, 2, 3]]] * 41
+    assert classes[41:] == [[[0], [1], [2, 3]]] * (len(classes) - 41)
     assert_slices_are_run_cosim_bits(configs, steer_registry)
 
 
@@ -556,7 +545,7 @@ def test_a_rear_force_past_the_least_cap_splits_a_class():
         unit.r, unit.v_y = 0.03, -0.6 * 0.03
     group = VehicleGroup(copies)
     for _ in range(3):
-        group.inputs["velocity"], group.inputs["delta_f"] = [1.5] * 3, [0.0] * 3
+        group.inputs["velocity"], group.inputs["delta_f"] = 1.5, 0.0
         group._step(0.01)
         for unit in lone:
             unit.set_input("velocity", 1.5)
@@ -568,27 +557,19 @@ def test_a_rear_force_past_the_least_cap_splits_a_class():
 
 
 def test_a_classed_group_fails_at_the_first_failing_copy():
-    # copies 1 and 2 turn opposite ways with a yaw inertia that sends the yaw
-    # rate to -inf and inf; copy 2 shares copy 0's steer, so they form one class
-    # until the first step that reads I_z
+    # copies 0 and 2 differ only in mu; the turn's first step splits off copy 1,
+    # then copy 2 by the cap that clamps copy 0's front force, which leaves copy
+    # 2's class before copy 1's until the classes are sorted.  A step later
+    # copy 1's yaw angle goes to -inf and copy 2's to inf
     base = steered_vehicle()
+    turn = {"steer.at": 40.0, "steer.angle": 0.3, "veh.l_f": 1e-310}
     configs = [
-        _apply_assignment(base, {"steer.angle": angle, "veh.I_z": i_z})
-        for angle, i_z in ((0.3, 360.0), (-0.3, 1e-310), (0.3, 1e-310))
+        _apply_assignment(base, {**turn, **a})
+        for a in ({"veh.I_z": 1e-306, "veh.mu": 0.01}, {"veh.l_r": 0.01, "veh.I_z": 1e-310, "veh.mu": 0.01},
+                  {"veh.I_z": 1e-306, "veh.mu": 0.3})
     ]
-    with pytest.raises(SimulationError, match="yaw angle is -inf$") as own:
-        run_cosim(configs[1], steer_registry())
-    with pytest.raises(SimulationError) as lockstep:
-        list(lockstep_cosim(configs, steer_registry())[2])
-    assert str(lockstep.value) == str(own.value)
-
-    # copy 1 turns a step before copies 0 and 2, so its heading goes to -inf in
-    # the step that splits their class by I_z, and that step fails at copy 1
-    configs = [
-        _apply_assignment(base, {"steer.at": at, "steer.angle": angle, "veh.I_z": i_z})
-        for at, angle, i_z in ((41.0, 0.3, 360.0), (40.0, -0.3, 1e-310), (41.0, 0.3, 1e-310))
-    ]
-    with pytest.raises(SimulationError, match=r"t=0\.41: yaw angle is -inf$") as own:
+    run_cosim(configs[0], steer_registry())
+    with pytest.raises(SimulationError, match=r"t=0\.42: yaw angle is -inf$") as own:
         run_cosim(configs[1], steer_registry())
     with pytest.raises(SimulationError, match=r"t=0\.42: yaw angle is inf$"):
         run_cosim(configs[2], steer_registry())
@@ -596,21 +577,17 @@ def test_a_classed_group_fails_at_the_first_failing_copy():
         list(lockstep_cosim(configs, steer_registry())[2])
     assert str(lockstep.value) == str(own.value)
 
-
-def test_lockstep_on_the_closed_loop_with_varying_inputs_is_run_cosim_bits():
-    # the vehicle's inputs come from per-config units, so they differ between copies
-    run = read_safety_suite(SAMPLES / "safety_suite.json").runs[0]
-    grid_map = read_grid_map(run.map_path)
-
-    def make_registry():
-        registry = default_registry()
-        registry.register("pure_pursuit", pure_pursuit_factory(run.path))
-        registry.register("sensor", sensor_factory(grid_map))
-        return registry
-
-    grid = expand_grid({"sup.decel": [1.0, 3.0], "veh.mu": [0.05, 0.3]})
-    configs = [_apply_assignment(harvester_config(run), a) for a in grid]
-    assert_slices_are_run_cosim_bits(configs, make_registry)
+    # copy 1's heading goes to inf in the step whose cap test splits copies 0
+    # and 2, after which the step goes on at copy 0
+    configs = [
+        _apply_assignment(base, {"steer.at": 40.0, "steer.angle": 0.3, **a})
+        for a in ({"veh.mu": 1.0}, {"veh.I_z": 1e-310}, {"veh.mu": 0.4})
+    ]
+    with pytest.raises(SimulationError, match=r"t=0\.41: yaw angle is inf$") as own:
+        run_cosim(configs[1], steer_registry())
+    with pytest.raises(SimulationError) as lockstep:
+        list(lockstep_cosim(configs, steer_registry())[2])
+    assert str(lockstep.value) == str(own.value)
 
 
 def test_lockstep_rejects_configs_that_differ_in_more_than_parameters():
@@ -666,8 +643,17 @@ def inf_then_fuse_config(inf_at, fuse_at):
     )
 
 
+def beside_a_varying_vehicle(config, mus=(0.3, 0.5)):
+    """``config`` plus a replayed vehicle, recorded first, in one config per ``mu``."""
+    vehicle = replay_vehicle(outputs=("veh.x",))
+    merged = replace(config, instances={**vehicle.instances, **config.instances},
+                     connections=vehicle.connections + config.connections,
+                     outputs=vehicle.outputs + config.outputs)
+    return [_apply_assignment(merged, {"veh.mu": mu}) for mu in mus]
+
+
 def lockstep_rows(configs):
-    return list(lockstep_cosim(configs, extended_registry())[2])
+    return list(lockstep_cosim(configs, sin_registry())[2])
 
 
 def test_recorded_nan_that_feeds_a_connection_fails_as_the_connection():
@@ -683,7 +669,7 @@ def test_lockstep_recorded_nan_that_feeds_a_connection_fails_as_the_connection()
         SimulationError,
         match=r"^connection s\.y -> e\.u at t=0\.1: port 'u' given non-finite value nan$",
     ):
-        lockstep_rows([spike_config(0.0), spike_config(1.0)])
+        lockstep_rows(beside_a_varying_vehicle(spike_config(1.0)))
 
 
 def test_instance_failure_after_a_recorded_inf_is_the_one_reported():
@@ -695,13 +681,14 @@ def test_lockstep_instance_failure_after_a_recorded_inf_is_the_one_reported():
     with pytest.raises(
         SimulationError, match=r"^instance 'f' failed at t=0\.3: blown at step 4$"
     ):
-        lockstep_rows([inf_then_fuse_config(0.0, 1000.0), inf_then_fuse_config(2.0, 4.0)])
+        lockstep_rows(beside_a_varying_vehicle(inf_then_fuse_config(2.0, 4.0)))
 
 
 def test_lockstep_reports_a_recorded_inf_after_the_last_row():
-    # config 1 turns inf at step 2 and config 0 at step 3: every row still comes out
-    configs = [inf_then_fuse_config(3.0, 1000.0), inf_then_fuse_config(2.0, 1000.0)]
-    _, times, rows = lockstep_cosim(configs, extended_registry())
+    # the shared big.z turns inf at step 2, recorded after the vehicle's two
+    # copies of veh.x: every row still comes out
+    configs = beside_a_varying_vehicle(inf_then_fuse_config(2.0, 1000.0))
+    _, times, rows = lockstep_cosim(configs, sin_registry())
     seen = []
     with pytest.raises(SimulationError, match=r"^recorded output big\.z is inf at t=0\.2$"):
         for row in rows:
@@ -811,6 +798,62 @@ def test_a01_shaped_sweep_runs_in_lockstep(tmp_path, monkeypatch):
     # 2 scenarios x 8 points; one worker gets 4 tasks: each scenario in 2 slices
     assert built.count("vehicle") == 16
     assert built.count("replay") == 4
+
+
+def test_sweep_interpolates_between_steps_as_align_does(tmp_path):
+    # reference rows every 0.01 s fall a third and two thirds into the 0.03 s steps
+    config = sweep_config(tmp_path, replay_vehicle(step_size=0.03), {
+        "veh.cAlphaF": [20000.0, 38000.0], "veh.mu": [0.05, 0.3],
+    })
+    assert [(r.mean_error, r.max_error) for r in run_sweep(config)] == per_point_scores(config)
+
+
+def supervised_vehicle():
+    """Replayed commands into a vehicle, its speed passed through a supervisor."""
+    mm = replay_vehicle(("sup", "supervisor"))
+    mm.connections = [
+        Connection(PortRef("cmd", "velocity"), PortRef("sup", "velocity_cmd")),
+        Connection(PortRef("sup", "velocity"), PortRef("veh", "velocity")),
+        Connection(PortRef("cmd", "delta_f"), PortRef("veh", "delta_f")),
+    ]
+    return mm
+
+
+def watched_vehicle():
+    """Replayed commands into a vehicle whose x is a supervisor's obstacle distance."""
+    mm = replay_vehicle(("sup", "supervisor"))
+    mm.connections += [
+        Connection(PortRef("cmd", "velocity"), PortRef("sup", "velocity_cmd")),
+        Connection(PortRef("veh", "x"), PortRef("sup", "obstacle_distance")),
+    ]
+    return mm
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model, parameters, declined", [
+    # sup.decel varies fastest, so each slice of two points on one worker varies sup
+    pytest.param(supervised_vehicle, {"veh.mu": [0.3, 0.5], "sup.decel": [1.0, 3.0]},
+                 "instance 'sup' varies, but its copies do not step as one group", id="varying-supervisor"),
+    pytest.param(watched_vehicle, {"veh.mu": [0.3, 0.5, 0.9]},
+                 "instance 'veh' varies and feeds another instance", id="vehicle-feeding-another"),
+])
+def test_a_declined_sweep_gives_the_per_point_table(tmp_path, monkeypatch, model, parameters, declined, workers):
+    config = sweep_config(tmp_path, model(), parameters)
+    errors = []
+    lockstep = dse.lockstep_cosim
+
+    def recording(*args):
+        try:
+            return lockstep(*args)
+        except ConfigError as exc:
+            errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(dse, "lockstep_cosim", recording)
+    table = table_bytes(config, tmp_path / "table.csv", workers=workers)
+    assert table == table_bytes(config, tmp_path / "per_point.csv", artifacts_dir=tmp_path / "art")
+    if workers == 1:  # the pool's workers record in their own processes
+        assert errors and set(errors) == {declined}
 
 
 def test_sweep_against_an_empty_reference_fails_as_the_per_point_path(tmp_path):

@@ -210,6 +210,17 @@ def test_validate_reports_every_problem_at_once():
     assert len(diags) >= 6
 
 
+def test_validate_config_lists_every_bad_parameter_of_an_instance():
+    config = MultiModelConfig(
+        instances={"veh": InstanceSpec("vehicle", {"mu": 5, "I_z": -1})}, connections=[],
+        outputs=[PortRef("veh", "x")], duration=1.0,
+    )
+    assert validate_config(config, default_registry()) == [
+        "instance 'veh': vehicle parameter I_z must be positive, got -1.0; "
+        "vehicle parameter mu must be in (0, 2], got 5.0"
+    ]
+
+
 @pytest.mark.parametrize(
     "names,diagnostic",
     [((), "no instances declared"), (("",), "bad instance name ''"), (("a,b",), "bad instance name 'a,b'")],

@@ -169,56 +169,6 @@ def test_lockstep_slices_equal_checked_loop_on_replayed_commands(commands, step_
         assert (times, [row[p::len(configs)] for row in rows]) == checked_run(config, make_registry())
 
 
-class Gain(SimulationUnit):
-    """Outputs ``gain`` times its input as it was before the step."""
-
-    DESC = UnitDescription(
-        "gain",
-        (PortDescriptor("u", _IN), PortDescriptor("y", _OUT),
-         PortDescriptor("gain", PortDirection.PARAMETER)),
-        {"gain": 1.0},
-    )
-
-    def __init__(self, parameters=None):
-        super().__init__(self.DESC, parameters)
-
-    def _advance(self, h):
-        self._outputs["y"] = self.parameters["gain"] * self._inputs["u"]
-
-
-def scaled_vehicle_config(step_size, duration, gain):
-    """Replayed commands into veh, its speed scaled by ``gain`` on the way."""
-    config = replay_vehicle_config(step_size, duration)
-    config.instances["amp"] = InstanceSpec("gain", {"gain": gain})
-    config.connections[0] = Connection(PortRef("src", "velocity"), PortRef("amp", "u"))
-    config.connections.append(Connection(PortRef("amp", "y"), PortRef("veh", "velocity")))
-    config.outputs.append(PortRef("amp", "y"))
-    return config
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    commands=command_traces(),
-    step_size=st.floats(0.005, 0.5),
-    duration=st.floats(0.0, 4.0),
-    gains=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=4, unique=True),
-)
-def test_lockstep_slices_equal_checked_loop_with_a_per_config_source(commands, step_size, duration, gains):
-    # amp differs, so veh, which it feeds, is per config too: the exchange
-    # from amp to veh moves one value per config
-    def make_registry():
-        registry = default_registry()
-        registry.register("replay", replay_factory(commands))
-        registry.register("gain", Gain)
-        return registry
-
-    configs = [scaled_vehicle_config(step_size, duration, gain) for gain in gains]
-    _, times, rows = lockstep_cosim(configs, make_registry())
-    rows = list(rows)
-    for p, config in enumerate(configs):
-        assert (times, [row[p::len(configs)] for row in rows]) == checked_run(config, make_registry())
-
-
 def test_plan_equals_checked_loop_on_the_sample_closed_loop():
     # the sample suite's four-unit loop: controller, sensor, supervisor, vehicle
     for run in read_safety_suite(SAMPLES / "safety_suite.json").runs[:2]:

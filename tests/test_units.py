@@ -22,6 +22,7 @@ from fieldsim.units import (
     ReplayUnit,
     SensorUnit,
     SupervisoryBrake,
+    VehicleUnit,
     braking_distance,
     default_registry,
     pure_pursuit_factory,
@@ -429,6 +430,24 @@ def test_sensor_parameter_validation():
         SensorUnit(grid, {"fov": 7.0})
     with pytest.raises(ContractViolation, match="ray_count"):
         SensorUnit(grid, {"ray_count": 2.5})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: VehicleUnit({"mu": 5, "I_z": -1}),
+     "vehicle parameter I_z must be positive, got -1.0; vehicle parameter mu must be in (0, 2], got 5.0"),
+    (lambda: PurePursuitUnit(STRAIGHT, {"lookahead": 0.0, "wheelbase": -1.0, "cruise_speed": -2.0}),
+     "lookahead must be positive, got 0.0; wheelbase must be positive, got -1.0; "
+     "cruise_speed must be non-negative, got -2.0"),
+    (lambda: SupervisoryBrake({"decel": 0.0, "margin": -0.1}),
+     "decel must be positive, got 0.0; margin must be non-negative, got -0.1"),
+    (lambda: SensorUnit(GridMap(1, 1, 0.5, 0.0, 0.0, (1,)), {"min_range": -0.5, "fov": 7.0, "ray_count": 0.0}),
+     "min_range must be non-negative, got -0.5; fov must be in (0, 2*pi], got 7.0; "
+     "ray_count must be a positive integer, got 0.0"),
+])
+def test_a_unit_reports_every_bad_parameter_at_once(make, message):
+    with pytest.raises(ContractViolation) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 # --- sensor against the full march -----------------------------------------
