@@ -1,6 +1,6 @@
 """Plumbing shared by the co-simulation, sweep and safety layers.
 
-One text file reader, one CSV table reader, one JSON document reader,
+One name rule, one text reader, one CSV table reader, one JSON reader,
 one ordered process fan-out and one children-first graph walk.
 """
 
@@ -13,6 +13,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError
+
+
+def is_plain_name(name) -> bool:
+    """Whether ``name`` can name an entry inside a directory and one CSV field."""
+    return isinstance(name, str) and name not in ("", ".", "..") and not any(c in name for c in "/\\,\n\r")
 
 
 def read_text(path: Path) -> str:

@@ -18,7 +18,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import fan_out, read_csv_table, read_json
+from ._shared import fan_out, is_plain_name, read_csv_table, read_json
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
     InstanceSpec,
@@ -154,6 +154,9 @@ def _parse_scenarios(raw) -> list[str]:
             raise ConfigError(f"scenario name {item!r} is not a string")
         # a single comma-joined string is accepted as a list of names
         names.extend(part.strip() for part in item.split(",") if part.strip())
+    for name in names:  # each names its artifacts directory and a table field
+        if not is_plain_name(name):
+            raise ConfigError(f"bad scenario name {name!r}")
     if not names:
         raise ConfigError("no scenarios named")
     if len(set(names)) != len(names):
@@ -365,7 +368,7 @@ def run_sweep(
     :func:`expand_grid` order within each scenario, independent of the
     worker count, so repeated sweeps are reproducible byte for byte.
     Each scenario's grid is cut into contiguous slices, enough for every
-    worker to get at least four; a slice is one task.
+    worker to get one; a slice is one task.
     """
     if config.multi_model is None:
         raise ConfigError("sweep config names no multi-model")
@@ -385,7 +388,7 @@ def run_sweep(
         if ref.instance not in config.multi_model.instances:
             raise ConfigError(f"parameter {ref_text!r}: no instance {ref.instance!r} in multi-model")
 
-    slices = max(1, min(len(grid), math.ceil(4 * workers / max(1, len(config.scenarios)))))
+    slices = max(1, min(len(grid), math.ceil(workers / max(1, len(config.scenarios)))))
     bounds = [len(grid) * i // slices for i in range(slices + 1)]
     tasks = []
     for scenario in config.scenarios:

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import setitem
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -267,7 +268,9 @@ def lockstep_cosim(
     in every config, and the copies of a varying one step as one group.
     Any other set of configs raises :class:`ConfigError` before the
     second config is built; run each config on its own instead.  With one
-    config nothing varies, which is :func:`run_cosim`.
+    config nothing varies, which is :func:`run_cosim`.  Once every port is
+    checked, the loop reads ``_outputs``, writes ``_inputs`` and calls
+    ``_advance`` of units and groups alike.
 
     Returns the channels, the row times (``k * step_size``) and an
     iterator over the rows.  Each row is flat, ordered by channel and
@@ -314,16 +317,17 @@ def lockstep_cosim(
         for name, unit in built[0].items()
     }
     # (read, write, real sink, connection): every source is shared, so its
-    # value is read and checked once, and a group takes it for all its copies
+    # value is read and checked once, and a group takes it for all its copies;
+    # operator.setitem takes a fast call, a bound __setitem__ twice as long
     exchange = [
-        (endpoints[c.source.instance]._output_reader(c.source.port),
-         endpoints[c.sink.instance]._input_writer(c.sink.port),
+        (partial(endpoints[c.source.instance]._outputs.__getitem__, c.source.port),
+         partial(setitem, endpoints[c.sink.instance]._inputs, c.sink.port),
          built[0][c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL, c)
         for c in first.connections
     ]
     # shared instances step first, then the groups, each in config order
-    steppers = [(name, endpoints[name]._step) for name in sorted(endpoints, key=lambda name: name in varying)]
-    recorders = [endpoints[ref.instance]._output_reader(ref.port) for ref in first.outputs]
+    steppers = [(name, endpoints[name]._advance) for name in sorted(endpoints, key=lambda name: name in varying)]
+    recorders = [partial(endpoints[ref.instance]._outputs.__getitem__, ref.port) for ref in first.outputs]
     if n > 1:  # each gives a channel's n values, which are ``row[j * n:(j + 1) * n]``
         recorders = [
             read if ref.instance in varying else partial(_repeated, read, n)

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import fan_out, postorder, read_json
+from ._shared import fan_out, is_plain_name, postorder, read_json
 from .errors import ConfigError, SimulationError
 from .orchestrator import MultiModelConfig, load_multimodel, run_cosim, validate_config, write_results_csv
 from .simunit import UnitRegistry
@@ -493,7 +493,7 @@ def read_safety_suite(path: str | Path) -> SafetySuite:
         if not isinstance(entry, dict) or "id" not in entry or "speed" not in entry:
             raise ConfigError(f"{path}: every run needs 'id' and 'speed'")
         run_id = entry["id"]
-        if not isinstance(run_id, str) or not run_id or any(c in run_id for c in "/\\,"):
+        if not is_plain_name(run_id):
             raise ConfigError(f"{path}: bad run id {run_id!r}")
         if run_id in seen:
             raise ConfigError(f"{path}: duplicate run id {run_id!r}")

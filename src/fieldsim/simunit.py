@@ -9,9 +9,10 @@ Inputs are held constant over a step (zero-order hold); outputs must
 stay consistent with the state reached by the most recent step.
 
 Units are plain Python objects registered under a string type name, so
-models, controllers and test probes all plug in the same way.  A unit
-type whose copies step faster together offers a group of them for
-lock-step runs through ``SimulationUnit._group``.
+models, controllers and test probes all plug in the same way.  A master
+that checked the ports itself reads ``_outputs``, writes ``_inputs`` and
+calls ``_advance`` of a unit, or of the group of its copies that
+``SimulationUnit._group`` offers for lock-step runs.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from operator import setitem
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -114,20 +113,19 @@ def _check_parameters(checks: Mapping[str, bool]) -> None:
 
 
 class SimulationUnit:
-    """Base class implementing the port protocol and time bookkeeping.
+    """Base class implementing the checked port protocol.
 
     Subclasses define a :class:`UnitDescription`, keep their outputs in
-    ``self._outputs``, and implement :meth:`_advance` to move their state
-    forward by one step.  Current time is derived from the step count
-    (``n`` steps of size ``h`` give exactly ``n * h``), not from repeated
-    addition, so long runs do not drift.
+    ``self._outputs``, read their inputs from ``self._inputs``, and implement
+    :meth:`_advance` to move their state forward by one step of ``h`` seconds.
+    A unit keeps no clock; one that needs the time counts its own steps.
 
-    The orchestrator steps units through ``_step`` and the accessors
-    from ``_output_reader``/``_input_writer``, so a subclass changes what
-    a run does only through ``_advance``, not by overriding the protocol.
-    A unit type whose copies step faster together sets ``_group`` to a
-    callable that takes the copies and returns a group offering the same
-    three: an output holds one value per copy, an input one value for all.
+    The orchestrator reads ``_outputs``, writes ``_inputs`` and calls
+    ``_advance`` directly, so a subclass changes what a run does only
+    through ``_advance``, not by overriding the checked calls.  A unit
+    type whose copies step faster together sets ``_group`` to a callable
+    that takes the copies and returns a group offering the same three: an
+    output holds one value per copy, an input one value for all.
 
     Instances are not thread safe; the orchestrator drives each unit
     from a single thread.
@@ -158,16 +156,6 @@ class SimulationUnit:
             elif port.direction is PortDirection.OUTPUT:
                 self._outputs[port.name] = False if port.kind is PortKind.BOOLEAN else 0.0
 
-        # time = _time_base + _step_count * _step_size; the base only moves
-        # when the step size changes, keeping constant-step runs exact
-        self._time_base = 0.0
-        self._step_count = 0
-        self._step_size = 0.0
-
-    @property
-    def current_time(self) -> float:
-        return self._time_base + self._step_count * self._step_size
-
     def set_input(self, port: str, value) -> None:
         kind = self._input_kinds.get(port)
         if kind is None:
@@ -192,29 +180,7 @@ class SimulationUnit:
             raise ContractViolation(f"step size must be a real number, got {h!r}")
         if not math.isfinite(h) or h <= 0.0:
             raise ContractViolation(f"step size must be positive and finite, got {h!r}")
-        self._step(float(h))
-
-    # --- unchecked access, for a master that validated ports and h --------
-
-    def _output_reader(self, port: str) -> Callable[[], float | bool]:
-        """Return a no-argument callable giving the current value of ``port``."""
-        return partial(self._outputs.__getitem__, port)
-
-    def _input_writer(self, port: str) -> Callable[[float | bool], None]:
-        """Return a callable latching an already-checked value onto ``port``."""
-        # operator.setitem takes a fast call; a bound __setitem__ is a slot
-        # wrapper that costs twice as much per value
-        return partial(setitem, self._inputs, port)
-
-    def _step(self, h: float) -> None:
-        """``do_step`` without its checks: ``h`` is a positive finite float."""
-        if h != self._step_size:
-            self._time_base = self.current_time
-            self._step_size = h
-            self._step_count = 1
-        else:
-            self._step_count += 1
-        self._advance(h)
+        self._advance(float(h))
 
     def _advance(self, h: float) -> None:
         raise NotImplementedError

@@ -40,8 +40,9 @@ class ReplayUnit(SimulationUnit):
     """Replays a recorded (velocity, delta_f) trace with zero-order hold.
 
     At time t the outputs are the row with the greatest time <= t; before
-    the first row the first row is used, after the last the last.  Unit
-    time never decreases, so a row cursor only ever moves forward.
+    the first row the first row is used, after the last the last.  Time is
+    t0 + k * h after k steps of h, t0 moving only when h changes: it does not
+    drift and never decreases, so a row cursor only ever moves forward.
     """
 
     def __init__(self, trace: TimedTrace, parameters: Mapping[str, float] | None = None):
@@ -58,10 +59,14 @@ class ReplayUnit(SimulationUnit):
         self._delta_f = trace.column("delta_f")
         self._row = 0
         self._next_time = -inf  # the outputs hold until unit time reaches it
+        self._t0, self._k, self._h = 0.0, 0, 0.0
         self._advance(0.0)
 
     def _advance(self, h: float) -> None:
-        t = self.current_time
+        if h != self._h:  # fold the time so far into t0
+            self._t0, self._h, self._k = self._t0 + self._k * self._h, h, 0
+        self._k += 1
+        t = self._t0 + self._k * h
         if t < self._next_time:
             return
         times = self._times

@@ -32,9 +32,8 @@ positive yaw rate, i.e. a counter-clockwise (left) turn.
 
 from __future__ import annotations
 
-from functools import partial
 from math import atan, cos, isfinite, remainder, sin, pi
-from operator import itemgetter, setitem
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -158,24 +157,20 @@ class VehicleUnit(SimulationUnit):
         out["y"] = self.y
         out["theta"] = self.theta
 
-    @classmethod
-    def _group(cls, copies: list["VehicleUnit"]) -> "VehicleGroup":
-        return VehicleGroup(copies)
-
 
 class VehicleGroup:
     """Copies of a vehicle advanced with ``_advance``'s arithmetic, each class of equal copies once.
 
-    Its inputs hold one value for all its copies, and its outputs one value
-    per copy.  Copies whose state is equal bit for bit form a class, which steps
-    once and splits when its copies would get different bits: in the step
-    that would read constants its copies differ in, right after the class's
-    unclamped forces.  It splits by the six constants other than the
-    friction cap when they differ, else, when a force passes the class's
-    least cap, by the cap of each copy that clamps; then the step goes on
-    at that class.  A step reads no constant below 0.1 m/s or when ``v_y``,
-    ``r`` and ``delta_f`` are all zero: a zero keeps its sign through every
-    product with a positive constant.
+    Like a unit, it has ``_inputs``, ``_outputs`` and ``_advance``; an input
+    holds one value for all its copies, an output one per copy.  Copies whose
+    state is equal bit for bit form a class, which steps once and splits when
+    its copies would get different bits: in the step that would read constants
+    its copies differ in, right after the class's unclamped forces.  It splits
+    by the six constants other than the friction cap when they differ, else,
+    when a force passes the class's least cap, by the cap of each copy that
+    clamps; then the step goes on at that class.  A step reads no constant
+    below 0.1 m/s or when ``v_y``, ``r`` and ``delta_f`` are all zero: a zero
+    keeps its sign through every product with a positive constant.
 
     The state and the constants of every class sit in lists, ordered by
     each class's first copy, so a step fails at the same copy first as
@@ -185,8 +180,8 @@ class VehicleGroup:
     """
 
     def __init__(self, copies: list[VehicleUnit]):
-        self.inputs = dict(copies[0]._inputs)
-        self.outputs = {port: [u._outputs[port] for u in copies] for port in copies[0]._outputs}
+        self._inputs = dict(copies[0]._inputs)
+        self._outputs = {port: [u._outputs[port] for u in copies] for port in copies[0]._outputs}
         self._constants = [u._constants for u in copies]
         state = [(u.x, u.y, u.theta, u.v_y, u.r) for u in copies]
         self._state = tuple(map(list, zip(*state)))
@@ -194,12 +189,6 @@ class VehicleGroup:
             (members, members[0])
             for members in _partition(range(len(copies)), lambda p: tuple(map(float.hex, state[p])))
         ])
-
-    def _output_reader(self, port: str):
-        return partial(self.outputs.__getitem__, port)
-
-    def _input_writer(self, port: str):
-        return partial(setitem, self.inputs, port)
 
     def _regroup(self, parts: list[tuple[list[int], int]]) -> None:
         """Make each ``(members, c)`` of ``parts`` a class from class ``c``."""
@@ -242,8 +231,8 @@ class VehicleGroup:
         assert len(parts) > len(self._members), "the step would split this class again and again"
         self._regroup(parts)
 
-    def _step(self, h: float) -> None:
-        v, delta_f = self.inputs["velocity"], self.inputs["delta_f"]
+    def _advance(self, h: float) -> None:
+        v, delta_f = self._inputs["velocity"], self._inputs["delta_f"]
         state = new_x, new_y, new_theta, new_v_y, new_r = [], [], [], [], []
         put_x, put_y, put_theta = new_x.append, new_y.append, new_theta.append
         put_v_y, put_r = new_v_y.append, new_r.append
@@ -290,11 +279,14 @@ class VehicleGroup:
             self._split(c, f_f, f_r)
             columns = [column[c:] for column in (*self._state, self._class_constants)]
         self._state = state
-        out, getter = self.outputs, self._getter
+        out, getter = self._outputs, self._getter
         if getter is None:
             out["x"], out["y"], out["theta"] = new_x, new_y, new_theta
         else:
             out["x"], out["y"], out["theta"] = getter(new_x), getter(new_y), getter(new_theta)
+
+
+VehicleUnit._group = VehicleGroup
 
 
 def _partition(members, key) -> list[list[int]]:

@@ -1,7 +1,8 @@
-"""Mutation check: each named mutant of the lock-step fast path must fail a test.
+"""Mutation check: each named mutant of an exact fast path must fail a test.
 
 The mutants change the vehicle group's class rules, the rule that decides
-what may vary in lock-step, and the interpolation of lock-step scoring.
+what may vary in lock-step, the interpolation of lock-step scoring, the
+replay's clock and the heading wrap.
 
 A mutant is a file under ``src/``, an exact old text, the new text that
 replaces it and a selection of tests.  For each mutant the script copies
@@ -35,12 +36,16 @@ ROOT = Path(__file__).resolve().parents[1]
 VEHICLE = "fieldsim/units/vehicle.py"
 ORCHESTRATOR = "fieldsim/orchestrator.py"
 DSE = "fieldsim/dse.py"
+CONTROL = "fieldsim/units/control.py"
 LOCKSTEP = "tests/test_lockstep.py"
 SPLITS = f"{LOCKSTEP}::test_copies_split_only_when_a_step_gives_them_different_bits"
 REAR = f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class"
 FIRST_FAILING = f"{LOCKSTEP}::test_a_classed_group_fails_at_the_first_failing_copy"
 SHARES = f"{LOCKSTEP}::test_lockstep_shares_only_what_sees_the_same_inputs"
 INTERPOLATES = f"{LOCKSTEP}::test_sweep_interpolates_between_steps_as_align_does"
+REPLAY_FOLDS = "tests/test_simunit.py::test_time_base_folds_on_step_change"
+REPLAY_CURSOR = "tests/test_plan.py::test_replay_cursor_picks_the_row_bisect_picks"
+WRAPS = "tests/test_vehicle.py::test_heading_within_one_turn_wraps_as_the_loop_did"
 
 
 class Mutant(NamedTuple):
@@ -117,6 +122,20 @@ MUTANTS = {
         "at_x = [a + w * (b - a) for a, b in zip(last_x, xs)]",
         "at_x = [a + (1 - w) * (b - a) for a, b in zip(last_x, xs)]",
         (INTERPOLATES,),
+    ),
+    # a new step size restarts the replay's time at 0, not at the time so far
+    "replay-time-not-folded": Mutant(
+        CONTROL,
+        "self._t0 + self._k * self._h, h, 0",
+        "self._t0, h, 0",
+        (REPLAY_FOLDS, REPLAY_CURSOR),
+    ),
+    # fmod keeps the sign of theta, so a heading just past pi stays past it
+    "wrap-by-fmod": Mutant(
+        VEHICLE,
+        "theta = remainder(theta, 2.0 * pi)",
+        'theta = __import__("math").fmod(theta, 2.0 * pi)',
+        (WRAPS,),
     ),
 }
 

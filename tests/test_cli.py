@@ -470,6 +470,39 @@ def test_safety_run_rejects_mistyped_fields(tmp_path, capsys, field, value, frag
     assert fragment in stderr
 
 
+def test_a_suite_run_named_dot_dot_exits_2_and_writes_nothing(tmp_path, capsys):
+    shutil.copy(SAMPLES / "field.map", tmp_path)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"map": "field.map", "runs": [{"id": "..", "speed": 1.0}]}))
+    before = sorted(tmp_path.rglob("*"))
+    code, _, stderr = run_cli(
+        capsys, "safety-run", "--suite", suite, "--evidence-dir", tmp_path / "evidence"
+    )
+    assert code == 2
+    assert "bad run id '..'" in stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a\nb"])
+def test_a_sweep_scenario_named_outside_its_directory_exits_2_and_writes_nothing(
+    tmp_path, capsys, name
+):
+    for sample in ("vehicle_replay.json", "sin_cal_inputs.csv", "sin_cal_reference.csv"):
+        shutil.copy(SAMPLES / sample, tmp_path)
+    doc = json.loads((SAMPLES / "dse_sweep.json").read_text())
+    doc["scenarios"] = [name]
+    doc["scenarioFiles"] = {name: doc["scenarioFiles"]["sin_cal"]}
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    before = sorted(tmp_path.rglob("*"))
+    code, _, stderr = run_cli(
+        capsys, "dse", "sweep", "--config", tmp_path / "sweep.json", "--out", tmp_path / "table.csv",
+        "--artifacts", tmp_path / "art",
+    )
+    assert code == 2
+    assert f"bad scenario name {name!r}" in stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize(
     "doc,fragment",
     [

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,11 +29,14 @@ from fieldsim.orchestrator import (
     InstanceSpec,
     MultiModelConfig,
     PortRef,
+    lockstep_cosim,
     run_cosim,
     write_results_csv,
 )
 from fieldsim.traces import AlignedPair, ScenarioSpec, align, generate_scenario, write_trace_csv
 from fieldsim.units import default_registry, replay_factory
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 # --- objective --------------------------------------------------------------
@@ -373,6 +377,13 @@ def test_read_dse_config_rejections(tmp_path, mutate, fragment):
         read_dse_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("name", [".", "..", "../escaped", "a/b", "a\\b", "a\nb", "a\rb"])
+def test_read_dse_config_rejects_a_scenario_name_that_leaves_its_directory_or_field(tmp_path, name):
+    doc = dict(BASE_DOC, scenarios=["sin1", name])
+    with pytest.raises(ConfigError, match="bad scenario name"):
+        read_dse_config(write_config(tmp_path, doc))
+
+
 def test_read_dse_config_rejects_a_document_that_is_not_an_object(tmp_path):
     with pytest.raises(ConfigError, match="sweep config must be a JSON object"):
         read_dse_config(write_config(tmp_path, [BASE_DOC]))
@@ -539,6 +550,18 @@ def test_sweep_rows_follow_grid_order(sweep_workspace):
     rows = run_sweep(config)
     keys = [(r.assignment["veh.cAlphaF"], r.assignment["veh.mu"]) for r in rows]
     assert keys == [(20000.0, 0.3), (20000.0, 0.4), (30000.0, 0.3), (30000.0, 0.4)]
+
+
+def test_a_serial_sample_sweep_runs_its_scenario_as_one_lockstep(monkeypatch):
+    calls = []
+
+    def counted(configs, registry):
+        calls.append(len(configs))
+        return lockstep_cosim(configs, registry)
+
+    monkeypatch.setattr(dse, "lockstep_cosim", counted)
+    assert len(run_sweep(read_dse_config(SAMPLES / "dse_sweep.json"))) == 4
+    assert calls == [4]
 
 
 def test_sweep_is_worker_count_invariant(sweep_workspace, tmp_path):

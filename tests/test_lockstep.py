@@ -545,15 +545,15 @@ def test_a_rear_force_past_the_least_cap_splits_a_class():
         unit.r, unit.v_y = 0.03, -0.6 * 0.03
     group = VehicleGroup(copies)
     for _ in range(3):
-        group.inputs["velocity"], group.inputs["delta_f"] = 1.5, 0.0
-        group._step(0.01)
+        group._inputs["velocity"], group._inputs["delta_f"] = 1.5, 0.0
+        group._advance(0.01)
         for unit in lone:
             unit.set_input("velocity", 1.5)
             unit.set_input("delta_f", 0.0)
             unit.do_step(0.01)
         assert group._members == [[0], [1, 2]]
         for port in ("x", "y", "theta"):
-            assert [v.hex() for v in group.outputs[port]] == [u.get_output(port).hex() for u in lone]
+            assert [v.hex() for v in group._outputs[port]] == [u.get_output(port).hex() for u in lone]
 
 
 def test_a_classed_group_fails_at_the_first_failing_copy():
@@ -795,9 +795,9 @@ def test_a01_shaped_sweep_runs_in_lockstep(tmp_path, monkeypatch):
     )
     rows = run_sweep(config)
     assert [(r.mean_error, r.max_error) for r in rows] == expected
-    # 2 scenarios x 8 points; one worker gets 4 tasks: each scenario in 2 slices
+    # 2 scenarios x 8 points; one worker gets 2 tasks: each scenario in 1 slice
     assert built.count("vehicle") == 16
-    assert built.count("replay") == 4
+    assert built.count("replay") == 2
 
 
 def test_sweep_interpolates_between_steps_as_align_does(tmp_path):

@@ -199,14 +199,24 @@ def test_replay_cursor_picks_the_row_bisect_picks(times, segments):
     )
     unit = ReplayUnit(trace)
 
-    def bisect_row():
-        return float(max(bisect_right(times, unit.current_time) - 1, 0))
+    def bisect_row(t):
+        return float(max(bisect_right(times, t) - 1, 0))
 
-    assert unit.get_output("velocity") == bisect_row()
-    for h, count in segments:  # each segment changes the step size
-        for _ in range(count):
+    # the time after k steps of h is t0 + k * h, where t0 is the time at which
+    # the step size last changed, so segments of one step size run as one
+    runs = []
+    for h, count in segments:
+        if runs and runs[-1][0] == h:
+            runs[-1][1] += count
+        else:
+            runs.append([h, count])
+    assert unit.get_output("velocity") == bisect_row(0.0)
+    t0 = 0.0
+    for h, count in runs:
+        for k in range(1, count + 1):
             unit.do_step(h)
-            assert unit.get_output("velocity") == bisect_row()
+            assert unit.get_output("velocity") == bisect_row(t0 + k * h)
+        t0 += count * h
 
 
 def test_run_cosim_bypasses_the_checked_protocol(monkeypatch):

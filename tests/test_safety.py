@@ -572,6 +572,9 @@ def test_read_safety_suite_defaults_and_overrides(tmp_path):
         ({"runs": {}}, "'runs' list"),
         ({"runs": [], "map": "m", "maps": "m"}, "unknown keys: maps"),
         ({"runs": [{"id": "a", "speed": 1.0, "map": 5}]}, "bad map 5"),
+        # a run id names a directory inside the evidence directory and a CSV field
+        *(({"runs": [{"id": run_id, "speed": 1.0}], "map": "m"}, "bad run id")
+          for run_id in ("", ".", "..", "a\\b", "a,b", "a\nb", "a\rb", 5)),
     ],
 )
 def test_read_safety_suite_rejections(tmp_path, doc, fragment):

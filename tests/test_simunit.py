@@ -1,4 +1,4 @@
-"""Unit contract tests: ports, parameters, step timing, registry."""
+"""Unit contract tests: ports, parameters, step size and timing, registry."""
 
 import math
 import random
@@ -14,6 +14,8 @@ from fieldsim.simunit import (
     UnitDescription,
     UnitRegistry,
 )
+from fieldsim.traces import TimedTrace
+from fieldsim.units import ReplayUnit
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
@@ -137,7 +139,7 @@ def test_zero_order_hold_between_steps():
     assert unit.get_output("y") == 10.0
 
 
-# --- step timing ------------------------------------------------------------
+# --- step size --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, float("nan"), float("inf"), True, "x"])
@@ -147,32 +149,45 @@ def test_bad_step_size_rejected(h):
         unit.do_step(h)
 
 
+# --- step timing ------------------------------------------------------------
+# The base unit keeps no clock; the replay is the unit that needs the time, so
+# these read it through which of its rows the replay emits.
+
+
+def row_trace(times):
+    """A command trace whose velocity is the index of its row."""
+    return TimedTrace(["velocity", "delta_f"], times, [[float(i), 0.0] for i in range(len(times))])
+
+
 def test_two_steps_give_exact_time():
-    unit = ProbeUnit()
+    unit = ReplayUnit(row_trace([0.0, 0.02, math.nextafter(0.02, math.inf)]))
     unit.do_step(0.01)
-    unit.do_step(0.01)
-    assert unit.current_time == pytest.approx(0.02, abs=1e-12)
+    assert unit.get_output("velocity") == 0.0
+    unit.do_step(0.01)  # t = 0.02 exactly, not the float after it
+    assert unit.get_output("velocity") == 1.0
 
 
 def test_long_run_time_is_multiplicative_not_additive():
-    # 1e5 steps of 0.01: repeated float addition drifts by ~1e-9 already,
-    # the unit must report exactly n * h.
-    unit = ProbeUnit()
-    n = 100_000
-    for _ in range(n):
+    # 1e5 additions of 0.01 fall short of 1000.0 (999.9999999992); the replay's
+    # time is 1e5 * 0.01, exactly 1000.0, and so not the float after it
+    unit = ReplayUnit(row_trace([0.0, 1000.0, math.nextafter(1000.0, math.inf)]))
+    for _ in range(99_999):
         unit.do_step(0.01)
-    assert unit.current_time == n * 0.01
-    assert abs(unit.current_time - 1000.0) < 1e-9
+    assert unit.get_output("velocity") == 0.0
+    unit.do_step(0.01)
+    assert unit.get_output("velocity") == 1.0
 
 
 def test_time_base_folds_on_step_change():
-    unit = ProbeUnit()
+    times = [0.0, 1.25, math.nextafter(1.25, math.inf), 1.5, math.nextafter(1.5, math.inf)]
+    unit = ReplayUnit(row_trace(times))
     for _ in range(10):
         unit.do_step(0.1)
-    unit.do_step(0.25)
-    assert unit.current_time == pytest.approx(1.25, abs=1e-12)
-    unit.do_step(0.25)
-    assert unit.current_time == pytest.approx(1.5, abs=1e-12)
+    assert unit.get_output("velocity") == 0.0
+    unit.do_step(0.25)  # t = 1.25 exactly
+    assert unit.get_output("velocity") == 1.0
+    unit.do_step(0.25)  # t = 1.5 exactly
+    assert unit.get_output("velocity") == 3.0
 
 
 def test_determinism_same_inputs_same_outputs():
