@@ -197,13 +197,15 @@ def read_dse_config(path: str | Path) -> DseConfig:
     if not isinstance(raw_params, dict) or not raw_params:
         raise ConfigError(f"{path}: 'parameters' must be a non-empty object")
     parameters: ParameterSpace = {}
-    for ref_text, values in raw_params.items():
-        ref = PortRef.parse(ref_text)  # normalises multi-segment references
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{path}: parameter {ref_text!r} needs a non-empty value list")
-        parameters[ref.render()] = [_parse_grid_value(ref_text, v) for v in values]
-
-    scenarios = _parse_scenarios(doc.get("scenarios"))
+    try:
+        for ref_text, values in raw_params.items():
+            ref = PortRef.parse(ref_text)  # normalises multi-segment references
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"parameter {ref_text!r} needs a non-empty value list")
+            parameters[ref.render()] = [_parse_grid_value(ref_text, v) for v in values]
+        scenarios = _parse_scenarios(doc.get("scenarios"))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     warnings = [f"key {key!r} is not interpreted; ignoring it" for key in sorted(tolerated & set(doc))]
 

@@ -205,6 +205,9 @@ def _build(
             if ref.instance not in config.instances:
                 diagnostics.append(f"{role} {ref.render()!r}: no instance {ref.instance!r}")
             return None  # instance failed to build; already reported
+        if ref.port in unit.parameters:  # a real value, set only at construction
+            diagnostics.append(f"{role} {ref.render()!r}: port is parameter, expected {wanted.value}")
+            return PortDescriptor(ref.port, wanted)
         try:
             port = unit.description.port(ref.port)
         except ContractViolation:

@@ -1,7 +1,8 @@
 """In-process simulation unit contract and unit-type registry.
 
-A simulation unit is a stateful block with named, typed, directed
-ports.  Every unit offers the same four-call protocol: construct it,
+A simulation unit is a stateful block with named, typed, directed ports
+and named real parameters, each declared once by its default and fixed at
+construction.  Every unit offers the same four-call protocol: construct it,
 latch input values with :meth:`SimulationUnit.set_input`, advance it with
 :meth:`SimulationUnit.do_step`, and read results with
 :meth:`SimulationUnit.get_output`; each call checks its arguments.
@@ -29,7 +30,6 @@ from .errors import ContractViolation, UnknownUnitError
 class PortDirection(Enum):
     INPUT = "input"
     OUTPUT = "output"
-    PARAMETER = "parameter"
 
 
 class PortKind(Enum):
@@ -48,7 +48,7 @@ class PortDescriptor:
 
 @dataclass(frozen=True)
 class UnitDescription:
-    """Static description of a unit type: its ports and parameter defaults."""
+    """A unit type's input and output ports and its parameters' defaults; no two share a name."""
 
     unit_type: str
     ports: tuple[PortDescriptor, ...]
@@ -56,30 +56,12 @@ class UnitDescription:
 
     def __post_init__(self):
         seen: set[str] = set()
-        for port in self.ports:
-            if not port.name or "." in port.name or "," in port.name:
-                raise ContractViolation(
-                    f"unit {self.unit_type!r}: bad port name {port.name!r}"
-                )
-            if port.name in seen:
-                raise ContractViolation(
-                    f"unit {self.unit_type!r}: duplicate port {port.name!r}"
-                )
-            seen.add(port.name)
-        params = {
-            p.name for p in self.ports if p.direction is PortDirection.PARAMETER
-        }
-        for name in self.default_parameters:
-            if name not in params:
-                raise ContractViolation(
-                    f"unit {self.unit_type!r}: default for non-parameter port {name!r}"
-                )
-        missing = params - set(self.default_parameters)
-        if missing:
-            raise ContractViolation(
-                f"unit {self.unit_type!r}: parameters without defaults: "
-                + ", ".join(sorted(missing))
-            )
+        for name in [p.name for p in self.ports] + list(self.default_parameters):
+            if not name or "." in name or "," in name:
+                raise ContractViolation(f"unit {self.unit_type!r}: bad port name {name!r}")
+            if name in seen:
+                raise ContractViolation(f"unit {self.unit_type!r}: duplicate port {name!r}")
+            seen.add(name)
 
     def port(self, name: str) -> PortDescriptor:
         for p in self.ports:
@@ -115,9 +97,10 @@ def _check_parameters(checks: Mapping[str, bool]) -> None:
 class SimulationUnit:
     """Base class implementing the checked port protocol.
 
-    Subclasses define a :class:`UnitDescription`, keep their outputs in
-    ``self._outputs``, read their inputs from ``self._inputs``, and implement
-    :meth:`_advance` to move their state forward by one step of ``h`` seconds.
+    Subclasses define a :class:`UnitDescription`, derive their constants
+    from ``self.parameters``, keep their outputs in ``self._outputs``, read
+    their inputs from ``self._inputs``, and implement :meth:`_advance` to
+    move their state forward by one step of ``h`` seconds.
     A unit keeps no clock; one that needs the time counts its own steps.
 
     The orchestrator reads ``_outputs``, writes ``_inputs`` and calls
@@ -153,7 +136,7 @@ class SimulationUnit:
             if port.direction is PortDirection.INPUT:
                 self._input_kinds[port.name] = port.kind
                 self._inputs[port.name] = False if port.kind is PortKind.BOOLEAN else 0.0
-            elif port.direction is PortDirection.OUTPUT:
+            else:
                 self._outputs[port.name] = False if port.kind is PortKind.BOOLEAN else 0.0
 
     def set_input(self, port: str, value) -> None:

@@ -25,7 +25,6 @@ from ..traces import COMMAND_CHANNELS, TimedTrace
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
-_PAR = PortDirection.PARAMETER
 
 REPLAY_DESCRIPTION = UnitDescription(
     unit_type="replay",
@@ -89,9 +88,6 @@ PURE_PURSUIT_DESCRIPTION = UnitDescription(
         PortDescriptor("theta", _IN),
         PortDescriptor("velocity", _OUT),
         PortDescriptor("delta_f", _OUT),
-        PortDescriptor("lookahead", _PAR),
-        PortDescriptor("cruise_speed", _PAR),
-        PortDescriptor("wheelbase", _PAR),
     ),
     default_parameters={"lookahead": 2.0, "cruise_speed": 1.0, "wheelbase": 1.2},
 )
@@ -198,8 +194,6 @@ SUPERVISOR_DESCRIPTION = UnitDescription(
         PortDescriptor("obstacle_distance", _IN),
         PortDescriptor("velocity", _OUT),
         PortDescriptor("stop_engaged", _OUT, PortKind.BOOLEAN),
-        PortDescriptor("decel", _PAR),
-        PortDescriptor("margin", _PAR),
     ),
     default_parameters={"decel": 3.0, "margin": 0.2},
 )

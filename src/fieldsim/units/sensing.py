@@ -31,7 +31,6 @@ from ..simunit import (
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
-_PAR = PortDirection.PARAMETER
 
 
 @dataclass(frozen=True)
@@ -150,10 +149,6 @@ SENSOR_DESCRIPTION = UnitDescription(
         PortDescriptor("theta", _IN),
         PortDescriptor("obstacle_detected", _OUT, PortKind.BOOLEAN),
         PortDescriptor("obstacle_distance", _OUT),
-        PortDescriptor("min_range", _PAR),
-        PortDescriptor("max_range", _PAR),
-        PortDescriptor("fov", _PAR),
-        PortDescriptor("ray_count", _PAR),
     ),
     default_parameters={
         "min_range": 0.5,  # m
@@ -236,8 +231,10 @@ class SensorUnit(SimulationUnit):
         """Least march index at which some ray meets an occupied cell; past the last if none.
 
         Each ray marches only the indices where it is inside the grown box
-        and no nearer than ``gap``, with one index to spare at each end,
-        and stops short of the best hit so far.
+        and no nearer than ``gap``, and stops short of the best hit so far.
+        A point that rounds into an occupied cell is within rounding error
+        of ``gap`` or farther, and a cell inside the grown box, so no hit
+        is lost.
         """
         grid = self._map
         x0, y0, res, width, height, cells = (
@@ -275,8 +272,8 @@ class SensorUnit(SimulationUnit):
                 continue
             if s_in > s_out + march:
                 continue
-            k_in = max(0, floor((s_in - min_range) / march) - 1)
-            k_out = min(last_k, floor((s_out - min_range) / march) + 1)
+            k_in = max(0, floor((s_in - min_range) / march))
+            k_out = min(last_k, floor((s_out - min_range) / march))
             for k in range(k_in, min(k_out + 1, best)):
                 s = min_range + k * march
                 col = floor((x + s * cos_p - x0) / res)

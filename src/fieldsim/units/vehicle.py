@@ -41,7 +41,6 @@ from ..simunit import PortDescriptor, PortDirection, SimulationUnit, UnitDescrip
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
-_PAR = PortDirection.PARAMETER
 
 # nominal parameters of the reference machine; cAlphaR and I_z are
 # recomputed from the others unless explicitly overridden
@@ -53,14 +52,6 @@ VEHICLE_DESCRIPTION = UnitDescription(
         PortDescriptor("x", _OUT),
         PortDescriptor("y", _OUT),
         PortDescriptor("theta", _OUT),
-        PortDescriptor("m_robot", _PAR),
-        PortDescriptor("cAlphaF", _PAR),
-        PortDescriptor("cAlphaR", _PAR),
-        PortDescriptor("mu", _PAR),
-        PortDescriptor("l_f", _PAR),
-        PortDescriptor("l_r", _PAR),
-        PortDescriptor("I_z", _PAR),
-        PortDescriptor("g", _PAR),
     ),
     default_parameters={
         "m_robot": 1000.0,

@@ -2,7 +2,8 @@
 
 The mutants change the vehicle group's class rules, the rule that decides
 what may vary in lock-step, the interpolation of lock-step scoring, the
-replay's clock and the heading wrap.
+replay's clock, the heading wrap, the sensor's clipping box and pose memo,
+and the name check of a unit's parameters.
 
 A mutant is a file under ``src/``, an exact old text, the new text that
 replaces it and a selection of tests.  For each mutant the script copies
@@ -37,6 +38,8 @@ VEHICLE = "fieldsim/units/vehicle.py"
 ORCHESTRATOR = "fieldsim/orchestrator.py"
 DSE = "fieldsim/dse.py"
 CONTROL = "fieldsim/units/control.py"
+SENSING = "fieldsim/units/sensing.py"
+SIMUNIT = "fieldsim/simunit.py"
 LOCKSTEP = "tests/test_lockstep.py"
 SPLITS = f"{LOCKSTEP}::test_copies_split_only_when_a_step_gives_them_different_bits"
 REAR = f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class"
@@ -46,6 +49,9 @@ INTERPOLATES = f"{LOCKSTEP}::test_sweep_interpolates_between_steps_as_align_does
 REPLAY_FOLDS = "tests/test_simunit.py::test_time_base_folds_on_step_change"
 REPLAY_CURSOR = "tests/test_plan.py::test_replay_cursor_picks_the_row_bisect_picks"
 WRAPS = "tests/test_vehicle.py::test_heading_within_one_turn_wraps_as_the_loop_did"
+EDGE_POSES = "tests/test_units.py::test_sensor_edge_poses_match_full_march"
+TURNED = "tests/test_units.py::test_sensor_turned_in_place_matches_full_march"
+NAME_CLASH = "tests/test_simunit.py::test_duplicate_port_rejected"
 
 
 class Mutant(NamedTuple):
@@ -136,6 +142,28 @@ MUTANTS = {
         "theta = remainder(theta, 2.0 * pi)",
         'theta = __import__("math").fmod(theta, 2.0 * pi)',
         (WRAPS,),
+    ),
+    # rays are clipped to the occupied box itself, so a point that rounds into
+    # an edge cell from outside the box is never marched
+    "box-not-grown": Mutant(
+        SENSING,
+        "box = (box[0] - res, box[1] - res, box[2] + res, box[3] + res)",
+        "box = box",
+        (EDGE_POSES,),
+    ),
+    # a step that only turns the sensor repeats the last result
+    "pose-memo-ignores-heading": Mutant(
+        SENSING,
+        "if pose == self._pose:",
+        "if self._pose and pose[:2] == self._pose[:2]:",
+        (TURNED,),
+    ),
+    # a parameter may share a port's name
+    "parameter-names-unchecked": Mutant(
+        SIMUNIT,
+        "for name in [p.name for p in self.ports] + list(self.default_parameters):",
+        "for name in [p.name for p in self.ports]:",
+        (NAME_CLASH,),
     ),
 }
 

@@ -499,7 +499,7 @@ def test_a_sweep_scenario_named_outside_its_directory_exits_2_and_writes_nothing
         "--artifacts", tmp_path / "art",
     )
     assert code == 2
-    assert f"bad scenario name {name!r}" in stderr
+    assert f"{tmp_path / 'sweep.json'}: bad scenario name {name!r}" in stderr
     assert sorted(tmp_path.rglob("*")) == before
 
 

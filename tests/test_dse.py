@@ -373,15 +373,19 @@ def test_read_dse_config_records_tolerated_keys(tmp_path):
 def test_read_dse_config_rejections(tmp_path, mutate, fragment):
     doc = json.loads(json.dumps(BASE_DOC))
     mutate(doc)
-    with pytest.raises(ConfigError, match=fragment):
-        read_dse_config(write_config(tmp_path, doc))
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=fragment) as info:
+        read_dse_config(path)
+    assert str(info.value).startswith(f"{path}: ")  # every error names its file
 
 
 @pytest.mark.parametrize("name", [".", "..", "../escaped", "a/b", "a\\b", "a\nb", "a\rb"])
 def test_read_dse_config_rejects_a_scenario_name_that_leaves_its_directory_or_field(tmp_path, name):
     doc = dict(BASE_DOC, scenarios=["sin1", name])
-    with pytest.raises(ConfigError, match="bad scenario name"):
-        read_dse_config(write_config(tmp_path, doc))
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="bad scenario name") as info:
+        read_dse_config(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_read_dse_config_rejects_a_document_that_is_not_an_object(tmp_path):

@@ -73,13 +73,12 @@ SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
-_PAR = PortDirection.PARAMETER
 
 
 class TalkerUnit(SimulationUnit):
     """Outputs the string "fast" on its real output from step ``at`` on (0: from the start)."""
 
-    DESC = UnitDescription("talker", (PortDescriptor("v", _OUT), PortDescriptor("at", _PAR)), {"at": 0.0})
+    DESC = UnitDescription("talker", (PortDescriptor("v", _OUT),), {"at": 0.0})
 
     def __init__(self, parameters=None):
         super().__init__(self.DESC, parameters)
@@ -95,7 +94,7 @@ class TalkerUnit(SimulationUnit):
 class FuseUnit(SimulationUnit):
     """Raises on its step number ``at``."""
 
-    DESC = UnitDescription("fuse", (PortDescriptor("y", _OUT), PortDescriptor("at", _PAR)), {"at": 1.0})
+    DESC = UnitDescription("fuse", (PortDescriptor("y", _OUT),), {"at": 1.0})
 
     def __init__(self, parameters=None):
         super().__init__(self.DESC, parameters)
@@ -115,8 +114,7 @@ class HugeUnit(SimulationUnit):
 
     DESC = UnitDescription(
         "huge",
-        (PortDescriptor("x", _OUT), PortDescriptor("y", _OUT), PortDescriptor("z", _OUT),
-         PortDescriptor("inf_at", _PAR)),
+        (PortDescriptor("x", _OUT), PortDescriptor("y", _OUT), PortDescriptor("z", _OUT)),
         {"inf_at": 0.0},
     )
 
@@ -135,7 +133,7 @@ class HugeUnit(SimulationUnit):
 class SpikeUnit(SimulationUnit):
     """Outputs 0.0 on y, and nan from its step number ``at`` on (0: never)."""
 
-    DESC = UnitDescription("spike", (PortDescriptor("y", _OUT), PortDescriptor("at", _PAR)), {"at": 0.0})
+    DESC = UnitDescription("spike", (PortDescriptor("y", _OUT),), {"at": 0.0})
 
     def __init__(self, parameters=None):
         super().__init__(self.DESC, parameters)
@@ -417,8 +415,7 @@ class SteerUnit(SimulationUnit):
 
     DESC = UnitDescription(
         "steer",
-        (PortDescriptor("delta_f", _OUT), PortDescriptor("sign", _PAR), PortDescriptor("at", _PAR),
-         PortDescriptor("angle", _PAR)),
+        (PortDescriptor("delta_f", _OUT),),
         {"sign": 1.0, "at": 0.0, "angle": 0.0},
     )
 

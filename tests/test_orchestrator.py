@@ -25,7 +25,7 @@ from fieldsim.simunit import (
     UnitRegistry,
 )
 from fieldsim.traces import TimedTrace, generate_scenario, ScenarioSpec, read_trace_csv
-from fieldsim.units import default_registry, replay_factory
+from fieldsim.units import VehicleUnit, default_registry, replay_factory
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
@@ -187,18 +187,23 @@ def test_validate_clean_config_has_no_diagnostics():
 
 def test_validate_reports_every_problem_at_once():
     config = MultiModelConfig(
-        instances={"c": InstanceSpec("counter"), "e": InstanceSpec("echo")},
+        instances={"c": InstanceSpec("counter"), "e": InstanceSpec("echo"),
+                   "a": InstanceSpec("vehicle"), "b": InstanceSpec("vehicle")},
         connections=[
             Connection(PortRef("c", "zz"), PortRef("e", "u")),
             Connection(PortRef("c", "n"), PortRef("e", "u")),
             Connection(PortRef("c", "n"), PortRef("e", "u")),
             Connection(PortRef("ghost", "n"), PortRef("e", "y")),
+            Connection(PortRef("a", "x"), PortRef("b", "mu")),
+            Connection(PortRef("a", "mu"), PortRef("b", "velocity")),
         ],
-        outputs=[PortRef("e", "u")],
+        outputs=[PortRef("e", "u"), PortRef("a", "mu")],
         step_size=-1.0,
         duration=1.0,
     )
-    diags = validate_config(config, probe_registry())
+    registry = probe_registry()
+    registry.register("vehicle", VehicleUnit)
+    diags = validate_config(config, registry)
     joined = "\n".join(diags)
     assert "step_size must be positive" in joined
     assert "connection source 'c.zz': no such port" in joined
@@ -207,7 +212,11 @@ def test_validate_reports_every_problem_at_once():
     # e.y is an output, so wiring it as a sink is also flagged
     assert "port is output, expected input" in joined
     assert "recorded output 'e.u': port is input, expected output" in joined
-    assert len(diags) >= 6
+    # a parameter is neither an input nor an output
+    assert "connection sink 'b.mu': port is parameter, expected input" in joined
+    assert "connection source 'a.mu': port is parameter, expected output" in joined
+    assert "recorded output 'a.mu': port is parameter, expected output" in joined
+    assert len(diags) >= 9
 
 
 def test_validate_config_lists_every_bad_parameter_of_an_instance():
@@ -439,7 +448,7 @@ class HugeUnit(SimulationUnit):
 
     DESC = UnitDescription(
         "huge",
-        (PortDescriptor("y", _OUT), PortDescriptor("scale", PortDirection.PARAMETER)),
+        (PortDescriptor("y", _OUT),),
         {"scale": 1.0},
     )
 

@@ -19,7 +19,6 @@ from fieldsim.units import ReplayUnit
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
-_PAR = PortDirection.PARAMETER
 
 PROBE_DESCRIPTION = UnitDescription(
     unit_type="probe",
@@ -28,7 +27,6 @@ PROBE_DESCRIPTION = UnitDescription(
         PortDescriptor("flag", _IN, PortKind.BOOLEAN),
         PortDescriptor("y", _OUT),
         PortDescriptor("seen", _OUT, PortKind.BOOLEAN),
-        PortDescriptor("gain", _PAR),
     ),
     default_parameters={"gain": 2.0},
 )
@@ -49,28 +47,22 @@ class ProbeUnit(SimulationUnit):
 
 
 def test_duplicate_port_rejected():
-    with pytest.raises(ContractViolation, match="duplicate port"):
+    with pytest.raises(ContractViolation, match="duplicate port 'a'"):
         UnitDescription("bad", (PortDescriptor("a", _IN), PortDescriptor("a", _OUT)))
+    with pytest.raises(ContractViolation, match="duplicate port 'a'"):
+        UnitDescription("bad", (PortDescriptor("a", _IN),), {"a": 1.0})  # a parameter named like an input
 
 
 @pytest.mark.parametrize("name", ["", "a.b", "a,b"])
 def test_bad_port_name_rejected(name):
     with pytest.raises(ContractViolation, match="bad port name"):
         UnitDescription("bad", (PortDescriptor(name, _IN),))
-
-
-def test_parameter_port_needs_default():
-    with pytest.raises(ContractViolation, match="without defaults"):
-        UnitDescription("bad", (PortDescriptor("k", _PAR),))
-
-
-def test_default_for_non_parameter_port_rejected():
-    with pytest.raises(ContractViolation, match="non-parameter port"):
-        UnitDescription("bad", (PortDescriptor("u", _IN),), {"u": 1.0})
+    with pytest.raises(ContractViolation, match="bad port name"):
+        UnitDescription("bad", (PortDescriptor("u", _IN),), {name: 1.0})
 
 
 def test_port_lookup():
-    assert PROBE_DESCRIPTION.port("gain").direction is _PAR
+    assert PROBE_DESCRIPTION.port("y").direction is _OUT
     with pytest.raises(ContractViolation, match="no port"):
         PROBE_DESCRIPTION.port("nope")
 

@@ -540,6 +540,18 @@ def test_sensor_single_ray():
     assert assert_matches_march(BLOCK, ONE_RAY, 6.5, 8.0, math.pi) == -1.0
 
 
+def test_sensor_turned_in_place_matches_full_march():
+    # one unit, one position: each step turns it to a heading that sees another distance
+    unit = SensorUnit(BLOCK, ONE_RAY)
+    unit.set_input("x", 6.5)
+    unit.set_input("y", 8.0)
+    for theta in (0.0, math.pi, 0.0, math.pi / 4, -math.pi / 2):
+        unit.set_input("theta", theta)
+        unit.do_step(0.1)
+        assert unit.get_output("obstacle_distance") == march_every_ray(unit, BLOCK, 6.5, 8.0, theta)
+    assert unit.get_output("obstacle_distance") == -1.0
+
+
 def test_sensor_pose_inside_occupied_box():
     params = {"min_range": 0.0, "max_range": 2.0}
     assert assert_matches_march(BLOCK, params, 8.1, 7.8, 0.3) == 0.0
