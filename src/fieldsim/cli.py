@@ -65,7 +65,7 @@ def _cmd_cosim(args) -> int:
 
 def _cmd_scenario_gen(args) -> int:
     spec = ScenarioSpec(
-        name=args.name,
+        name="scenario",
         kind=args.kind,
         duration=args.duration,
         base_speed=args.base_speed,
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario-gen", help="generate a synthetic command trace")
     p.add_argument("--kind", required=True, choices=SCENARIO_KINDS)
-    p.add_argument("--name", default="scenario")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--base-speed", dest="base_speed", type=float, required=True)
     p.add_argument("--amplitude", type=float, default=0.0)

@@ -150,13 +150,12 @@ def validate_config(config: MultiModelConfig, registry: UnitRegistry) -> list[st
 
 
 def _build(
-    config: MultiModelConfig, registry: UnitRegistry, prebuilt: Mapping[str, SimulationUnit] = {}
+    config: MultiModelConfig, registry: UnitRegistry
 ) -> tuple[dict[str, SimulationUnit], int, list[str]]:
-    """Build every instance and check the config.
+    """Build every instance of one config and check the config.
 
     Returns the units, the step count and every diagnostic; the units and
-    the step count are only usable when there is no diagnostic.  Instances
-    named in ``prebuilt`` take that unit instead of a new one.
+    the step count are only usable when there is no diagnostic.
     """
     diagnostics: list[str] = []
     n_steps = 0
@@ -191,9 +190,6 @@ def _build(
 
     units: dict[str, SimulationUnit] = {}
     for name, spec in config.instances.items():
-        if name in prebuilt:
-            units[name] = prebuilt[name]
-            continue
         try:
             units[name] = registry.instantiate(spec.unit_type, spec.parameters)
         except (UnknownUnitError, ContractViolation) as exc:
@@ -264,21 +260,22 @@ def lockstep_cosim(
 ) -> tuple[list[str], list[float], Iterator[list[float]]]:
     """Run configs that differ only in instance parameters side by side.
 
-    An instance whose spec is the same in every config is built and
-    stepped once.  The configs may vary only instances of a unit type
-    that groups its copies (``SimulationUnit._group``), and such an
-    instance may feed no other: then every instance sees the same inputs
-    in every config, and the copies of a varying one step as one group.
-    Any other set of configs raises :class:`ConfigError` before the
-    second config is built; run each config on its own instead.  With one
-    config nothing varies, which is :func:`run_cosim`.  Once every port is
-    checked, the loop reads ``_outputs``, writes ``_inputs`` and calls
-    ``_advance`` of units and groups alike.
+    The first config is built and checked in full.  The configs share
+    their layout, so the others build only their copies of the instances
+    whose spec varies; the rest are built and stepped once.  The configs
+    may vary only instances of a unit type that groups its copies
+    (``SimulationUnit._group``), and such an instance may feed no other:
+    then every instance sees the same inputs in every config, and the
+    copies of a varying one step as one group.  Any other set of configs
+    raises :class:`ConfigError` before a second copy is built; run each
+    config on its own instead.  With one config nothing varies, which is
+    :func:`run_cosim`.  The loop reads ``_outputs``, writes ``_inputs``
+    and calls ``_advance`` of units and groups alike.
 
     Returns the channels, the row times (``k * step_size``) and an
     iterator over the rows.  Each row is flat, ordered by channel and
     then by config: config ``p`` of ``n`` recorded ``row[p::n]``.  Raises
-    :class:`ConfigError` with all diagnostics when a config is invalid.
+    :class:`ConfigError` with every diagnostic of the first invalid config.
     The iterator raises :class:`SimulationError` naming the connection,
     instance or recorded output that failed and the time.  A recorded
     value that is not finite fails the run only after the last row,
@@ -297,27 +294,30 @@ def lockstep_cosim(
         if any(config.instances[name] != spec for config in configs)
     ]
 
-    built: list[dict[str, SimulationUnit]] = []  # each config's units
-    prebuilt: dict[str, SimulationUnit] = {}
-    for config in configs:
-        units, n_steps, diagnostics = _build(config, registry, prebuilt)
+    units, n_steps, diagnostics = _build(first, registry)
+    if diagnostics:
+        raise ConfigError("invalid multi-model configuration", diagnostics)
+    for name in varying:
+        if units[name]._group is None:
+            raise ConfigError(f"instance {name!r} varies, but its copies do not step as one group")
+        if any(c.source.instance == name for c in first.connections):
+            raise ConfigError(f"instance {name!r} varies and feeds another instance")
+    copies = {name: [units[name]] for name in varying}
+    for config in configs[1:]:
+        for name in varying:
+            spec = config.instances[name]
+            try:
+                copies[name].append(registry.instantiate(spec.unit_type, spec.parameters))
+            except ContractViolation as exc:
+                diagnostics.append(f"instance {name!r}: {exc}")
         if diagnostics:
             raise ConfigError("invalid multi-model configuration", diagnostics)
-        if not built:
-            for name in varying:
-                if units[name]._group is None:
-                    raise ConfigError(f"instance {name!r} varies, but its copies do not step as one group")
-                if any(c.source.instance == name for c in first.connections):
-                    raise ConfigError(f"instance {name!r} varies and feeds another instance")
-            prebuilt = {name: unit for name, unit in units.items() if name not in varying}
-        built.append(units)
 
     n, h = len(configs), float(first.step_size)
     # a shared instance is its own endpoint; the copies of a varying one step
     # as one group, whose outputs hold one value per config
     endpoints = {
-        name: unit._group([each[name] for each in built]) if name in varying else unit
-        for name, unit in built[0].items()
+        name: unit._group(copies[name]) if name in copies else unit for name, unit in units.items()
     }
     # (read, write, real sink, connection): every source is shared, so its
     # value is read and checked once, and a group takes it for all its copies;
@@ -325,7 +325,7 @@ def lockstep_cosim(
     exchange = [
         (partial(endpoints[c.source.instance]._outputs.__getitem__, c.source.port),
          partial(setitem, endpoints[c.sink.instance]._inputs, c.sink.port),
-         built[0][c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL, c)
+         units[c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL, c)
         for c in first.connections
     ]
     # shared instances step first, then the groups, each in config order

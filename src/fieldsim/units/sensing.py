@@ -31,6 +31,9 @@ from ..simunit import (
 
 _IN = PortDirection.INPUT
 _OUT = PortDirection.OUTPUT
+# a step's cost grows with the ray count; at fov 2*pi and a 10 m range, this
+# many rays sit 6.3 mm apart, far finer than any map cell
+MAX_RAYS = 10_000
 
 
 @dataclass(frozen=True)
@@ -162,11 +165,11 @@ SENSOR_DESCRIPTION = UnitDescription(
 class SensorUnit(SimulationUnit):
     """Casts rays into a grid map and reports the nearest obstacle.
 
-    ``ray_count`` rays span ``fov`` radians centred on the heading; each
-    marches from ``min_range`` to ``max_range`` in steps of half the map
-    resolution.  Obstacles nearer than ``min_range`` sit in the blind
-    zone and are invisible.  With no hit, ``obstacle_detected`` is False
-    and ``obstacle_distance`` is -1.
+    ``ray_count`` rays, at most ``MAX_RAYS``, span ``fov`` radians centred
+    on the heading; each marches from ``min_range`` to ``max_range`` in
+    steps of half the map resolution.  Obstacles nearer than ``min_range``
+    sit in the blind zone and are invisible.  With no hit,
+    ``obstacle_detected`` is False and ``obstacle_distance`` is -1.
 
     The march only visits points that can lie in an occupied cell: rays
     are clipped to the occupied box grown by one cell, and march from the
@@ -186,6 +189,7 @@ class SensorUnit(SimulationUnit):
                 p["max_range"] <= p["min_range"],
             f"fov must be in (0, 2*pi], got {p['fov']}": not 0.0 < p["fov"] <= 2.0 * pi,
             f"ray_count must be a positive integer, got {rays}": rays < 1 or rays != int(rays),
+            f"ray_count must be at most {MAX_RAYS}, got {rays}": rays > MAX_RAYS,
         })
         self._map = grid_map
         self._rays = int(rays)

@@ -1,9 +1,10 @@
 """Mutation check: each named mutant of an exact fast path must fail a test.
 
 The mutants change the vehicle group's class rules, the rule that decides
-what may vary in lock-step, the interpolation of lock-step scoring, the
-replay's clock, the heading wrap, the sensor's clipping box and pose memo,
-and the name check of a unit's parameters.
+what may vary in lock-step, how lock-step builds the copies of a varying
+instance, the interpolation of lock-step scoring, the replay's clock, the
+heading wrap, the sensor's clipping box and pose memo, and the name check
+of a unit's parameters.
 
 A mutant is a file under ``src/``, an exact old text, the new text that
 replaces it and a selection of tests.  For each mutant the script copies
@@ -45,6 +46,8 @@ SPLITS = f"{LOCKSTEP}::test_copies_split_only_when_a_step_gives_them_different_b
 REAR = f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class"
 FIRST_FAILING = f"{LOCKSTEP}::test_a_classed_group_fails_at_the_first_failing_copy"
 SHARES = f"{LOCKSTEP}::test_lockstep_shares_only_what_sees_the_same_inputs"
+NAMES_VEHICLE = f"{LOCKSTEP}::test_lockstep_names_the_vehicle_that_fails"
+BAD_COPY = f"{LOCKSTEP}::test_a_bad_vehicle_copy_fails_as_its_own_config"
 INTERPOLATES = f"{LOCKSTEP}::test_sweep_interpolates_between_steps_as_align_does"
 REPLAY_FOLDS = "tests/test_simunit.py::test_time_base_folds_on_step_change"
 REPLAY_CURSOR = "tests/test_plan.py::test_replay_cursor_picks_the_row_bisect_picks"
@@ -121,6 +124,20 @@ MUTANTS = {
         "if any(c.source.instance == name for c in first.connections):",
         "if False:",
         (SHARES,),
+    ),
+    # every config's copy of a varying vehicle is built from the first config's spec
+    "copies-from-the-first-spec": Mutant(
+        ORCHESTRATOR,
+        "spec = config.instances[name]",
+        "spec = first.instances[name]",
+        (NAMES_VEHICLE,),
+    ),
+    # a copy that fails to build is left out, and the slice runs without it
+    "copy-diagnostic-dropped": Mutant(
+        ORCHESTRATOR,
+        'except ContractViolation as exc:\n                diagnostics.append(f"instance {name!r}: {exc}")',
+        "except ContractViolation:\n                pass",
+        (BAD_COPY,),
     ),
     # a reference row between two steps weighs them the wrong way round
     "interpolation-weight": Mutant(

@@ -483,6 +483,20 @@ def test_a_suite_run_named_dot_dot_exits_2_and_writes_nothing(tmp_path, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_a_suite_run_with_too_many_sensor_rays_exits_2_and_writes_nothing(tmp_path, capsys):
+    shutil.copy(SAMPLES / "field.map", tmp_path)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(
+        {"map": "field.map", "runs": [{"id": "a", "speed": 2.0, "sensor": {"ray_count": 1e9}}]}
+    ))
+    code, _, stderr = run_cli(
+        capsys, "safety-run", "--suite", suite, "--evidence-dir", tmp_path / "evidence"
+    )
+    assert code == 2
+    assert "ray_count must be at most 10000, got 1000000000.0" in stderr
+    assert not (tmp_path / "evidence").exists()
+
+
 @pytest.mark.parametrize("name", ["../escaped", "a\nb"])
 def test_a_sweep_scenario_named_outside_its_directory_exits_2_and_writes_nothing(
     tmp_path, capsys, name

@@ -708,6 +708,22 @@ def test_lockstep_names_the_vehicle_that_fails():
         list(lockstep_cosim(configs, sin_registry())[2])
 
 
+def test_a_bad_vehicle_copy_fails_as_its_own_config(tmp_path):
+    # the first config is built in full, the others only as the vehicle's copies;
+    # the first config with a bad copy raises that copy's diagnostic alone
+    bad_mu = "instance 'veh': vehicle parameter mu must be in (0, 2], got 5.0"
+    configs = [_apply_assignment(replay_vehicle(), {"veh.mu": mu}) for mu in (0.3, 0.4, 5.0)]
+    with pytest.raises(ConfigError) as lockstep:
+        lockstep_cosim(configs, sin_registry())
+    assert str(lockstep.value) == "invalid multi-model configuration"
+    assert lockstep.value.diagnostics == [bad_mu]
+    config = sweep_config(tmp_path, replay_vehicle(), {"veh.mu": [0.3, 5.0]})
+    for workers in (1, 2):
+        with pytest.raises(ConfigError) as sweep:
+            run_sweep(config, workers=workers)
+        assert (str(sweep.value), sweep.value.diagnostics) == (str(lockstep.value), [bad_mu])
+
+
 def test_sweep_raises_the_failing_vehicle_points_own_error(tmp_path, monkeypatch):
     # one scenario on one worker: four slices of two points, the first of them failing in lock-step
     i_z = [360.0, 1e-310, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0]

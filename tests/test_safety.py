@@ -719,6 +719,10 @@ def test_read_fault_tree_rejects_malformed_events():
         read_fault_tree({"top": "t", "events": []})
     with pytest.raises(ConfigError, match="'children' must be a list of names"):
         read_fault_tree({"top": "t", "events": {"t": {"gate": "or", "children": "ab"}}})
+    with pytest.raises(ConfigError, match="^event 't' needs a 'gate'$"):
+        read_fault_tree({"top": "t", "events": {"t": {"label": "top", "children": []}}})
+    with pytest.raises(ConfigError, match="^event 't' needs a 'gate'$"):
+        read_fault_tree({"top": "t", "events": {"t": "basic"}})
 
 
 def test_failed_rerun_leaves_no_stale_results(tmp_path, monkeypatch):

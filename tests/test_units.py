@@ -29,6 +29,7 @@ from fieldsim.units import (
     read_grid_map,
     write_grid_map,
 )
+from fieldsim.units.sensing import MAX_RAYS
 
 
 # --- replay source ----------------------------------------------------------
@@ -430,6 +431,10 @@ def test_sensor_parameter_validation():
         SensorUnit(grid, {"fov": 7.0})
     with pytest.raises(ContractViolation, match="ray_count"):
         SensorUnit(grid, {"ray_count": 2.5})
+    empty = GridMap(1, 1, 0.5, 0.0, 0.0, (0,))  # nothing in reach, so construction marches no ray
+    assert SensorUnit(empty, {"ray_count": float(MAX_RAYS)})._rays == MAX_RAYS
+    with pytest.raises(ContractViolation, match=rf"^ray_count must be at most {MAX_RAYS}, got 10001\.0$"):
+        SensorUnit(empty, {"ray_count": MAX_RAYS + 1.0})
 
 
 @pytest.mark.parametrize("make, message", [
@@ -443,6 +448,8 @@ def test_sensor_parameter_validation():
     (lambda: SensorUnit(GridMap(1, 1, 0.5, 0.0, 0.0, (1,)), {"min_range": -0.5, "fov": 7.0, "ray_count": 0.0}),
      "min_range must be non-negative, got -0.5; fov must be in (0, 2*pi], got 7.0; "
      "ray_count must be a positive integer, got 0.0"),
+    (lambda: SensorUnit(GridMap(1, 1, 0.5, 0.0, 0.0, (0,)), {"fov": 7.0, "ray_count": 1e9}),
+     "fov must be in (0, 2*pi], got 7.0; ray_count must be at most 10000, got 1000000000.0"),
 ])
 def test_a_unit_reports_every_bad_parameter_at_once(make, message):
     with pytest.raises(ContractViolation) as exc:
