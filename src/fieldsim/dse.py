@@ -21,12 +21,13 @@ from typing import Iterable, Mapping
 from ._shared import fan_out, is_plain_name, read_csv_table, read_json
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
+    MAX_RECORDED_VALUES,
     InstanceSpec,
     MultiModelConfig,
     PortRef,
     load_multimodel,
     lockstep_cosim,
-    run_cosim,
+    run_cosim,  # unused here, as is align: perfbench's tracer wraps dse.run_cosim and dse.align
     write_results_csv,
 )
 from .simunit import UnitRegistry
@@ -256,41 +257,33 @@ def _apply_assignment(mm: MultiModelConfig, assignment: ParameterAssignment) -> 
     return replace(mm, instances=instances)
 
 
-def _run_point(
-    mm: MultiModelConfig,
-    registry: UnitRegistry,
-    reference: TimedTrace,
-    assignment: ParameterAssignment,
-    run_dir: Path | None = None,
-) -> tuple[float, float]:
-    """Run and score one (scenario, assignment) point on its own."""
-    simulated = run_cosim(_apply_assignment(mm, assignment), registry)
-    mean_error, max_error = cross_track_error(align(reference, simulated))
-    if run_dir is not None:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_results_csv(simulated, run_dir / "results.csv")
-        write_objectives_json(run_dir / "objectives.json", mean_error, max_error)
-    return mean_error, max_error
-
-
 def _lockstep_scores(
     mm: MultiModelConfig,
     registry: UnitRegistry,
     reference: TimedTrace,
     assignments: list[ParameterAssignment],
+    run_dirs: list[Path] | None = None,
 ) -> list[tuple[float, float]]:
     """``cross_track_error(align(reference, ...))`` of each point, run in lock-step.
 
     Each reference row is scored as soon as the simulated rows it needs
     exist, in reference order and with the arithmetic of :func:`align` and
-    :func:`cross_track_error`, so the scores are theirs exactly and only
-    the last two rows of each point are kept.
+    :func:`cross_track_error`, so the scores are theirs exactly.  With
+    ``run_dirs`` the slice keeps its rows (over ``MAX_RECORDED_VALUES``
+    values, :class:`ConfigError` before the first step) and after the last
+    one writes point ``p``'s files to ``run_dirs[p]``; without, it keeps
+    only the last two rows of each point.
     """
     if not reference.times:
         raise ConfigError("cannot compute cross-track error of an empty alignment")
     channels, times, rows = lockstep_cosim(
         [_apply_assignment(mm, a) for a in assignments], registry
     )
+    n = len(assignments)
+    if run_dirs is not None:
+        if len(times) * len(channels) * n > MAX_RECORDED_VALUES:
+            raise ConfigError(f"a slice of {n} runs would record over {MAX_RECORDED_VALUES} values")
+        rows = list(rows)
     sx, sy = position_channels(TimedTrace(channels, [], []))
     ix, iy = channels.index(sx), channels.index(sy)
     rx, ry = position_channels(reference)
@@ -300,7 +293,6 @@ def _lockstep_scores(
     for (j, w), x, y in zip(slots, reference.column(rx), reference.column(ry)):
         due[j if w is None else j + 1].append((x, y, w))
 
-    n = len(assignments)
     totals = [0.0] * n
     worst = [0.0] * n
     sqrt = math.sqrt
@@ -324,7 +316,12 @@ def _lockstep_scores(
     # equal scores share one tuple, which pickle sends once; no score is -0.0
     # (a distance is the sqrt of a sum of squares), so value keys merge no bits
     same: dict[tuple[float, float], tuple[float, float]] = {}
-    return [same.setdefault(s, s) for s in scores]
+    scores = [same.setdefault(s, s) for s in scores]
+    for p, run_dir in enumerate(run_dirs or ()):
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_results_csv(TimedTrace(channels, times, [row[p::n] for row in rows]), run_dir / "results.csv")
+        write_objectives_json(run_dir / "objectives.json", *scores[p])
+    return scores
 
 
 def _check_positions(what: str | Path, trace: TimedTrace) -> None:
@@ -336,11 +333,13 @@ def _check_positions(what: str | Path, trace: TimedTrace) -> None:
 
 
 def _run_task(task) -> list[tuple[float, float]]:
-    """Score one scenario's grid slice; used by worker processes too.
+    """Score one scenario's grid slice and write its artifacts; used by worker processes too.
 
-    Without artifacts the slice runs in lock-step.  With artifacts, or
-    when lock-step declines the slice or the run fails, each point runs
-    on its own, so a failure raises the first failing point's own error.
+    The slice runs in lock-step.  When lock-step declines it, its rows
+    would exceed the artifact budget or the run fails, each point runs on
+    its own, in grid order and through the same function, so a failure
+    raises the first failing point's own error after the points before it
+    have their files.
     """
     mm, inputs_path, reference_path, assignments, run_dirs = task
     inputs_trace = read_trace_csv(inputs_path, COMMAND_CHANNELS)
@@ -348,14 +347,13 @@ def _run_task(task) -> list[tuple[float, float]]:
     _check_positions(reference_path, reference)
     registry = default_registry()
     registry.register("replay", replay_factory(inputs_trace))
-    if run_dirs is None:
-        try:
-            return _lockstep_scores(mm, registry, reference, assignments)
-        except (ConfigError, SimulationError):
-            run_dirs = [None] * len(assignments)
+    try:
+        return _lockstep_scores(mm, registry, reference, assignments, run_dirs)
+    except (ConfigError, SimulationError):
+        pass  # run each point alone, with its own run directory if any
     return [
-        _run_point(mm, registry, reference, assignment, run_dir)
-        for assignment, run_dir in zip(assignments, run_dirs)
+        _lockstep_scores(mm, registry, reference, [assignment], run_dirs and run_dirs[p:p + 1])[0]
+        for p, assignment in enumerate(assignments)
     ]
 
 

@@ -2,7 +2,8 @@
 
 The mutants change the vehicle group's class rules, the rule that decides
 what may vary in lock-step, how lock-step builds the copies of a varying
-instance, the interpolation of lock-step scoring, the replay's clock, the
+instance, the interpolation of lock-step scoring, the artifacts a
+lock-stepped slice writes and its memory budget, the replay's clock, the
 heading wrap, the sensor's clipping box and pose memo, and the name check
 of a unit's parameters.
 
@@ -49,6 +50,8 @@ SHARES = f"{LOCKSTEP}::test_lockstep_shares_only_what_sees_the_same_inputs"
 NAMES_VEHICLE = f"{LOCKSTEP}::test_lockstep_names_the_vehicle_that_fails"
 BAD_COPY = f"{LOCKSTEP}::test_a_bad_vehicle_copy_fails_as_its_own_config"
 INTERPOLATES = f"{LOCKSTEP}::test_sweep_interpolates_between_steps_as_align_does"
+ARTIFACTS = f"{LOCKSTEP}::test_a_lockstepped_slice_writes_each_points_own_artifacts"
+OVER_BUDGET = f"{LOCKSTEP}::test_an_artifact_slice_over_the_budget_runs_its_points_alone"
 REPLAY_FOLDS = "tests/test_simunit.py::test_time_base_folds_on_step_change"
 REPLAY_CURSOR = "tests/test_plan.py::test_replay_cursor_picks_the_row_bisect_picks"
 WRAPS = "tests/test_vehicle.py::test_heading_within_one_turn_wraps_as_the_loop_did"
@@ -145,6 +148,27 @@ MUTANTS = {
         "at_x = [a + w * (b - a) for a, b in zip(last_x, xs)]",
         "at_x = [a + (1 - w) * (b - a) for a, b in zip(last_x, xs)]",
         (INTERPOLATES,),
+    ),
+    # every point of an artifact slice gets the first point's trajectory
+    "artifacts-of-point-0": Mutant(
+        DSE,
+        "[row[p::n] for row in rows]",
+        "[row[0::n] for row in rows]",
+        (ARTIFACTS,),
+    ),
+    # every point of an artifact slice gets the last point's objectives
+    "objectives-of-the-last-point": Mutant(
+        DSE,
+        'write_objectives_json(run_dir / "objectives.json", *scores[p])',
+        'write_objectives_json(run_dir / "objectives.json", *scores[-1])',
+        (ARTIFACTS,),
+    ),
+    # an artifact slice keeps its rows however many values they hold
+    "artifact-budget-unchecked": Mutant(
+        DSE,
+        "if len(times) * len(channels) * n > MAX_RECORDED_VALUES:",
+        "if False:",
+        (OVER_BUDGET,),
     ),
     # a new step size restarts the replay's time at 0, not at the time so far
     "replay-time-not-folded": Mutant(

@@ -152,6 +152,15 @@ def test_optimize_tie_keeps_first_grid_entry():
     assert total == 0.5
 
 
+def test_optimize_tie_keeps_the_first_scenarios_first_assignment():
+    # the scenarios interleave, and the table's second row lists the other
+    # assignment first; both total 3.0, so the first scenario's order decides
+    a1, a2 = {"veh.a": 1.0}, {"veh.a": 2.0}
+    rows = [SweepRow("A", a1, 1.0, 1.0), SweepRow("B", a2, 1.0, 1.0),
+            SweepRow("A", a2, 2.0, 2.0), SweepRow("B", a1, 2.0, 2.0)]
+    assert optimize(rows) == (a1, 3.0)
+
+
 def test_optimize_matches_brute_force():
     rng = random.Random(23)
     for _ in range(40):
@@ -636,7 +645,6 @@ def test_sweep_without_position_channels_fails_before_any_run(
     def forbidden(*args):
         raise AssertionError("the sweep simulated a point")
 
-    monkeypatch.setattr(dse, "run_cosim", forbidden)
     monkeypatch.setattr(dse, "lockstep_cosim", forbidden)
     for artifacts_dir in (None, tmp_path / "artifacts"):
         with pytest.raises(ConfigError, match=fragment):

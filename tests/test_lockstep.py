@@ -8,8 +8,9 @@ vehicles that feed no other instance and declines any other set of
 configs.  A recorded value that is not finite is reported after the last
 row, so a connection or instance failure it leads to is the one a run
 reports; an error never names a config.  ``run_sweep`` runs each
-scenario's grid slice in lock-step when it can and scores it online.
-Every score, and every failure, must be what running each point on its
+scenario's grid slice in lock-step when it can, scores it online and
+writes each point's artifacts from the shared rows.  Every score, every
+artifact file and every failure must be what running each point on its
 own through ``run_cosim``, ``align`` and ``cross_track_error`` gives.
 """
 
@@ -32,6 +33,7 @@ from fieldsim.dse import (
     expand_grid,
     run_sweep,
     write_dse_results,
+    write_objectives_json,
 )
 from fieldsim.errors import ConfigError, SimulationError
 from fieldsim.orchestrator import (
@@ -39,8 +41,10 @@ from fieldsim.orchestrator import (
     InstanceSpec,
     MultiModelConfig,
     PortRef,
+    load_multimodel,
     lockstep_cosim,
     run_cosim,
+    write_results_csv,
 )
 from fieldsim.safety import harvester_config, read_safety_suite
 from fieldsim.simunit import (
@@ -211,22 +215,32 @@ def sweep_config(directory, mm, parameters, reference=None, scenarios=("s1", "s2
     )
 
 
-def per_point_scores(config: DseConfig) -> list[tuple[float, float]]:
-    """Each point on its own: run_cosim, align, cross_track_error."""
+def per_point_scores(config: DseConfig, artifacts_dir=None) -> list[tuple[float, float]]:
+    """Each point on its own: run_cosim, align, cross_track_error.
+
+    With ``artifacts_dir``, each point's files go where a sweep writes them.
+    """
     scores = []
     for scenario in config.scenarios:
         inputs, reference = config.scenario_files[scenario]
-        registry = default_registry()
+        registry = extended_registry()
         registry.register("replay", replay_factory(read_trace_csv(inputs, ["velocity", "delta_f"])))
-        for assignment in expand_grid(config.parameters):
+        for gi, assignment in enumerate(expand_grid(config.parameters)):
             simulated = run_cosim(_apply_assignment(config.multi_model, assignment), registry)
             scores.append(cross_track_error(align(read_trace_csv(reference), simulated)))
+            if artifacts_dir is not None:
+                run_dir = Path(artifacts_dir) / scenario / f"run_{gi:04d}"
+                run_dir.mkdir(parents=True)
+                write_results_csv(simulated, run_dir / "results.csv")
+                write_objectives_json(run_dir / "objectives.json", *scores[-1])
     return scores
 
 
-def table_bytes(config, path, **kwargs) -> bytes:
-    write_dse_results(run_sweep(config, **kwargs), path, list(config.parameters))
-    return path.read_bytes()
+def tree_bytes(directory) -> dict[str, bytes]:
+    """Every file under ``directory``, by its relative path."""
+    directory = Path(directory)
+    return {path.relative_to(directory).as_posix(): path.read_bytes()
+            for path in directory.rglob("*") if path.is_file()}
 
 
 # --- lockstep_cosim against run_cosim ---------------------------------------
@@ -725,23 +739,25 @@ def test_a_bad_vehicle_copy_fails_as_its_own_config(tmp_path):
 
 
 def test_sweep_raises_the_failing_vehicle_points_own_error(tmp_path, monkeypatch):
-    # one scenario on one worker: four slices of two points, the first of them failing in lock-step
+    # one scenario on one worker: one slice of eight points, which fails in
+    # lock-step; then its points run alone until point 1 fails on its own
     i_z = [360.0, 1e-310, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0]
     config = sweep_config(tmp_path, replay_vehicle(), {"veh.I_z": i_z}, scenarios=("s1",))
-    lockstep_errors = []
+    errors = []
     lockstep_scores = dse._lockstep_scores
 
-    def recording(*args):
+    def recording(mm, registry, reference, assignments, run_dirs=None):
         try:
-            return lockstep_scores(*args)
+            return lockstep_scores(mm, registry, reference, assignments, run_dirs)
         except SimulationError as exc:
-            lockstep_errors.append(str(exc))
+            errors.append((len(assignments), str(exc)))
             raise
 
     monkeypatch.setattr(dse, "_lockstep_scores", recording)
     with pytest.raises(SimulationError, match=r"^instance 'veh' failed at t=0\.11: yaw angle is inf$"):
         run_sweep(config)
-    assert lockstep_errors == ["instance 'veh' failed at t=0.11: yaw angle is inf"]
+    assert errors == [(8, "instance 'veh' failed at t=0.11: yaw angle is inf"),
+                      (1, "instance 'veh' failed at t=0.11: yaw angle is inf")]
 
 
 # --- run_sweep against the per-point path -----------------------------------
@@ -794,13 +810,8 @@ def test_a01_shaped_sweep_runs_in_lockstep(tmp_path, monkeypatch):
         "veh.cAlphaF": [20000.0, 38000.0], "veh.mu": [0.3, 0.5], "veh.m_robot": [1000.0, 2000.0],
     })
     expected = per_point_scores(config)
-
-    def forbidden(*args):
-        raise AssertionError("the sweep ran a point on its own")
-
     built = []
     instantiate = UnitRegistry.instantiate
-    monkeypatch.setattr(dse, "run_cosim", forbidden)
     monkeypatch.setattr(
         UnitRegistry, "instantiate",
         lambda self, unit_type, parameters=None: built.append(unit_type)
@@ -808,9 +819,97 @@ def test_a01_shaped_sweep_runs_in_lockstep(tmp_path, monkeypatch):
     )
     rows = run_sweep(config)
     assert [(r.mean_error, r.max_error) for r in rows] == expected
-    # 2 scenarios x 8 points; one worker gets 2 tasks: each scenario in 1 slice
+    # 2 scenarios x 8 points; one worker gets 2 tasks: each scenario in 1 slice,
+    # and a point run alone would build a replay of its own
     assert built.count("vehicle") == 16
     assert built.count("replay") == 2
+
+
+def two_kinds_config(directory, parameters) -> DseConfig:
+    """The sample sin_cal scenario beside a straight speed step, against the nominal vehicle."""
+    directory = Path(directory)
+    mm = load_multimodel(SAMPLES / "vehicle_replay.json")
+    commands = generate_scenario(ScenarioSpec("step", "speed_step", 4.0, 2.0))
+    write_trace_csv(commands, directory / "step_inputs.csv")
+    registry = default_registry()
+    registry.register("replay", replay_factory(commands))
+    write_trace_csv(run_cosim(mm, registry), directory / "step_reference.csv")
+    return DseConfig(
+        algorithm="exhaustive",
+        parameters=parameters,
+        scenarios=["sin_cal", "step"],
+        multi_model=mm,
+        scenario_files={
+            "sin_cal": (SAMPLES / "sin_cal_inputs.csv", SAMPLES / "sin_cal_reference.csv"),
+            "step": (directory / "step_inputs.csv", directory / "step_reference.csv"),
+        },
+    )
+
+
+# sin_cal's six points end in four classes, as only some of its turns reach a
+# cap; the step's six points share one trajectory
+TWO_KINDS = {"veh.mu": [0.5, 0.6, 0.7], "veh.cAlphaF": [20000.0, 30000.0]}
+
+
+def recording_lockstep_sizes(monkeypatch) -> list[int]:
+    """The number of configs of each ``lockstep_cosim`` call a sweep makes from now on."""
+    sizes = []
+    lockstep = dse.lockstep_cosim
+    monkeypatch.setattr(
+        dse, "lockstep_cosim", lambda configs, registry: sizes.append(len(configs)) or lockstep(configs, registry)
+    )
+    return sizes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_lockstepped_slice_writes_each_points_own_artifacts(tmp_path, monkeypatch, workers):
+    config = two_kinds_config(tmp_path, TWO_KINDS)
+    expected = per_point_scores(config, tmp_path / "per_point")
+    sizes = recording_lockstep_sizes(monkeypatch)
+    rows = run_sweep(config, workers=workers, artifacts_dir=tmp_path / "art")
+    assert [(r.mean_error, r.max_error) for r in rows] == expected
+    tree = tree_bytes(tmp_path / "art")
+    assert tree == tree_bytes(tmp_path / "per_point")
+    assert len({tree[f"sin_cal/run_{gi:04d}/results.csv"] for gi in range(6)}) == 4
+    if workers == 1:  # each scenario in one slice; the pool's workers record in their own processes
+        assert sizes == [6, 6]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_artifact_slice_over_the_budget_runs_its_points_alone(tmp_path, monkeypatch, workers):
+    config = two_kinds_config(tmp_path, TWO_KINDS)
+    per_point_scores(config, tmp_path / "per_point")
+    # a run records 401 rows of 3 values, within the budget; a slice of two or more is over it
+    monkeypatch.setattr(dse, "MAX_RECORDED_VALUES", 401 * 3)
+    sizes = recording_lockstep_sizes(monkeypatch)
+    run_sweep(config, workers=workers, artifacts_dir=tmp_path / "art")
+    assert tree_bytes(tmp_path / "art") == tree_bytes(tmp_path / "per_point")
+    if workers == 1:
+        assert sizes == [6, 1, 1, 1, 1, 1, 1] * 2
+        sizes.clear()
+        run_sweep(config)  # without artifacts no row is kept, so no budget applies
+        assert sizes == [6, 6]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_artifact_slice_leaves_the_files_of_the_points_before_the_failing_one(tmp_path, workers):
+    # I_z varies slowest, so points 2 and 3 fail at t=0.11.  Serially the one
+    # slice fails and writes nothing; then points 0 and 1 run alone and write
+    # their files, and point 2 fails on its own.  On two workers the first
+    # slice, points 0 to 3, goes the same way, and the second writes points 4 to 7.
+    def config(bad_i_z):
+        return sweep_config(tmp_path, replay_vehicle(), {
+            "veh.I_z": [360.0, bad_i_z, 300.0, 400.0], "veh.mu": [0.3, 0.4],
+        }, scenarios=("s1",))
+
+    with pytest.raises(SimulationError, match=r"^instance 'veh' failed at t=0\.11: yaw angle is inf$"):
+        run_sweep(config(1e-310), workers=workers, artifacts_dir=tmp_path / "art")
+    per_point_scores(config(350.0), tmp_path / "per_point")
+    written = {f"run_{gi:04d}" for gi in ([0, 1] if workers == 1 else [0, 1, 4, 5, 6, 7])}
+    assert tree_bytes(tmp_path / "art") == {
+        path: data for path, data in tree_bytes(tmp_path / "per_point").items()
+        if path.split("/")[1] in written
+    }
 
 
 def test_sweep_interpolates_between_steps_as_align_does(tmp_path):
@@ -863,8 +962,8 @@ def test_a_declined_sweep_gives_the_per_point_table(tmp_path, monkeypatch, model
             raise
 
     monkeypatch.setattr(dse, "lockstep_cosim", recording)
-    table = table_bytes(config, tmp_path / "table.csv", workers=workers)
-    assert table == table_bytes(config, tmp_path / "per_point.csv", artifacts_dir=tmp_path / "art")
+    rows = run_sweep(config, workers=workers)
+    assert [(r.mean_error, r.max_error) for r in rows] == per_point_scores(config)
     if workers == 1:  # the pool's workers record in their own processes
         assert errors and set(errors) == {declined}
 
@@ -919,10 +1018,10 @@ def test_overflowing_column_sums_give_the_per_point_table(tmp_path, test_units, 
     # each recorded value is finite, but a column of them sums to inf;
     # scored on big.x and big.y, every distance overflows too
     config = sweep_config(tmp_path, replay_vehicle(("big", "huge"), outputs=outputs), parameters)
-    lockstep = table_bytes(config, tmp_path / "lockstep.csv")
-    per_point = table_bytes(config, tmp_path / "per_point.csv", artifacts_dir=tmp_path / "art")
-    assert lockstep == per_point
-    assert (b",inf," in lockstep) == (outputs == ("big.x", "big.y"))
+    rows = run_sweep(config)
+    assert [(r.mean_error, r.max_error) for r in rows] == per_point_scores(config)
+    write_dse_results(rows, tmp_path / "table.csv", list(config.parameters))
+    assert (b",inf," in (tmp_path / "table.csv").read_bytes()) == (outputs == ("big.x", "big.y"))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -173,6 +173,12 @@ def test_path_validation():
         PurePursuitUnit(STRAIGHT, {"wheelbase": 0.0})
 
 
+def test_a_path_shorter_than_a_metre_is_not_degenerate():
+    # on a 0.5 m path at x = 0.1 the goal is 0.2 m ahead, on the path, and the end 0.4 m off
+    v, delta = steer(PurePursuitUnit([(0.0, 0.0), (0.5, 0.0)], {"lookahead": 0.2}), 0.1, 0.0, 0.0)
+    assert (v, delta) == (1.0, 0.0)
+
+
 def test_closed_loop_converges_to_offset_path():
     # vehicle starts 1 m off a straight path; cross-track error must be
     # millimetric once the transient has died out
