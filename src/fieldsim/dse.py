@@ -335,11 +335,13 @@ def _check_positions(what: str | Path, trace: TimedTrace) -> None:
 def _run_task(task) -> list[tuple[float, float]]:
     """Score one scenario's grid slice and write its artifacts; used by worker processes too.
 
-    The slice runs in lock-step.  When lock-step declines it, its rows
-    would exceed the artifact budget or the run fails, each point runs on
-    its own, in grid order and through the same function, so a failure
-    raises the first failing point's own error after the points before it
-    have their files.
+    The slice runs in lock-step.  When lock-step declines it or its rows
+    would exceed the artifact budget, each point runs on its own, in grid
+    order and through the same function.  When it fails, lock-stepped
+    prefixes find the first failing point by bisection: each copy runs as it
+    would alone, so a prefix fails exactly when one of its points does.  The
+    points before it then run together and write their files, and it runs
+    alone, which raises its own error.
     """
     mm, inputs_path, reference_path, assignments, run_dirs = task
     inputs_trace = read_trace_csv(inputs_path, COMMAND_CHANNELS)
@@ -349,11 +351,23 @@ def _run_task(task) -> list[tuple[float, float]]:
     registry.register("replay", replay_factory(inputs_trace))
     try:
         return _lockstep_scores(mm, registry, reference, assignments, run_dirs)
-    except (ConfigError, SimulationError):
-        pass  # run each point alone, with its own run directory if any
-    return [
-        _lockstep_scores(mm, registry, reference, [assignment], run_dirs and run_dirs[p:p + 1])[0]
-        for p, assignment in enumerate(assignments)
+    except ConfigError:
+        good, head = 0, []  # head: the scores of assignments[:good]
+    except SimulationError:
+        good, head = 0, []
+        bad = len(assignments)  # assignments[:good] run through, assignments[:bad] fail
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                head = _lockstep_scores(mm, registry, reference, assignments[:mid])
+                good = mid
+            except SimulationError:
+                bad = mid
+        if run_dirs and good:
+            head = _lockstep_scores(mm, registry, reference, assignments[:good], run_dirs[:good])
+    return head + [
+        _lockstep_scores(mm, registry, reference, [assignments[p]], run_dirs and run_dirs[p:p + 1])[0]
+        for p in range(good, len(assignments))
     ]
 
 

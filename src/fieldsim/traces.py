@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +23,11 @@ from .errors import ConfigError
 def format_real(x: float) -> str:
     """Render a real for CSV output; 17 significant digits round-trip."""
     return f"{x:.17g}"
+
+
+# rows that write_trace_csv formats with one % operation; it holds one such
+# chunk's text at a time, not the table's
+WRITE_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -71,10 +77,15 @@ class TimedTrace:
 def write_trace_csv(trace: TimedTrace, path: str | Path) -> None:
     """Write a trace as CSV: header ``time,<ch>,...``, LF line endings."""
     trace.validate()
-    lines = [",".join(["time"] + trace.channels)]
-    for t, row in zip(trace.times, trace.values):
-        lines.append(",".join([format_real(t)] + [format_real(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    line = ",".join(["%.17g"] * (1 + len(trace.channels))) + "\n"  # format_real's digits
+    times, values = trace.times, trace.values
+    with open(path, "w", newline="\n") as out:
+        out.write(",".join(["time"] + trace.channels) + "\n")
+        for lo in range(0, len(times), WRITE_CHUNK_ROWS):
+            hi = lo + WRITE_CHUNK_ROWS
+            chunk = times[lo:hi]
+            rows = zip(chunk, *zip(*values[lo:hi]))
+            out.write(line * len(chunk) % tuple(chain.from_iterable(rows)))
 
 
 def read_trace_csv(path: str | Path, expected_channels: Sequence[str] | None = None) -> TimedTrace:

@@ -20,6 +20,7 @@ from ..simunit import (
     SimulationUnit,
     UnitDescription,
     _check_parameters,
+    input_memo,
 )
 from ..traces import COMMAND_CHANNELS, TimedTrace
 
@@ -101,7 +102,8 @@ class PurePursuitUnit(SimulationUnit):
     commanded curvature is ``kappa = 2 * y_b / (x_b**2 + y_b**2)`` and
     ``delta_f = atan(kappa * wheelbase)``, so the sign of delta_f equals
     the sign of y_b.  Speed is ``cruise_speed`` until the vehicle is
-    within one lookahead of the final waypoint, then 0.
+    within one lookahead of the final waypoint, then 0.  A step whose pose
+    has the bits of the last computed step's repeats that step's result.
     """
 
     def __init__(self, path: Sequence[Sequence[float]], parameters: Mapping[str, float] | None = None):
@@ -124,6 +126,7 @@ class PurePursuitUnit(SimulationUnit):
         })
         self._pts = pts
         self._stations = stations
+        self._repeats = input_memo(self._inputs)
         self._advance(0.0)
 
     def _nearest_station(self, x: float, y: float) -> float:
@@ -164,6 +167,9 @@ class PurePursuitUnit(SimulationUnit):
         return x0 + w * (x1 - x0), y0 + w * (y1 - y0)
 
     def _advance(self, h: float) -> None:
+        # the result depends on the pose alone, and on the sign of a zero in y or theta
+        if self._repeats():
+            return
         inputs = self._inputs
         x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
         p = self.parameters

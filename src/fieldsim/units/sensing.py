@@ -27,6 +27,7 @@ from ..simunit import (
     SimulationUnit,
     UnitDescription,
     _check_parameters,
+    input_memo,
 )
 
 _IN = PortDirection.INPUT
@@ -175,8 +176,8 @@ class SensorUnit(SimulationUnit):
     are clipped to the occupied box grown by one cell, and march from the
     pose's clearance on.  The result is the one a march of every ray over
     every point gives, as long as coordinates are small enough that their
-    rounding error stays far below one cell.  A step whose pose equals the
-    previous step's repeats that step's result.
+    rounding error stays far below one cell.  A step whose pose has the
+    bits of the last computed step's repeats that step's result.
     """
 
     def __init__(self, grid_map: GridMap, parameters: Mapping[str, float] | None = None):
@@ -204,21 +205,15 @@ class SensorUnit(SimulationUnit):
             res = grid_map.resolution
             box = (box[0] - res, box[1] - res, box[2] + res, box[3] + res)
         self._box = box
-        self._pose = None
+        self._repeats = input_memo(self._inputs)
         self._advance(0.0)
 
     def _advance(self, h: float) -> None:
-        inputs = self._inputs
-        pose = inputs["x"], inputs["y"], inputs["theta"]
-        # The result depends on the pose alone; parameters, map and box are
-        # fixed at construction.  == counts 0.0 and -0.0 as equal, which is
-        # exact: past this point the pose only reaches floor, comparisons,
-        # max and hypot, possibly through sums and products that change at
-        # most the sign of a zero, and none of those sees that sign.
-        if pose == self._pose:
+        # the result depends on the pose alone; parameters, map and box are fixed at construction
+        if self._repeats():
             return
-        self._pose = pose
-        x, y, theta = pose
+        inputs = self._inputs
+        x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
         p = self.parameters
         gap = self._map.clearance(x, y)
         best = -1.0

@@ -3,9 +3,11 @@
 The mutants change the vehicle group's class rules, the rule that decides
 what may vary in lock-step, how lock-step builds the copies of a varying
 instance, the interpolation of lock-step scoring, the artifacts a
-lock-stepped slice writes and its memory budget, the replay's clock, the
-heading wrap, the sensor's clipping box and pose memo, and the name check
-of a unit's parameters.
+lock-stepped slice writes, its memory budget and the files a failing slice
+leaves, the replay's clock, the heading wrap, the sensor's clipping box,
+the input memo of the sensor and pure pursuit, the positions
+``assess_run`` measures once, the chunks the trace writer formats, and the
+name check of a unit's parameters.
 
 A mutant is a file under ``src/``, an exact old text, the new text that
 replaces it and a selection of tests.  For each mutant the script copies
@@ -42,6 +44,8 @@ DSE = "fieldsim/dse.py"
 CONTROL = "fieldsim/units/control.py"
 SENSING = "fieldsim/units/sensing.py"
 SIMUNIT = "fieldsim/simunit.py"
+SAFETY = "fieldsim/safety.py"
+TRACES = "fieldsim/traces.py"
 LOCKSTEP = "tests/test_lockstep.py"
 SPLITS = f"{LOCKSTEP}::test_copies_split_only_when_a_step_gives_them_different_bits"
 REAR = f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class"
@@ -52,12 +56,17 @@ BAD_COPY = f"{LOCKSTEP}::test_a_bad_vehicle_copy_fails_as_its_own_config"
 INTERPOLATES = f"{LOCKSTEP}::test_sweep_interpolates_between_steps_as_align_does"
 ARTIFACTS = f"{LOCKSTEP}::test_a_lockstepped_slice_writes_each_points_own_artifacts"
 OVER_BUDGET = f"{LOCKSTEP}::test_an_artifact_slice_over_the_budget_runs_its_points_alone"
+FAILING_SLICE = f"{LOCKSTEP}::test_a_failing_artifact_slice_leaves_the_files_of_the_points_before_the_failing_one"
 REPLAY_FOLDS = "tests/test_simunit.py::test_time_base_folds_on_step_change"
 REPLAY_CURSOR = "tests/test_plan.py::test_replay_cursor_picks_the_row_bisect_picks"
 WRAPS = "tests/test_vehicle.py::test_heading_within_one_turn_wraps_as_the_loop_did"
 EDGE_POSES = "tests/test_units.py::test_sensor_edge_poses_match_full_march"
 TURNED = "tests/test_units.py::test_sensor_turned_in_place_matches_full_march"
 NAME_CLASH = "tests/test_simunit.py::test_duplicate_port_rejected"
+STOPS = "tests/test_units.py::test_stops_within_lookahead_of_goal"
+ZERO_SIGN = "tests/test_units.py::test_pure_pursuit_tells_a_zero_from_a_negative_zero"
+ONCE = "tests/test_safety.py::test_assess_run_measures_each_run_of_one_position_once"
+CSV_BYTES = "tests/test_traces.py::test_csv_bytes_are_the_per_value_format_real_join"
 
 
 class Mutant(NamedTuple):
@@ -170,6 +179,13 @@ MUTANTS = {
         "if False:",
         (OVER_BUDGET,),
     ),
+    # the points before a failing slice's first failing point write no files
+    "failing-slice-prefix-unwritten": Mutant(
+        DSE,
+        "if run_dirs and good:",
+        "if False:",
+        (FAILING_SLICE,),
+    ),
     # a new step size restarts the replay's time at 0, not at the time so far
     "replay-time-not-folded": Mutant(
         CONTROL,
@@ -192,12 +208,47 @@ MUTANTS = {
         "box = box",
         (EDGE_POSES,),
     ),
-    # a step that only turns the sensor repeats the last result
+    # a step that only turns the sensor repeats the last result (theta is the last input)
     "pose-memo-ignores-heading": Mutant(
-        SENSING,
-        "if pose == self._pose:",
-        "if self._pose and pose[:2] == self._pose[:2]:",
+        SIMUNIT,
+        "key = pack(*inputs.values())",
+        "key = pack(*list(inputs.values())[:-1], 0.0)",
         (TURNED,),
+    ),
+    # a step that only moves along x repeats the last result (x is the first input)
+    "input-memo-ignores-x": Mutant(
+        SIMUNIT,
+        "key = pack(*inputs.values())",
+        "key = pack(0.0, *list(inputs.values())[1:])",
+        (STOPS,),
+    ),
+    # the memo compares values, so a pose that differs only in the sign of a zero repeats
+    "input-memo-ignores-zero-sign": Mutant(
+        SIMUNIT,
+        "key = pack(*inputs.values())",
+        "key = tuple(inputs.values())",
+        (ZERO_SIGN,),
+    ),
+    # a row that moves only along y shares the clearance of the row before it
+    "assess-run-compares-x-only": Mutant(
+        SAFETY,
+        "position = key(x, y)",
+        "position = key(x, 0.0)",
+        (ONCE,),
+    ),
+    # each chunk after the first starts one row late
+    "chunk-boundary-drops-a-row": Mutant(
+        TRACES,
+        "for lo in range(0, len(times), WRITE_CHUNK_ROWS):",
+        "for lo in range(0, len(times), WRITE_CHUNK_ROWS + 1):",
+        (CSV_BYTES,),
+    ),
+    # each chunk but the last ends with the next chunk's first row
+    "chunk-boundary-repeats-a-row": Mutant(
+        TRACES,
+        "hi = lo + WRITE_CHUNK_ROWS",
+        "hi = lo + WRITE_CHUNK_ROWS + 1",
+        (CSV_BYTES,),
     ),
     # a parameter may share a port's name
     "parameter-names-unchecked": Mutant(

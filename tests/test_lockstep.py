@@ -740,7 +740,8 @@ def test_a_bad_vehicle_copy_fails_as_its_own_config(tmp_path):
 
 def test_sweep_raises_the_failing_vehicle_points_own_error(tmp_path, monkeypatch):
     # one scenario on one worker: one slice of eight points, which fails in
-    # lock-step; then its points run alone until point 1 fails on its own
+    # lock-step; then its prefixes of 4, 2 and 1 points run in lock-step, and
+    # the first two fail, so point 0 runs through and point 1 fails on its own
     i_z = [360.0, 1e-310, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0]
     config = sweep_config(tmp_path, replay_vehicle(), {"veh.I_z": i_z}, scenarios=("s1",))
     errors = []
@@ -756,8 +757,7 @@ def test_sweep_raises_the_failing_vehicle_points_own_error(tmp_path, monkeypatch
     monkeypatch.setattr(dse, "_lockstep_scores", recording)
     with pytest.raises(SimulationError, match=r"^instance 'veh' failed at t=0\.11: yaw angle is inf$"):
         run_sweep(config)
-    assert errors == [(8, "instance 'veh' failed at t=0.11: yaw angle is inf"),
-                      (1, "instance 'veh' failed at t=0.11: yaw angle is inf")]
+    assert errors == [(n, "instance 'veh' failed at t=0.11: yaw angle is inf") for n in (8, 4, 2, 1)]
 
 
 # --- run_sweep against the per-point path -----------------------------------

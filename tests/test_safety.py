@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldsim.errors import ConfigError, SimulationError
 from fieldsim.orchestrator import validate_config
@@ -626,6 +628,62 @@ def test_assess_run_judges_gap_and_standstill():
 
     # a gap above zero but below a raised threshold still fails
     assert assess_run(stopped_short, grid, 1.5)[1] is False
+
+
+def assess_every_row(trace, grid, gap_threshold):
+    """``assess_run`` as a scan that measures the clearance of every row."""
+    gaps = [grid.clearance(x, y) for x, y in zip(trace.column("veh.x"), trace.column("veh.y"))]
+    min_gap = min(gaps, default=math.inf)
+    stop_engaged = trace.column("sup.stop_engaged")[-1] != 0.0
+    final_velocity = trace.column("sup.velocity")[-1]
+    return min_gap, min_gap > gap_threshold and (not stop_engaged or final_velocity == 0.0)
+
+
+def position_trace(positions, stop_engaged=True, final_velocity=0.0):
+    n = len(positions)
+    return TimedTrace(
+        channels=["veh.x", "veh.y", "sup.velocity", "sup.stop_engaged"],
+        times=[0.1 * k for k in range(n)],
+        values=[[x, y, final_velocity if k == n - 1 else 1.0, float(stop_engaged)]
+                for k, (x, y) in enumerate(positions)],
+    )
+
+
+# one occupied cell, [2, 3] x [2, 3]
+ONE_CELL = GridMap(4, 4, 1.0, 0.0, 0.0, tuple(int(n == 10) for n in range(16)))
+
+
+def test_assess_run_measures_each_run_of_one_position_once(monkeypatch):
+    # at x = 2.5 the gap shrinks with y alone, and the zeros differ only in sign
+    positions = [(0.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.0),
+                 (2.5, 0.0), (2.5, 0.0), (2.5, 1.0), (2.5, 1.5), (2.5, 1.5), (0.0, 0.0)]
+    trace = position_trace(positions)
+    expected = assess_every_row(trace, ONE_CELL, 0.25)
+    measured = []
+    clearance = GridMap.clearance
+    monkeypatch.setattr(GridMap, "clearance", lambda grid, x, y: (
+        measured.append((x.hex(), y.hex())), clearance(grid, x, y))[1])
+    assert assess_run(trace, ONE_CELL, 0.25) == expected == (0.5, True)
+    # the first row of each run of one position, bit for bit: -0.0 is not 0.0
+    runs = [p for k, p in enumerate(positions) if k == 0 or repr(p) != repr(positions[k - 1])]
+    assert measured == [(x.hex(), y.hex()) for x, y in runs]
+    assert len(runs) == 8
+
+
+positions_near_one_cell = st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5, 3.0, 4.5]) | st.floats(-1.0, 5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), stop_engaged=st.booleans(), final_velocity=st.sampled_from([0.0, -0.0, 0.5]),
+       gap_threshold=st.sampled_from([0.0, 0.5, 1.0]))
+def test_assess_run_is_a_scan_of_every_row(data, stop_engaged, final_velocity, gap_threshold):
+    points = data.draw(st.lists(st.tuples(positions_near_one_cell, positions_near_one_cell),
+                                min_size=1, max_size=5))
+    # each drawn position held for a few rows, and earlier ones revisited
+    walk = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=30))
+    positions = [p for p in walk for _ in range(data.draw(st.integers(1, 3)))]
+    trace = position_trace(positions, stop_engaged, final_velocity)
+    assert assess_run(trace, ONE_CELL, gap_threshold) == assess_every_row(trace, ONE_CELL, gap_threshold)
 
 
 def suite_workspace(tmp_path):

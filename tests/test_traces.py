@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fieldsim.errors import ConfigError
 from fieldsim.traces import (
+    WRITE_CHUNK_ROWS,
     AlignedPair,
     ScenarioSpec,
     TimedTrace,
@@ -54,6 +55,46 @@ def test_csv_empty_trace_is_header_only(tmp_path):
     back = read_trace_csv(path)
     assert back.channels == ["a.x"]
     assert back.times == []
+
+
+def format_real_join(trace):
+    """A trace's CSV bytes as one ``format_real`` call per value gives them."""
+    lines = [",".join(["time"] + trace.channels)]
+    for t, row in zip(trace.times, trace.values):
+        lines.append(",".join([format_real(t)] + [format_real(v) for v in row]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, -0.1, 3, -7, 0, 2**60, -(2**60), 1.0, 123456.789e-300]
+
+
+@pytest.mark.parametrize("channels", [["a.x", "b.y", "c"], []])
+@pytest.mark.parametrize("n_rows", [
+    0, 1, 2, WRITE_CHUNK_ROWS - 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1, 2 * WRITE_CHUNK_ROWS + 3,
+])
+def test_csv_bytes_are_the_per_value_format_real_join(tmp_path, channels, n_rows):
+    # every row differs from its neighbours, so a chunk boundary that drops or
+    # repeats a row changes the bytes; times mix ints and floats, up to 2**60
+    times = [k if k % 2 else k + 0.25 for k in range(n_rows - 1)] + [2**60] * (n_rows > 0)
+    values = [
+        [EDGE_VALUES[(k + 5 * j) % len(EDGE_VALUES)] for j in range(len(channels))]
+        for k in range(n_rows)
+    ]
+    trace = TimedTrace(channels=channels, times=times, values=values)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == format_real_join(trace)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(finite, min_size=2, max_size=2), max_size=40))
+def test_csv_bytes_of_any_reals_are_the_per_value_format_real_join(rows):
+    trace = TimedTrace(channels=["a", "b"], times=list(range(len(rows))), values=rows)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == format_real_join(trace)
 
 
 @settings(max_examples=50, deadline=None)

@@ -678,6 +678,53 @@ def test_one_sensor_stepped_through_poses_matches_full_march(
         assert unit.get_output("obstacle_detected") is (expected >= 0.0)
 
 
+def test_pure_pursuit_tells_a_zero_from_a_negative_zero():
+    # one lookahead from the end of a path that ends at y = -0.0, delta_f takes
+    # the sign of a zero in y or theta, so no step may repeat the one before it
+    unit = PurePursuitUnit([(0.0, -0.0), (4.0, -0.0)])
+    for pose, delta_f in [((3.0, 0.0, 0.0), "-0x0.0p+0"), ((3.0, -0.0, 0.0), "0x0.0p+0"),
+                          ((3.0, 0.0, 0.0), "-0x0.0p+0"), ((3.0, 0.0, -0.0), "0x0.0p+0")]:
+        assert steer(unit, *pose)[1].hex() == delta_f, pose
+
+
+# paths whose points sit on -0.0 as well as 0.0, so that the sign of a zero in
+# the pose reaches delta_f, and a path shorter than the lookahead
+PURSUIT_PATHS = [
+    STRAIGHT,
+    [(0.0, -0.0), (4.0, -0.0)],
+    [(-0.0, 0.0), (-0.0, 4.0)],
+    [(0.0, 0.0), (3.0, -0.0), (3.0, 3.0)],
+    [(0.0, 0.0), (0.5, 0.0)],
+]
+pursuit_coordinates = st.sampled_from([0.0, -0.0, 1.0, 3.0, 3.5, -2.0, 19.0]) | st.floats(-25.0, 25.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), path=st.sampled_from(PURSUIT_PATHS), lookahead=st.sampled_from([2.0, 0.3]))
+def test_one_pure_pursuit_stepped_through_poses_matches_a_fresh_unit(data, path, lookahead):
+    params = {"lookahead": lookahead}
+
+    def pose():
+        return data.draw(pursuit_coordinates), data.draw(pursuit_coordinates), data.draw(headings)
+
+    a, b = pose(), pose()
+    x, y, theta = a
+    walk = [
+        a, a, b, a,  # a repeat, then back to an earlier pose after another one
+        (0.0, y, theta), (-0.0, y, theta), (0.0, y, theta),
+        (x, 0.0, theta), (x, -0.0, theta), (x, 0.0, theta),
+        (x, y, 0.0), (x, y, -0.0), (x, y, 0.0),
+        (x, 0.0, 0.0), (x, -0.0, 0.0), (x, 0.0, -0.0), (x, -0.0, -0.0),
+        (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0),
+    ]
+    walk += data.draw(st.lists(st.sampled_from(walk), max_size=10))
+    unit = PurePursuitUnit(path, params)
+    for step in walk:
+        got = steer(unit, *step)
+        expected = steer(PurePursuitUnit(path, params), *step)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], step
+
+
 def test_unit_parameters_are_read_only():
     # units derive constants from their parameters once, at construction
     unit = SensorUnit(GridMap(1, 1, 0.5, 0.0, 0.0, (1,)), {"max_range": 4.0})
