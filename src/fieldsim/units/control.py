@@ -104,6 +104,8 @@ class PurePursuitUnit(SimulationUnit):
     the sign of y_b.  Speed is ``cruise_speed`` until the vehicle is
     within one lookahead of the final waypoint, then 0.  A step whose pose
     has the bits of the last computed step's repeats that step's result.
+    Each segment's offsets, squared length and stations are taken once,
+    when the unit is built.
     """
 
     def __init__(self, path: Sequence[Sequence[float]], parameters: Mapping[str, float] | None = None):
@@ -126,19 +128,19 @@ class PurePursuitUnit(SimulationUnit):
         })
         self._pts = pts
         self._stations = stations
+        # (x0, y0, dx, dy, squared length, start station, station span) of each segment
+        segments = []
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:])):
+            dx, dy = x1 - x0, y1 - y0
+            segments.append((x0, y0, dx, dy, dx * dx + dy * dy, stations[i], stations[i + 1] - stations[i]))
+        self._segments = segments
         self._repeats = input_memo(self._inputs)
         self._advance(0.0)
 
     def _nearest_station(self, x: float, y: float) -> float:
         best_d2 = None
         best_s = 0.0
-        pts = self._pts
-        stations = self._stations
-        for i in range(len(pts) - 1):
-            x0, y0 = pts[i]
-            x1, y1 = pts[i + 1]
-            dx, dy = x1 - x0, y1 - y0
-            seg2 = dx * dx + dy * dy
+        for x0, y0, dx, dy, seg2, s0, ds in self._segments:
             if seg2 > 0.0:
                 w = ((x - x0) * dx + (y - y0) * dy) / seg2
                 if w < 0.0:
@@ -151,7 +153,7 @@ class PurePursuitUnit(SimulationUnit):
             d2 = (x - px) ** 2 + (y - py) ** 2
             if best_d2 is None or d2 < best_d2:
                 best_d2 = d2
-                best_s = stations[i] + w * (stations[i + 1] - stations[i])
+                best_s = s0 + w * ds
         return best_s
 
     def _point_at_station(self, s: float) -> tuple[float, float]:

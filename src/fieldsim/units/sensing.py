@@ -27,6 +27,7 @@ from ..simunit import (
     SimulationUnit,
     UnitDescription,
     _check_parameters,
+    bits_key,
     input_memo,
 )
 
@@ -35,6 +36,7 @@ _OUT = PortDirection.OUTPUT
 # a step's cost grows with the ray count; at fov 2*pi and a 10 m range, this
 # many rays sit 6.3 mm apart, far finer than any map cell
 MAX_RAYS = 10_000
+_heading_key = bits_key(1)
 
 
 @dataclass(frozen=True)
@@ -174,10 +176,12 @@ class SensorUnit(SimulationUnit):
 
     The march only visits points that can lie in an occupied cell: rays
     are clipped to the occupied box grown by one cell, and march from the
-    pose's clearance on.  The result is the one a march of every ray over
+    pose's clearance on, which is taken only for a pose within reach of
+    the occupied box.  The result is the one a march of every ray over
     every point gives, as long as coordinates are small enough that their
     rounding error stays far below one cell.  A step whose pose has the
-    bits of the last computed step's repeats that step's result.
+    bits of the last computed step's repeats that step's result, and the
+    rays' directions are kept until the heading's bits change.
     """
 
     def __init__(self, grid_map: GridMap, parameters: Mapping[str, float] | None = None):
@@ -200,11 +204,15 @@ class SensorUnit(SimulationUnit):
         while p["min_range"] + last * march > p["max_range"]:
             last -= 1
         self._last_k = last
-        box = grid_map._occupied_box
+        # beyond max_range plus one cell, no march point can round into a cell
+        self._reach = p["max_range"] + grid_map.resolution
+        self._occupied = box = grid_map._occupied_box
         if box is not None:
             res = grid_map.resolution
             box = (box[0] - res, box[1] - res, box[2] + res, box[3] + res)
         self._box = box
+        # each ray's (cos(phi), sin(phi)), first ray first, at the heading whose bits_key is _heading
+        self._heading, self._directions = None, []
         self._repeats = input_memo(self._inputs)
         self._advance(0.0)
 
@@ -214,14 +222,19 @@ class SensorUnit(SimulationUnit):
             return
         inputs = self._inputs
         x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
-        p = self.parameters
-        gap = self._map.clearance(x, y)
         best = -1.0
-        # beyond max_range plus one cell, no march point can round into a cell
-        if gap <= p["max_range"] + self._map.resolution:
-            k = self._first_hit(x, y, theta, gap)
-            if k <= self._last_k:
-                best = p["min_range"] + k * self._march
+        # each bound of the occupied box is a cell's own bound, so the box is
+        # no farther than any cell, rounding included: out of the box's reach
+        # is out of every cell's
+        box, reach = self._occupied, self._reach
+        if box is not None and hypot(
+            max(box[0] - x, 0.0, x - box[2]), max(box[1] - y, 0.0, y - box[3])
+        ) <= reach:
+            gap = self._map.clearance(x, y)
+            if gap <= reach:
+                k = self._first_hit(x, y, theta, gap)
+                if k <= self._last_k:
+                    best = self.parameters["min_range"] + k * self._march
         out = self._outputs
         out["obstacle_detected"] = best >= 0.0
         out["obstacle_distance"] = best
@@ -240,19 +253,21 @@ class SensorUnit(SimulationUnit):
             grid.x0, grid.y0, grid.resolution, grid.width, grid.height, grid.cells
         )
         bx0, by0, bx1, by1 = self._box
+        # the box's offsets from the pose, the same for every ray
+        ax0, ax1, ay0, ay1 = bx0 - x, bx1 - x, by0 - y, by1 - y
+        inside_y = by0 <= y <= by1
         p = self.parameters
         min_range, max_range, fov = p["min_range"], p["max_range"], p["fov"]
         march, rays, last_k = self._march, self._rays, self._last_k
+        key = _heading_key(theta)
+        if key != self._heading:
+            phis = [theta - 0.5 * fov + i * (fov / (rays - 1)) for i in range(rays)] if rays > 1 else [theta]
+            self._heading, self._directions = key, [(cos(phi), sin(phi)) for phi in phis]
         best = last_k + 1
-        for i in range(rays):
-            if rays > 1:
-                phi = theta - 0.5 * fov + i * (fov / (rays - 1))
-            else:
-                phi = theta
-            cos_p, sin_p = cos(phi), sin(phi)
+        for cos_p, sin_p in self._directions:
             # clip to the grown box, one slab per axis, spelled out on this hot path (cos is never 0)
             s_in, s_out = gap, max_range
-            a, b = (bx0 - x) / cos_p, (bx1 - x) / cos_p
+            a, b = ax0 / cos_p, ax1 / cos_p
             if a > b:
                 a, b = b, a
             if a > s_in:
@@ -260,14 +275,14 @@ class SensorUnit(SimulationUnit):
             if b < s_out:
                 s_out = b
             if sin_p:
-                a, b = (by0 - y) / sin_p, (by1 - y) / sin_p
+                a, b = ay0 / sin_p, ay1 / sin_p
                 if a > b:
                     a, b = b, a
                 if a > s_in:
                     s_in = a
                 if b < s_out:
                     s_out = b
-            elif not by0 <= y <= by1:
+            elif not inside_y:
                 continue
             if s_in > s_out + march:
                 continue

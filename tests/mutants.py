@@ -5,7 +5,8 @@ what may vary in lock-step, how lock-step builds the copies of a varying
 instance, the interpolation of lock-step scoring, the artifacts a
 lock-stepped slice writes, its memory budget and the files a failing slice
 leaves, the replay's clock, the heading wrap, the sensor's clipping box,
-the input memo of the sensor and pure pursuit, the positions
+its reach and its table of ray directions, pure pursuit's table of
+segments, the input memo of the sensor and pure pursuit, the positions
 ``assess_run`` measures once, the chunks the trace writer formats, and the
 name check of a unit's parameters.
 
@@ -15,7 +16,9 @@ replaces it and a selection of tests.  For each mutant the script copies
 exactly once, and runs the selected tests against the copy; at least one of
 them must fail.  Before any mutant, the union of the selections must pass
 on an unmutated copy, so a mutant cannot count as caught by a test that
-fails anyway.
+fails anyway.  Every pytest run starts in its own empty working directory,
+so hypothesis keeps the examples it finds there and no run replays an
+example that an earlier run found.
 
 Run it from anywhere (pytest and hypothesis must be installed)::
 
@@ -57,6 +60,10 @@ INTERPOLATES = f"{LOCKSTEP}::test_sweep_interpolates_between_steps_as_align_does
 ARTIFACTS = f"{LOCKSTEP}::test_a_lockstepped_slice_writes_each_points_own_artifacts"
 OVER_BUDGET = f"{LOCKSTEP}::test_an_artifact_slice_over_the_budget_runs_its_points_alone"
 FAILING_SLICE = f"{LOCKSTEP}::test_a_failing_artifact_slice_leaves_the_files_of_the_points_before_the_failing_one"
+CENTRED = "tests/test_units.py::test_sensor_field_of_view_is_centred_on_heading"
+BEYOND_MAX_RANGE = "tests/test_units.py::test_sensor_keeps_a_hit_that_rounds_into_a_cell_just_beyond_max_range"
+HEADING_WALK = "tests/test_units.py::test_sensor_keeps_its_ray_directions_while_the_heading_holds"
+SEGMENT_TABLE = "tests/test_units.py::test_pure_pursuit_segment_table_matches_the_per_step_arithmetic"
 REPLAY_FOLDS = "tests/test_simunit.py::test_time_base_folds_on_step_change"
 REPLAY_CURSOR = "tests/test_plan.py::test_replay_cursor_picks_the_row_bisect_picks"
 WRAPS = "tests/test_vehicle.py::test_heading_within_one_turn_wraps_as_the_loop_did"
@@ -208,6 +215,27 @@ MUTANTS = {
         "box = box",
         (EDGE_POSES,),
     ),
+    # no slack for rounding: a pose whose clearance just exceeds max_range marches no ray
+    "reach-without-slack": Mutant(
+        SENSING,
+        'self._reach = p["max_range"] + grid_map.resolution',
+        'self._reach = p["max_range"]',
+        (BEYOND_MAX_RANGE,),
+    ),
+    # the rays keep the directions of the first heading they were cast at
+    "heading-table-never-refreshed": Mutant(
+        SENSING,
+        "if key != self._heading:",
+        "if self._heading is None:",
+        (CENTRED, HEADING_WALK),
+    ),
+    # each segment's station span is the span of the segment before it
+    "segment-span-of-the-previous-segment": Mutant(
+        CONTROL,
+        "stations[i], stations[i + 1] - stations[i]))",
+        "stations[i], stations[i] - stations[i - 1]))",
+        (SEGMENT_TABLE,),
+    ),
     # a step that only turns the sensor repeats the last result (theta is the last input)
     "pose-memo-ignores-heading": Mutant(
         SIMUNIT,
@@ -269,12 +297,17 @@ def _copy_src(into: Path) -> Path:
 def _run_tests(src: Path, tests: tuple[str, ...]) -> tuple[int, str]:
     """pytest's exit code on ``tests`` against ``src``, and the first test that failed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    env.pop("HYPOTHESIS_STORAGE_DIRECTORY", None)  # hypothesis then stores under the working directory
+    ids = [os.path.join(ROOT, test) for test in tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids]
     try:
-        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        with tempfile.TemporaryDirectory() as cwd:
+            done = subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     except subprocess.TimeoutExpired:  # a hung step hangs the suite too
         return 1, "a run of more than 120 s"
-    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+    # pytest names a failed test relative to the working directory
+    failed = [os.path.relpath(os.path.join(cwd, line.split()[1]), ROOT)
+              for line in done.stdout.splitlines() if line.startswith("FAILED ")]
     return done.returncode, failed[0] if failed else ""
 
 

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fieldsim.errors import ConfigError, ContractViolation
@@ -580,6 +580,15 @@ def test_sensor_last_march_point_rounding_past_max_range_is_dropped():
     assert assert_matches_march(cell, params, 0.0, 0.0, 0.0) == 0.1 + 624 * 0.025
 
 
+def test_sensor_keeps_a_hit_that_rounds_into_a_cell_just_beyond_max_range():
+    # the cell's face is 1.2000000000000002 m ahead, past max_range, yet the
+    # last march point, 6.1 + 1.2, rounds onto it
+    cell = GridMap(1, 1, 0.25, 7.3, -0.125, (1,))
+    params = {"min_range": 0.2, "max_range": 1.2, "ray_count": 1.0}
+    assert cell.clearance(6.1, 0.0) > 1.2
+    assert assert_matches_march(cell, params, 6.1, 0.0, 0.0) == 1.2
+
+
 def test_sensor_empty_map_matches_full_march():
     empty = GridMap(3, 3, 0.5, 0.0, 0.0, (0,) * 9)
     for theta in (0.0, math.pi):
@@ -678,6 +687,48 @@ def test_one_sensor_stepped_through_poses_matches_full_march(
         assert unit.get_output("obstacle_detected") is (expected >= 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), grid=grid_maps(),
+       fov=st.sampled_from([math.pi, 2 * math.pi]) | st.floats(1e-3, 2 * math.pi),
+       ray_count=st.sampled_from([1, 2]) | st.integers(1, 64),
+       min_range=st.floats(0.0, 2.0), span=st.floats(0.05, 5.0))
+def test_sensor_keeps_its_ray_directions_while_the_heading_holds(
+    data, grid, fov, ray_count, min_range, span
+):
+    # the walk moves under one heading, turns, turns back, and swaps the sign
+    # of a zero heading, so the rays' directions are kept and rebuilt in turn
+    params = {"min_range": min_range, "max_range": min_range + span,
+              "fov": fov, "ray_count": float(ray_count)}
+    places = [data.draw(poses(grid, min_range + span + 1.0)) for _ in range(3)]
+    first, second = data.draw(headings), data.draw(headings)
+    walk = [(x, y, first) for x, y in places]
+    walk += [(x, y, second) for x, y in places[:2]]
+    walk += [(x, y, first) for x, y in reversed(places)]
+    walk += [(x, y, theta) for (x, y), theta in zip(places * 2, (0.0, -0.0, 0.0, 0.0, -0.0, -0.0))]
+    unit = SensorUnit(grid, params)
+    for x, y, theta in walk:
+        unit.set_input("x", x)
+        unit.set_input("y", y)
+        unit.set_input("theta", theta)
+        unit.do_step(0.1)
+        expected = march_every_ray(unit, grid, x, y, theta)
+        assert unit.get_output("obstacle_distance") == expected, (x, y, theta)
+        assert unit.get_output("obstacle_detected") is (expected >= 0.0)
+
+
+def test_sensor_within_reach_of_the_occupied_box_but_of_no_cell_reads_nothing():
+    # two cells at opposite corners of a 20.5 m square; their box holds poses
+    # more than 3.5 m, max_range plus one cell, from either cell
+    grid = GridMap(41, 41, 0.5, 0.0, 0.0, tuple(int(n in (0, 41 * 41 - 1)) for n in range(41 * 41)))
+    params = {"min_range": 0.5, "max_range": 3.0, "fov": 2 * math.pi, "ray_count": 16.0}
+    for x, y in [(10.25, 10.25), (-3.4, 10.25), (10.25, 23.9)]:
+        assert grid.clearance(x, y) > 3.5
+        for theta in (0.0, -0.0, math.pi / 4, -3 * math.pi / 4):
+            assert assert_matches_march(grid, params, x, y, theta) == -1.0
+    # near a corner the same sensor sees its cell; at heading pi its first ray points along +x
+    assert assert_matches_march(grid, params, -2.0, 0.25, math.pi) == 2.0
+
+
 def test_pure_pursuit_tells_a_zero_from_a_negative_zero():
     # one lookahead from the end of a path that ends at y = -0.0, delta_f takes
     # the sign of a zero in y or theta, so no step may repeat the one before it
@@ -723,6 +774,58 @@ def test_one_pure_pursuit_stepped_through_poses_matches_a_fresh_unit(data, path,
         got = steer(unit, *step)
         expected = steer(PurePursuitUnit(path, params), *step)
         assert [v.hex() for v in got] == [v.hex() for v in expected], step
+
+
+class PerStepPurePursuit(PurePursuitUnit):
+    """Pure pursuit that works out each segment's offsets and stations at every step."""
+
+    def _nearest_station(self, x, y):
+        best_d2 = None
+        best_s = 0.0
+        pts = self._pts
+        stations = self._stations
+        for i in range(len(pts) - 1):
+            x0, y0 = pts[i]
+            x1, y1 = pts[i + 1]
+            dx, dy = x1 - x0, y1 - y0
+            seg2 = dx * dx + dy * dy
+            if seg2 > 0.0:
+                w = ((x - x0) * dx + (y - y0) * dy) / seg2
+                if w < 0.0:
+                    w = 0.0
+                elif w > 1.0:
+                    w = 1.0
+            else:
+                w = 0.0
+            px, py = x0 + w * dx, y0 + w * dy
+            d2 = (x - px) ** 2 + (y - py) ** 2
+            if best_d2 is None or d2 < best_d2:
+                best_d2 = d2
+                best_s = stations[i] + w * (stations[i + 1] - stations[i])
+        return best_s
+
+
+@st.composite
+def pursuit_paths(draw):
+    """Paths of 2 to 6 waypoints, each new or a repeat of the one before it."""
+    waypoints = st.tuples(pursuit_coordinates, pursuit_coordinates)
+    path = [draw(waypoints)]
+    for _ in range(draw(st.integers(1, 5))):
+        path.append(path[-1] if draw(st.booleans()) else draw(waypoints))
+    assume(any(point != path[0] for point in path))  # not all at one point
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), path=pursuit_paths(), lookahead=st.sampled_from([2.0, 0.3]))
+def test_pure_pursuit_segment_table_matches_the_per_step_arithmetic(data, path, lookahead):
+    params = {"lookahead": lookahead}
+    unit, reference = PurePursuitUnit(path, params), PerStepPurePursuit(path, params)
+    for _ in range(4):
+        x, y, theta = data.draw(pursuit_coordinates), data.draw(pursuit_coordinates), data.draw(headings)
+        assert unit._nearest_station(x, y).hex() == reference._nearest_station(x, y).hex()
+        got, expected = steer(unit, x, y, theta), steer(reference, x, y, theta)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], (x, y, theta)
 
 
 def test_unit_parameters_are_read_only():
