@@ -335,13 +335,13 @@ def _check_positions(what: str | Path, trace: TimedTrace) -> None:
 def _run_task(task) -> list[tuple[float, float]]:
     """Score one scenario's grid slice and write its artifacts; used by worker processes too.
 
-    The slice runs in lock-step.  When lock-step declines it or its rows
-    would exceed the artifact budget, each point runs on its own, in grid
-    order and through the same function.  When it fails, lock-stepped
-    prefixes find the first failing point by bisection: each copy runs as it
-    would alone, so a prefix fails exactly when one of its points does.  The
-    points before it then run together and write their files, and it runs
-    alone, which raises its own error.
+    The slice runs in lock-step, or it runs in halves, first half first,
+    until each fits: when lock-step declines a part, its rows would exceed
+    the artifact budget or it fails, that part runs as its two halves in
+    grid order and through the same function.  Each copy runs as it would
+    alone, so a part fails exactly when one of its points does: the first
+    failing point raises its own error when it runs alone, the points
+    before it have written their files and no point after it runs.
     """
     mm, inputs_path, reference_path, assignments, run_dirs = task
     inputs_trace = read_trace_csv(inputs_path, COMMAND_CHANNELS)
@@ -349,26 +349,17 @@ def _run_task(task) -> list[tuple[float, float]]:
     _check_positions(reference_path, reference)
     registry = default_registry()
     registry.register("replay", replay_factory(inputs_trace))
-    try:
-        return _lockstep_scores(mm, registry, reference, assignments, run_dirs)
-    except ConfigError:
-        good, head = 0, []  # head: the scores of assignments[:good]
-    except SimulationError:
-        good, head = 0, []
-        bad = len(assignments)  # assignments[:good] run through, assignments[:bad] fail
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                head = _lockstep_scores(mm, registry, reference, assignments[:mid])
-                good = mid
-            except SimulationError:
-                bad = mid
-        if run_dirs and good:
-            head = _lockstep_scores(mm, registry, reference, assignments[:good], run_dirs[:good])
-    return head + [
-        _lockstep_scores(mm, registry, reference, [assignments[p]], run_dirs and run_dirs[p:p + 1])[0]
-        for p in range(good, len(assignments))
-    ]
+
+    def scores(lo: int, hi: int) -> list[tuple[float, float]]:
+        try:
+            return _lockstep_scores(mm, registry, reference, assignments[lo:hi], run_dirs and run_dirs[lo:hi])
+        except (ConfigError, SimulationError):
+            if hi - lo == 1:
+                raise
+        mid = (lo + hi) // 2
+        return scores(lo, mid) + scores(mid, hi)
+
+    return scores(0, len(assignments))
 
 
 def run_sweep(
@@ -496,10 +487,10 @@ def pareto_rank(rows: Iterable[SweepRow]) -> list[SweepRow]:
     comes back sorted by mean error ascending (stable for ties).
     """
     front: list[SweepRow] = []
-    last = (None, math.inf)  # (mean, max) of the last row kept
     for row in sorted(rows, key=lambda row: (row.mean_error, row.max_error)):
         point = (row.mean_error, row.max_error)
-        if point[1] < last[1] or point == last:
+        # no row dominates the first, even at (inf, inf); last is the last row kept
+        if not front or point[1] < last[1] or point == last:
             front.append(row)
             last = point
     return front

@@ -3,8 +3,9 @@
 The mutants change the vehicle group's class rules, the rule that decides
 what may vary in lock-step, how lock-step builds the copies of a varying
 instance, the interpolation of lock-step scoring, the artifacts a
-lock-stepped slice writes, its memory budget and the files a failing slice
-leaves, the replay's clock, the heading wrap, the sensor's clipping box,
+lock-stepped slice writes, its memory budget, and the halves a slice that
+does not run through splits into, their order and the files they leave,
+the replay's clock, the heading wrap, the sensor's clipping box,
 its reach and its table of ray directions, pure pursuit's table of
 segments, the input memo of the sensor and pure pursuit, the positions
 ``assess_run`` measures once, the chunks the trace writer formats, and the
@@ -189,8 +190,22 @@ MUTANTS = {
     # the points before a failing slice's first failing point write no files
     "failing-slice-prefix-unwritten": Mutant(
         DSE,
-        "if run_dirs and good:",
-        "if False:",
+        "run_dirs and run_dirs[lo:hi])",
+        "run_dirs if hi - lo == len(assignments) else None)",
+        (FAILING_SLICE,),
+    ),
+    # a slice that does not run through runs its right half before its left
+    "halves-right-first": Mutant(
+        DSE,
+        "return scores(lo, mid) + scores(mid, hi)",
+        "return (lambda right: scores(lo, mid) + right)(scores(mid, hi))",
+        (FAILING_SLICE,),
+    ),
+    # a failing point run alone is halved again instead of raising its error
+    "lone-failure-halved": Mutant(
+        DSE,
+        "if hi - lo == 1:",
+        "if hi - lo == 0:",
         (FAILING_SLICE,),
     ),
     # a new step size restarts the replay's time at 0, not at the time so far

@@ -6,6 +6,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldsim import dse
 from fieldsim.cli import main
@@ -285,6 +287,27 @@ def test_pareto_single_row_and_empty():
     assert pareto_rank([]) == []
     one = mk_rows([(1.0, 1.0)])
     assert pareto_rank(one) == one
+
+
+def test_pareto_keeps_a_front_whose_errors_are_inf():
+    # an in-memory sweep gives such rows when a column's distances overflow
+    inf = math.inf
+    one = mk_rows([(inf, inf)])
+    assert pareto_rank(one) == one
+    two = mk_rows([(inf, inf), (inf, inf)])
+    assert pareto_rank(two) == two
+    assert front_points(pareto_rank(mk_rows([(1.0, 2.0), (inf, inf)]))) == [(1.0, 2.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])] * 2), max_size=12))
+def test_pareto_with_inf_errors_matches_quadratic_reference(pts):
+    kept = [
+        i for i, (mi, wi) in enumerate(pts)
+        if not any(mj <= mi and wj <= wi and (mj < mi or wj < wi) for mj, wj in pts)
+    ]
+    expected = sorted(kept, key=lambda i: (pts[i][0], i))
+    assert [r.assignment["p"] for r in pareto_rank(mk_rows(pts))] == [float(i) for i in expected]
 
 
 # --- config files -----------------------------------------------------------

@@ -740,8 +740,8 @@ def test_a_bad_vehicle_copy_fails_as_its_own_config(tmp_path):
 
 def test_sweep_raises_the_failing_vehicle_points_own_error(tmp_path, monkeypatch):
     # one scenario on one worker: one slice of eight points, which fails in
-    # lock-step; then its prefixes of 4, 2 and 1 points run in lock-step, and
-    # the first two fail, so point 0 runs through and point 1 fails on its own
+    # lock-step; then its first halves of 4 and 2 points fail in lock-step too,
+    # and of the last two halves point 0 runs through and point 1 fails on its own
     i_z = [360.0, 1e-310, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0]
     config = sweep_config(tmp_path, replay_vehicle(), {"veh.I_z": i_z}, scenarios=("s1",))
     errors = []
@@ -885,7 +885,10 @@ def test_an_artifact_slice_over_the_budget_runs_its_points_alone(tmp_path, monke
     run_sweep(config, workers=workers, artifacts_dir=tmp_path / "art")
     assert tree_bytes(tmp_path / "art") == tree_bytes(tmp_path / "per_point")
     if workers == 1:
-        assert sizes == [6, 1, 1, 1, 1, 1, 1] * 2
+        # each scenario's slice of 6 is over, and so is each half of 3; each
+        # half of 3 runs its first point alone and its last two as a half of 2,
+        # which is over too and runs as two points alone
+        assert sizes == ([6] + [3, 1, 2, 1, 1] * 2) * 2
         sizes.clear()
         run_sweep(config)  # without artifacts no row is kept, so no budget applies
         assert sizes == [6, 6]
@@ -894,9 +897,11 @@ def test_an_artifact_slice_over_the_budget_runs_its_points_alone(tmp_path, monke
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_artifact_slice_leaves_the_files_of_the_points_before_the_failing_one(tmp_path, workers):
     # I_z varies slowest, so points 2 and 3 fail at t=0.11.  Serially the one
-    # slice fails and writes nothing; then points 0 and 1 run alone and write
-    # their files, and point 2 fails on its own.  On two workers the first
-    # slice, points 0 to 3, goes the same way, and the second writes points 4 to 7.
+    # slice fails and writes nothing, and so does its first half, points 0 to
+    # 3; that half's first half, points 0 and 1, runs through in lock-step and
+    # writes their files, and point 2 fails on its own.  On two workers the
+    # first slice, points 0 to 3, goes the same way, and the second writes
+    # points 4 to 7.
     def config(bad_i_z):
         return sweep_config(tmp_path, replay_vehicle(), {
             "veh.I_z": [360.0, bad_i_z, 300.0, 400.0], "veh.mu": [0.3, 0.4],
@@ -910,6 +915,18 @@ def test_a_failing_artifact_slice_leaves_the_files_of_the_points_before_the_fail
         path: data for path, data in tree_bytes(tmp_path / "per_point").items()
         if path.split("/")[1] in written
     }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_artifact_slice_over_a_budget_of_two_runs_runs_in_halves_that_fit(tmp_path, monkeypatch, workers):
+    config = two_kinds_config(tmp_path, TWO_KINDS)
+    per_point_scores(config, tmp_path / "per_point")
+    monkeypatch.setattr(dse, "MAX_RECORDED_VALUES", 401 * 3 * 2)
+    sizes = recording_lockstep_sizes(monkeypatch)
+    run_sweep(config, workers=workers, artifacts_dir=tmp_path / "art")
+    assert tree_bytes(tmp_path / "art") == tree_bytes(tmp_path / "per_point")
+    if workers == 1:  # a half of 3 is over, so it runs as a point alone and a half of 2
+        assert sizes == [6, 3, 1, 2, 3, 1, 2] * 2
 
 
 def test_sweep_interpolates_between_steps_as_align_does(tmp_path):
@@ -966,6 +983,50 @@ def test_a_declined_sweep_gives_the_per_point_table(tmp_path, monkeypatch, model
     assert [(r.mean_error, r.max_error) for r in rows] == per_point_scores(config)
     if workers == 1:  # the pool's workers record in their own processes
         assert errors and set(errors) == {declined}
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type, text and diagnostics of the error it raises."""
+    try:
+        return run()
+    except ConfigError as exc:
+        return ConfigError, str(exc), exc.diagnostics
+    except SimulationError as exc:
+        return SimulationError, str(exc)
+
+
+@st.composite
+def halving_cases(draw):
+    """A vehicle's grid over I_z values of which 1e-310 fails, and the same grid beside a varying supervisor.
+
+    Any parameter may vary slowest.  Lock-step declines a part of the
+    supervised grid in which the supervisor varies, so declined and
+    failing parts mix there.
+    """
+    space = {"veh.I_z": draw(st.lists(st.sampled_from([360.0, 300.0, 400.0, 1e-310]), min_size=1, unique=True))}
+    if draw(st.booleans()):
+        space["veh.mu"] = draw(st.lists(st.sampled_from([0.3, 0.5, 0.9]), min_size=1, max_size=2, unique=True))
+    space["sup.decel"] = draw(st.permutations([1.0, 3.0]))
+    order = draw(st.permutations(list(space)))
+    plain = {name: space[name] for name in order if name != "sup.decel"}
+    return [(replay_vehicle(), plain), (supervised_vehicle(), {name: space[name] for name in order})]
+
+
+@settings(max_examples=15, deadline=None)
+@given(halving_cases())
+def test_a_sweep_that_halves_its_slice_fails_and_writes_as_its_points_run_alone(cases):
+    for mm, parameters in cases:
+        with tempfile.TemporaryDirectory() as directory:
+            directory = Path(directory)
+            config = sweep_config(directory, mm, parameters, scenarios=("s1",))
+            expected = outcome(lambda: per_point_scores(config, directory / "per_point"))
+            rows = outcome(lambda: run_sweep(config, artifacts_dir=directory / "art"))
+            if isinstance(rows, list):
+                rows = [(r.mean_error, r.max_error) for r in rows]
+            assert rows == expected
+            assert tree_bytes(directory / "art") == tree_bytes(directory / "per_point")
+            if not isinstance(expected, list):
+                assert outcome(lambda: run_sweep(config, workers=2)) == expected
 
 
 def test_sweep_against_an_empty_reference_fails_as_the_per_point_path(tmp_path):
