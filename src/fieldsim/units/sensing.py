@@ -36,6 +36,9 @@ _OUT = PortDirection.OUTPUT
 # a step's cost grows with the ray count; at fov 2*pi and a 10 m range, this
 # many rays sit 6.3 mm apart, far finer than any map cell
 MAX_RAYS = 10_000
+# below 2**53 march steps every step index is an exact float, so stepping
+# back one index always moves the march point
+MAX_MARCH_STEPS = 2.0**53
 _heading_key = bits_key(1)
 
 
@@ -188,19 +191,23 @@ class SensorUnit(SimulationUnit):
         super().__init__(SENSOR_DESCRIPTION, parameters)
         p = self.parameters
         rays = p["ray_count"]
+        march = grid_map.resolution * 0.5
+        steps = (p["max_range"] - p["min_range"]) / march
         _check_parameters({
             f"min_range must be non-negative, got {p['min_range']}": p["min_range"] < 0.0,
             f"max_range must exceed min_range, got {p['max_range']} <= {p['min_range']}":
                 p["max_range"] <= p["min_range"],
+            f"max_range must lie within {MAX_MARCH_STEPS:.0f} march steps of {march} m past min_range,"
+            f" got {steps:.3g}": steps > MAX_MARCH_STEPS,
             f"fov must be in (0, 2*pi], got {p['fov']}": not 0.0 < p["fov"] <= 2.0 * pi,
             f"ray_count must be a positive integer, got {rays}": rays < 1 or rays != int(rays),
             f"ray_count must be at most {MAX_RAYS}, got {rays}": rays > MAX_RAYS,
         })
         self._map = grid_map
         self._rays = int(rays)
-        self._march = march = grid_map.resolution * 0.5
+        self._march = march
         # march point k sits at min_range + k * march; the last one within max_range
-        last = int(floor((p["max_range"] - p["min_range"]) / march))
+        last = int(floor(steps))
         while p["min_range"] + last * march > p["max_range"]:
             last -= 1
         self._last_k = last

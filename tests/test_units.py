@@ -433,6 +433,8 @@ def test_sensor_parameter_validation():
         SensorUnit(grid, {"min_range": -0.5})
     with pytest.raises(ContractViolation, match="max_range"):
         SensorUnit(grid, {"min_range": 2.0, "max_range": 1.0})
+    with pytest.raises(ContractViolation, match="max_range must lie within"):
+        SensorUnit(grid, {"max_range": 1e308})
     with pytest.raises(ContractViolation, match="fov"):
         SensorUnit(grid, {"fov": 7.0})
     with pytest.raises(ContractViolation, match="ray_count"):
