@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -78,16 +79,23 @@ def read_json(source: str | Path | Mapping):
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 
 
+def worker_count(workers: int) -> int:
+    """``workers`` capped at the CPUs this process may run on; below one is a :class:`ConfigError`."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, cpus)
+
+
 def fan_out(fn: Callable, tasks: Sequence, workers: int) -> list:
     """``[fn(task) for task in tasks]`` on up to ``workers`` processes.
 
     Results come back in task order whatever the worker count.  The pool
-    never has more processes than tasks and hands them out one at a time;
-    with one, the tasks run here.
+    never has more processes than tasks or than :func:`worker_count`
+    allows, and hands the tasks out one at a time; with one process, the
+    tasks run here.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(tasks))
+    workers = min(worker_count(workers), len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

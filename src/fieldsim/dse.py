@@ -18,7 +18,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import fan_out, is_plain_name, read_csv_table, read_json
+from ._shared import fan_out, is_plain_name, read_csv_table, read_json, worker_count
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
     MAX_RECORDED_VALUES,
@@ -373,7 +373,8 @@ def run_sweep(
     :func:`expand_grid` order within each scenario, independent of the
     worker count, so repeated sweeps are reproducible byte for byte.
     Each scenario's grid is cut into contiguous slices, enough for every
-    worker to get one; a slice is one task.
+    worker to get one; a slice is one task.  There are no more workers than
+    CPUs this process may run on.
     """
     if config.multi_model is None:
         raise ConfigError("sweep config names no multi-model")
@@ -393,6 +394,7 @@ def run_sweep(
         if ref.instance not in config.multi_model.instances:
             raise ConfigError(f"parameter {ref_text!r}: no instance {ref.instance!r} in multi-model")
 
+    workers = worker_count(workers)
     slices = max(1, min(len(grid), math.ceil(workers / max(1, len(config.scenarios)))))
     bounds = [len(grid) * i // slices for i in range(slices + 1)]
     tasks = []

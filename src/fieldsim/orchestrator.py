@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from operator import setitem
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -319,12 +318,13 @@ def lockstep_cosim(
     endpoints = {
         name: unit._group(copies[name]) if name in copies else unit for name, unit in units.items()
     }
-    # (read, write, real sink, connection): every source is shared, so its
-    # value is read and checked once, and a group takes it for all its copies;
-    # operator.setitem takes a fast call, a bound __setitem__ twice as long
+    # (source outputs, source port, sink inputs, sink port, real sink,
+    # connection): every source is shared, so its value is read and checked
+    # once, and a group takes it for all its copies; the loop moves it by
+    # subscription, which makes no call
     exchange = [
-        (partial(endpoints[c.source.instance]._outputs.__getitem__, c.source.port),
-         partial(setitem, endpoints[c.sink.instance]._inputs, c.sink.port),
+        (endpoints[c.source.instance]._outputs, c.source.port,
+         endpoints[c.sink.instance]._inputs, c.sink.port,
          units[c.sink.instance].description.port(c.sink.port).kind is PortKind.REAL, c)
         for c in first.connections
     ]
@@ -346,14 +346,14 @@ def lockstep_cosim(
             for k in range(n_steps + 1):
                 if k:  # row 0 is the state before the first step
                     phase = "exchange"
-                    for read, write, real, conn in exchange:
-                        v = read()
+                    for src, out, dst, port, real, conn in exchange:
+                        v = src[out]
                         if real:
                             if v.__class__ is not float or not isfinite(v):
-                                v = _check_real(conn.sink.port, v)
+                                v = _check_real(port, v)
                         elif v is not True and v is not False:
-                            v = _check_boolean(conn.sink.port, v)
-                        write(v)
+                            v = _check_boolean(port, v)
+                        dst[port] = v
                     phase = "step"
                     for name, step in steppers:
                         step(h)

@@ -562,20 +562,25 @@ def assess_run(trace: TimedTrace, grid_map: GridMap, gap_threshold: float) -> tu
 
     Passes when the gap stays strictly above the threshold for the whole
     run and the vehicle is at standstill whenever the stop latch is still
-    engaged at the end.  Consecutive rows at one position, bit for bit,
-    share one clearance.
+    engaged at the end.  Rows are walked last first, since a run that stops
+    short of the obstacle ends nearest it.  A position's clearance is taken
+    only when its distance to the occupied cells' bounding box, which is
+    never more than its clearance, is below the least gap so far; and
+    consecutive rows at one position, bit for bit, share one measurement.
     """
     key = bits_key(2)
     last = None
     min_gap = math.inf
-    for x, y in zip(trace.column("veh.x"), trace.column("veh.y")):
+    box_distance = grid_map.box_distance
+    for x, y in zip(reversed(trace.column("veh.x")), reversed(trace.column("veh.y"))):
         position = key(x, y)
         if position == last:  # a vehicle at rest, as it is once stopped short of the obstacle
             continue
         last = position
-        gap = grid_map.clearance(x, y)
-        if gap < min_gap:
-            min_gap = gap
+        if box_distance(x, y) < min_gap:
+            gap = grid_map.clearance(x, y)
+            if gap < min_gap:
+                min_gap = gap
     stop_engaged = trace.column("sup.stop_engaged")[-1] != 0.0
     final_velocity = trace.column("sup.velocity")[-1]
     passed = min_gap > gap_threshold and (not stop_engaged or final_velocity == 0.0)

@@ -12,9 +12,10 @@ Cell (i, j) covers the square [x0 + i*res, x0 + (i+1)*res) x
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, floor, hypot, isfinite, pi, sin
+from math import atan2, cos, floor, hypot, inf, isfinite, pi, sin, tau
 from pathlib import Path
 from typing import Mapping
 
@@ -95,6 +96,17 @@ class GridMap:
             return None
         x_lo, y_lo, x_hi, y_hi = zip(*self._cell_bounds)
         return min(x_lo), min(y_lo), max(x_hi), max(y_hi)
+
+    def box_distance(self, x: float, y: float) -> float:
+        """Distance from a point to the occupied cells' bounding box; +inf if none.
+
+        Each bound of the box is a cell's own bound, so this is never more
+        than :meth:`clearance`, rounding included.
+        """
+        box = self._occupied_box
+        if box is None:
+            return inf
+        return hypot(max(box[0] - x, 0.0, x - box[2]), max(box[1] - y, 0.0, y - box[3]))
 
     def clearance(self, x: float, y: float) -> float:
         """Distance from a point to the nearest occupied cell; 0 inside one.
@@ -177,14 +189,17 @@ class SensorUnit(SimulationUnit):
     sit in the blind zone and are invisible.  With no hit,
     ``obstacle_detected`` is False and ``obstacle_distance`` is -1.
 
-    The march only visits points that can lie in an occupied cell: rays
-    are clipped to the occupied box grown by one cell, and march from the
-    pose's clearance on, which is taken only for a pose within reach of
-    the occupied box.  The result is the one a march of every ray over
-    every point gives, as long as coordinates are small enough that their
-    rounding error stays far below one cell.  A step whose pose has the
-    bits of the last computed step's repeats that step's result, and the
-    rays' directions are kept until the heading's bits change.
+    The march only visits points that can lie in an occupied cell: from
+    outside the occupied box grown by one cell, at a heading within a turn
+    of 0, only the rays aimed at the occupied box are cast; rays are
+    clipped to the grown box, and march from the pose's clearance on,
+    which is taken only for a pose within reach of the occupied box.  The
+    result is the one a march of every ray over every point gives, as long
+    as coordinates are small enough that their rounding error stays far
+    below one cell, and rays lie far more than 1e-15 rad apart.  A step
+    whose pose has the bits of the last computed step's repeats that
+    step's result, and the rays' directions are kept until the heading's
+    bits change.
     """
 
     def __init__(self, grid_map: GridMap, parameters: Mapping[str, float] | None = None):
@@ -218,6 +233,9 @@ class SensorUnit(SimulationUnit):
             res = grid_map.resolution
             box = (box[0] - res, box[1] - res, box[2] + res, box[3] + res)
         self._box = box
+        # ray i's heading lies _offsets[i] past the first ray's
+        fov = p["fov"]
+        self._offsets = [i * (fov / (rays - 1)) for i in range(self._rays)] if rays > 1 else [0.0]
         # each ray's (cos(phi), sin(phi)), first ray first, at the heading whose bits_key is _heading
         self._heading, self._directions = None, []
         self._repeats = input_memo(self._inputs)
@@ -230,9 +248,8 @@ class SensorUnit(SimulationUnit):
         inputs = self._inputs
         x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
         best = -1.0
-        # each bound of the occupied box is a cell's own bound, so the box is
-        # no farther than any cell, rounding included: out of the box's reach
-        # is out of every cell's
+        # out of the occupied box's reach is out of every cell's; this is
+        # GridMap.box_distance spelled out, which saves a call on this hot path
         box, reach = self._occupied, self._reach
         if box is not None and hypot(
             max(box[0] - x, 0.0, x - box[2]), max(box[1] - y, 0.0, y - box[3])
@@ -249,6 +266,8 @@ class SensorUnit(SimulationUnit):
     def _first_hit(self, x: float, y: float, theta: float, gap: float) -> int:
         """Least march index at which some ray meets an occupied cell; past the last if none.
 
+        From outside the grown box only the rays whose heading lies in the
+        occupied box's bearings, with one ray to spare each side, are cast.
         Each ray marches only the indices where it is inside the grown box
         and no nearer than ``gap``, and stops short of the best hit so far.
         A point that rounds into an occupied cell is within rounding error
@@ -265,13 +284,37 @@ class SensorUnit(SimulationUnit):
         inside_y = by0 <= y <= by1
         p = self.parameters
         min_range, max_range, fov = p["min_range"], p["max_range"], p["fov"]
-        march, rays, last_k = self._march, self._rays, self._last_k
+        march, rays, last_k, offsets = self._march, self._rays, self._last_k, self._offsets
         key = _heading_key(theta)
         if key != self._heading:
-            phis = [theta - 0.5 * fov + i * (fov / (rays - 1)) for i in range(rays)] if rays > 1 else [theta]
+            phis = [theta - 0.5 * fov + offset for offset in offsets] if rays > 1 else [theta]
             self._heading, self._directions = key, [(cos(phi), sin(phi)) for phi in phis]
+        directions = self._directions
+        if rays > 1 and abs(theta) <= tau and not (bx0 <= x <= bx1 and inside_y):
+            # outside the grown box a hit point lies a cell or more from the
+            # pose, so its bearing is its ray's heading to far less than one
+            # ray spacing: only the rays toward the occupied box, and one to
+            # spare each side, can hit.  Beyond a turn either way, headings
+            # round by more, up to whole radians.  Seen from outside, the box
+            # spans less than pi around its centre's bearing.
+            ox0, oy0, ox1, oy1 = self._occupied
+            mid = atan2(0.5 * (oy0 + oy1) - y, 0.5 * (ox0 + ox1) - x)
+            devs = [
+                (atan2(cy - y, cx - x) - mid + pi) % tau - pi for cx in (ox0, ox1) for cy in (oy0, oy1)
+            ]
+            low = min(devs)
+            span = max(devs) - low
+            # the wedge's offset past the first ray, widened by one ray spacing
+            # each side; the part past the fan's end wraps round to u - tau,
+            # below 0.  Offsets are compared, not divided by the spacing, which
+            # may underflow to 0.
+            u = (mid + low - (theta - 0.5 * fov)) % tau
+            step = offsets[1]
+            first = bisect_left(offsets, u - step)
+            wrapped = min(first, bisect_right(offsets, u - tau + span + step))
+            directions = directions[:wrapped] + directions[first:bisect_right(offsets, u + span + step)]
         best = last_k + 1
-        for cos_p, sin_p in self._directions:
+        for cos_p, sin_p in directions:
             # clip to the grown box, one slab per axis, spelled out on this hot path (cos is never 0)
             s_in, s_out = gap, max_range
             a, b = ax0 / cos_p, ax1 / cos_p

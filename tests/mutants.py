@@ -6,10 +6,11 @@ instance, the interpolation of lock-step scoring, the artifacts a
 lock-stepped slice writes, its memory budget, and the halves a slice that
 does not run through splits into, their order and the files they leave,
 the replay's clock, the heading wrap, the sensor's clipping box,
-its reach and its table of ray directions, pure pursuit's table of
-segments, the input memo of the sensor and pure pursuit, the positions
-``assess_run`` measures once, the chunks the trace writer formats, and the
-name check of a unit's parameters.
+its reach, its table of ray directions and the wedge of rays it aims at
+the occupied box, pure pursuit's table of segments, the input memo of the
+sensor and pure pursuit, the positions ``assess_run`` measures, the
+master's exchange, the chunks the trace writer formats, and the name check
+of a unit's parameters.
 
 A mutant is a file under ``src/``, an exact old text, the new text that
 replaces it and a selection of tests.  For each mutant the script copies
@@ -74,6 +75,11 @@ NAME_CLASH = "tests/test_simunit.py::test_duplicate_port_rejected"
 STOPS = "tests/test_units.py::test_stops_within_lookahead_of_goal"
 ZERO_SIGN = "tests/test_units.py::test_pure_pursuit_tells_a_zero_from_a_negative_zero"
 ONCE = "tests/test_safety.py::test_assess_run_measures_each_run_of_one_position_once"
+ALONG_Y = "tests/test_safety.py::test_assess_run_measures_each_nearer_position_of_a_walk_along_y"
+SEAMS = "tests/test_units.py::test_sensor_sees_a_box_across_the_seam_of_its_fan"
+INSIDE_BOX = "tests/test_units.py::test_sensor_inside_the_occupied_box_casts_every_ray"
+MANY_TURNS = "tests/test_units.py::test_sensor_at_a_heading_of_many_turns_matches_full_march"
+DELAYED = "tests/test_orchestrator.py::test_coupling_is_delayed_by_one_step"
 CSV_BYTES = "tests/test_traces.py::test_csv_bytes_are_the_per_value_format_real_join"
 
 
@@ -251,6 +257,34 @@ MUTANTS = {
         "stations[i], stations[i] - stations[i - 1]))",
         (SEGMENT_TABLE,),
     ),
+    # a box past the end of the fan is not wrapped round to its first rays
+    "wedge-without-wrap": Mutant(
+        SENSING,
+        "wrapped = min(first, bisect_right(offsets, u - tau + span + step))",
+        "wrapped = 0",
+        (SEAMS,),
+    ),
+    # the wedge's offset is measured from the last ray, not the first
+    "wedge-from-the-last-ray": Mutant(
+        SENSING,
+        "u = (mid + low - (theta - 0.5 * fov)) % tau",
+        "u = (mid + low - (theta + 0.5 * fov)) % tau",
+        (SEAMS,),
+    ),
+    # a pose inside the grown box casts only the rays toward the occupied box's corners
+    "wedge-inside-the-grown-box": Mutant(
+        SENSING,
+        "if rays > 1 and abs(theta) <= tau and not (bx0 <= x <= bx1 and inside_y):",
+        "if rays > 1 and abs(theta) <= tau:",
+        (INSIDE_BOX,),
+    ),
+    # a heading of many turns, rounded by more than a ray spacing, still picks rays by its offsets
+    "wedge-at-any-heading": Mutant(
+        SENSING,
+        "if rays > 1 and abs(theta) <= tau and not",
+        "if rays > 1 and not",
+        (MANY_TURNS,),
+    ),
     # a step that only turns the sensor repeats the last result (theta is the last input)
     "pose-memo-ignores-heading": Mutant(
         SIMUNIT,
@@ -277,7 +311,21 @@ MUTANTS = {
         SAFETY,
         "position = key(x, y)",
         "position = key(x, 0.0)",
+        (ALONG_Y,),
+    ),
+    # a position is measured only when its box distance is no less than the least gap
+    "assess-run-bound-inverted": Mutant(
+        SAFETY,
+        "if box_distance(x, y) < min_gap:",
+        "if box_distance(x, y) >= min_gap:",
         (ONCE,),
+    ),
+    # the exchange writes each value back into its source's outputs
+    "exchange-into-the-source": Mutant(
+        ORCHESTRATOR,
+        "dst[port] = v",
+        "src[port] = v",
+        (DELAYED,),
     ),
     # each chunk after the first starts one row late
     "chunk-boundary-drops-a-row": Mutant(

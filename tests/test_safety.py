@@ -664,10 +664,10 @@ def test_assess_run_measures_each_run_of_one_position_once(monkeypatch):
     monkeypatch.setattr(GridMap, "clearance", lambda grid, x, y: (
         measured.append((x.hex(), y.hex())), clearance(grid, x, y))[1])
     assert assess_run(trace, ONE_CELL, 0.25) == expected == (0.5, True)
-    # the first row of each run of one position, bit for bit: -0.0 is not 0.0
-    runs = [p for k, p in enumerate(positions) if k == 0 or repr(p) != repr(positions[k - 1])]
-    assert measured == [(x.hex(), y.hex()) for x, y in runs]
-    assert len(runs) == 8
+    # last row first, and only a position whose distance to the cell's box is
+    # below the least gap so far: (2.5, 1.5) is measured once, its run's other
+    # row and every row before it are not
+    assert measured == [((0.0).hex(), (0.0).hex()), ((2.5).hex(), (1.5).hex())]
 
 
 positions_near_one_cell = st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.5, 3.0, 4.5]) | st.floats(-1.0, 5.0)
@@ -684,6 +684,45 @@ def test_assess_run_is_a_scan_of_every_row(data, stop_engaged, final_velocity, g
     positions = [p for p in walk for _ in range(data.draw(st.integers(1, 3)))]
     trace = position_trace(positions, stop_engaged, final_velocity)
     assert assess_run(trace, ONE_CELL, gap_threshold) == assess_every_row(trace, ONE_CELL, gap_threshold)
+
+
+def test_assess_run_measures_each_nearer_position_of_a_walk_along_y(monkeypatch):
+    # last first, each run of one position is nearer the cell than the one after it
+    positions = [(2.5, 1.5), (2.5, 1.5), (2.5, 1.0), (2.5, 0.0), (2.5, 0.0)]
+    trace = position_trace(positions)
+    expected = assess_every_row(trace, ONE_CELL, 0.25)
+    measured = []
+    clearance = GridMap.clearance
+    monkeypatch.setattr(GridMap, "clearance", lambda grid, x, y: (
+        measured.append((x, y)), clearance(grid, x, y))[1])
+    assert assess_run(trace, ONE_CELL, 0.25) == expected == (0.5, True)
+    assert measured == [(2.5, 0.0), (2.5, 1.0), (2.5, 1.5)]
+
+
+@st.composite
+def occupied_maps(draw):
+    """Maps of up to 10 x 10 cells, 1 to 40 of them occupied anywhere."""
+    width, height = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    res = draw(st.sampled_from([0.1, 0.25, 1.0]) | st.floats(0.05, 1.0))
+    x0 = draw(st.sampled_from([0.0, -1.0, 64.0]) | st.floats(-8.0, 8.0))
+    y0 = draw(st.sampled_from([0.0, -1.125, 64.0]) | st.floats(-8.0, 8.0))
+    occupied = draw(st.sets(st.integers(0, width * height - 1), min_size=1, max_size=40))
+    return GridMap(width, height, res, x0, y0, tuple(int(n in occupied) for n in range(width * height)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), grid=occupied_maps(), stop_engaged=st.booleans(),
+       gap_threshold=st.sampled_from([0.0, 0.5, 1.0]))
+def test_assess_run_is_a_scan_of_every_row_on_any_map(data, grid, stop_engaged, gap_threshold):
+    def coord(origin, cells):
+        on_edge = origin + data.draw(st.integers(-3, cells + 3)) * grid.resolution
+        return data.draw(st.just(on_edge) | st.floats(origin - 2.0, origin + cells * grid.resolution + 2.0))
+
+    points = [(coord(grid.x0, grid.width), coord(grid.y0, grid.height))
+              for _ in range(data.draw(st.integers(1, 5)))]
+    walk = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=30))
+    trace = position_trace(walk, stop_engaged)
+    assert assess_run(trace, grid, gap_threshold) == assess_every_row(trace, grid, gap_threshold)
 
 
 def suite_workspace(tmp_path):

@@ -550,6 +550,103 @@ def test_sensor_full_circle_wraps_around():
         assert distance > 0.0
 
 
+# rays aimed at the box: from (5, 8) BLOCK's centre lies at bearing 0 and
+# from (10.5, 8) at bearing pi, both outside the grown box
+SEAMS = [
+    # the box straddles the first ray of the fan, then its last
+    (5.0, 8.0, math.pi / 4, math.pi / 2),
+    (5.0, 8.0, -math.pi / 4, math.pi / 2),
+    # the same at bearing +-pi, where atan2 turns
+    (10.5, 8.0, math.pi / 2, math.pi),
+    (10.5, 8.0, -math.pi / 2, math.pi),
+    # a full circle facing away: the box straddles the seam of its first and last rays
+    (5.0, 8.0, math.pi, 2 * math.pi),
+    (10.5, 8.0, 0.0, 2 * math.pi),
+    (10.5, 8.0, -0.0, 2 * math.pi),
+]
+
+
+@pytest.mark.parametrize("ray_count", [2.0, 3.0, 9.0, 16.0, 17.0, 64.0])
+@pytest.mark.parametrize("x, y, theta, fov", SEAMS)
+def test_sensor_sees_a_box_across_the_seam_of_its_fan(x, y, theta, fov, ray_count):
+    params = {"min_range": 0.5, "max_range": 4.0, "fov": fov, "ray_count": ray_count}
+    assert assert_matches_march(BLOCK, params, x, y, theta) > 0.0
+
+
+def test_sensor_with_two_rays_sees_through_either():
+    params = {"min_range": 0.5, "max_range": 4.0, "fov": math.pi / 2, "ray_count": 2.0}
+    # the first ray, then the last, points at the box's centre
+    assert assert_matches_march(BLOCK, params, 5.0, 8.0, math.pi / 4) == 2.5
+    assert assert_matches_march(BLOCK, params, 5.0, 8.0, -math.pi / 4) == 2.5
+    assert assert_matches_march(BLOCK, params, 5.0, 8.0, math.pi) == -1.0
+    # at a full circle both rays point behind the heading
+    params["fov"] = 2 * math.pi
+    assert assert_matches_march(BLOCK, params, 5.0, 8.0, math.pi) == 2.5
+    assert assert_matches_march(BLOCK, params, 5.0, 8.0, 0.0) == -1.0
+
+
+@pytest.mark.parametrize("fov", [1e-310, 5e-324, 1e-15])
+@pytest.mark.parametrize("ray_count", [2.0, 3.0, 64.0])
+def test_sensor_with_a_vanishing_field_of_view_matches_full_march(fov, ray_count):
+    # a ray spacing that underflows, or rounds to 0, still picks its rays
+    params = {"min_range": 0.5, "max_range": 4.0, "fov": fov, "ray_count": ray_count}
+    assert assert_matches_march(BLOCK, params, 5.0, 8.0, 0.0) == 2.5
+    assert assert_matches_march(BLOCK, params, 5.0, 8.0, math.pi) == -1.0
+    # along the box's lower edge
+    assert assert_matches_march(BLOCK, params, 5.0, 7.5, 0.0) == 2.5
+
+
+def test_sensor_at_a_heading_of_many_turns_matches_full_march():
+    # at 1e17 rad headings round to 16 rad, far past any ray spacing
+    rng = random.Random(3)
+    for _ in range(300):
+        theta = rng.choice([1e17, -1e17, 1e10, 7.0]) + rng.uniform(0.0, 7.0)
+        params = {"min_range": 0.5, "max_range": 4.0, "fov": rng.choice([0.5, math.pi, 2 * math.pi]),
+                  "ray_count": float(rng.choice([2, 16, 64]))}
+        assert_matches_march(BLOCK, params, rng.uniform(4.0, 12.0), rng.uniform(4.0, 12.0), theta)
+
+
+@pytest.mark.parametrize("x, y", [
+    # on the grown box's edges and corner, where every ray is cast
+    (7.0, 8.0), (9.0, 7.6), (8.2, 7.0), (7.9, 9.0), (7.0, 7.0), (9.0, 9.0),
+    # one ulp outside them, where only the rays toward the box are
+    (math.nextafter(7.0, -math.inf), 8.0), (math.nextafter(9.0, math.inf), 7.6),
+    (8.2, math.nextafter(7.0, -math.inf)), (7.9, math.nextafter(9.0, math.inf)),
+    (math.nextafter(7.0, -math.inf), math.nextafter(7.0, -math.inf)),
+])
+def test_sensor_on_and_just_off_the_grown_box_matches_full_march(x, y):
+    for params in (FULL_CIRCLE, ONE_RAY, {"min_range": 0.0, "max_range": 3.0, "ray_count": 2.0},
+                   {"min_range": 0.1, "max_range": 3.0, "fov": 1.0, "ray_count": 64.0}):
+        for theta in [k * math.pi / 8 for k in range(-8, 9)]:
+            assert_matches_march(BLOCK, params, x, y, theta)
+
+
+# BLOCK moved 64 m from the origin, where coordinates round to 1.4e-14 m:
+# occupied box [65.5, 66.5] x [-68.5, -67.5], grown to [65, 67] x [-69, -67]
+FAR_BLOCK = GridMap(8, 8, 0.5, 64.0, -70.0, BLOCK.cells)
+
+
+@pytest.mark.parametrize("x, y", [
+    (63.0, -68.0), (66.0, -65.5), (68.5, -69.5), (64.0, -70.0),
+    (65.0, -68.0), (math.nextafter(65.0, -math.inf), -68.0), (66.2, math.nextafter(-67.0, math.inf)),
+])
+def test_sensor_64_m_from_the_origin_matches_full_march(x, y):
+    seen = 0
+    for params in (FULL_CIRCLE, {"min_range": 0.1, "max_range": 4.0, "fov": math.pi, "ray_count": 33.0}):
+        for theta in [k * math.pi / 12 for k in range(-12, 13)]:
+            seen += assert_matches_march(FAR_BLOCK, params, x, y, theta) >= 0.0
+    assert seen > 0
+
+
+def test_sensor_inside_the_occupied_box_casts_every_ray():
+    # cells at two corners of a 4.5 m box and one in the middle of its left
+    # edge; from the box's centre that cell lies at bearing pi, outside the
+    # corners' bearings, and is nearer than either corner cell
+    grid = GridMap(9, 9, 0.5, 0.0, 0.0, tuple(int(n in (0, 36, 80)) for n in range(81)))
+    params = {"min_range": 0.5, "max_range": 3.0, "fov": 2 * math.pi, "ray_count": 17.0}
+    assert assert_matches_march(grid, params, 2.25, 2.25, 0.0) == 2.0
+
+
 def test_sensor_single_ray():
     assert assert_matches_march(BLOCK, ONE_RAY, 6.5, 8.0, 0.0) == 1.0
     assert assert_matches_march(BLOCK, ONE_RAY, 6.5, 8.0, math.pi) == -1.0
