@@ -189,17 +189,17 @@ class SensorUnit(SimulationUnit):
     sit in the blind zone and are invisible.  With no hit,
     ``obstacle_detected`` is False and ``obstacle_distance`` is -1.
 
-    The march only visits points that can lie in an occupied cell: from
-    outside the occupied box grown by one cell, at a heading within a turn
-    of 0, only the rays aimed at the occupied box are cast; rays are
-    clipped to the grown box, and march from the pose's clearance on,
-    which is taken only for a pose within reach of the occupied box.  The
-    result is the one a march of every ray over every point gives, as long
-    as coordinates are small enough that their rounding error stays far
-    below one cell, and rays lie far more than 1e-15 rad apart.  A step
-    whose pose has the bits of the last computed step's repeats that
-    step's result, and the rays' directions are kept until the heading's
-    bits change.
+    The march only visits points that can lie in an occupied cell: a pose
+    in reach of the occupied box takes its clearance, and the cast rays
+    march one window, from it to the box's farthest corner, index by
+    index.  From outside the box, a march step or more from every cell, at
+    a heading within a turn of 0, only the rays aimed at the box are cast.
+    The result is the one a march of every ray over every point gives, as
+    long as coordinates are small enough that their rounding error stays
+    far below one cell, and rays lie far more than ulp(coordinate) / march
+    rad apart.  A step whose pose has the bits of the last computed step's
+    repeats that step's result, and the rays' directions are kept until
+    the heading's bits change.
     """
 
     def __init__(self, grid_map: GridMap, parameters: Mapping[str, float] | None = None):
@@ -228,11 +228,7 @@ class SensorUnit(SimulationUnit):
         self._last_k = last
         # beyond max_range plus one cell, no march point can round into a cell
         self._reach = p["max_range"] + grid_map.resolution
-        self._occupied = box = grid_map._occupied_box
-        if box is not None:
-            res = grid_map.resolution
-            box = (box[0] - res, box[1] - res, box[2] + res, box[3] + res)
-        self._box = box
+        self._occupied = grid_map._occupied_box
         # ray i's heading lies _offsets[i] past the first ray's
         fov = p["fov"]
         self._offsets = [i * (fov / (rays - 1)) for i in range(self._rays)] if rays > 1 else [0.0]
@@ -248,13 +244,10 @@ class SensorUnit(SimulationUnit):
         inputs = self._inputs
         x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
         best = -1.0
-        # out of the occupied box's reach is out of every cell's; this is
-        # GridMap.box_distance spelled out, which saves a call on this hot path
-        box, reach = self._occupied, self._reach
-        if box is not None and hypot(
-            max(box[0] - x, 0.0, x - box[2]), max(box[1] - y, 0.0, y - box[3])
-        ) <= reach:
-            gap = self._map.clearance(x, y)
+        # out of the occupied box's reach is out of every cell's
+        grid, reach = self._map, self._reach
+        if grid.box_distance(x, y) <= reach:
+            gap = grid.clearance(x, y)
             if gap <= reach:
                 k = self._first_hit(x, y, theta, gap)
                 if k <= self._last_k:
@@ -266,38 +259,37 @@ class SensorUnit(SimulationUnit):
     def _first_hit(self, x: float, y: float, theta: float, gap: float) -> int:
         """Least march index at which some ray meets an occupied cell; past the last if none.
 
-        From outside the grown box only the rays whose heading lies in the
-        occupied box's bearings, with one ray to spare each side, are cast.
-        Each ray marches only the indices where it is inside the grown box
-        and no nearer than ``gap``, and stops short of the best hit so far.
-        A point that rounds into an occupied cell is within rounding error
-        of ``gap`` or farther, and a cell inside the grown box, so no hit
-        is lost.
+        Every cast ray marches one window of indices, index by index across
+        the rays, so the first hit found is the least.  A point that rounds
+        into an occupied cell lies no nearer than ``gap``, where the window
+        starts, and at most rounding error past ``far``, the distance to the
+        occupied box's farthest corner; the window ends one index past
+        ``far``, which keeps a ray whose first march point is that corner.
+        From outside the occupied box, at a clearance of a march step or
+        more, a hit is a march step or more away, so its bearing differs
+        from its ray's heading by about ulp(coordinate) / march (1e-13 rad at
+        64 m with 0.25 m cells); the wedge's spare rays cover that.
         """
         grid = self._map
         x0, y0, res, width, height, cells = (
             grid.x0, grid.y0, grid.resolution, grid.width, grid.height, grid.cells
         )
-        bx0, by0, bx1, by1 = self._box
-        # the box's offsets from the pose, the same for every ray
-        ax0, ax1, ay0, ay1 = bx0 - x, bx1 - x, by0 - y, by1 - y
-        inside_y = by0 <= y <= by1
+        ox0, oy0, ox1, oy1 = self._occupied
         p = self.parameters
-        min_range, max_range, fov = p["min_range"], p["max_range"], p["fov"]
+        min_range, fov = p["min_range"], p["fov"]
         march, rays, last_k, offsets = self._march, self._rays, self._last_k, self._offsets
         key = _heading_key(theta)
         if key != self._heading:
             phis = [theta - 0.5 * fov + offset for offset in offsets] if rays > 1 else [theta]
             self._heading, self._directions = key, [(cos(phi), sin(phi)) for phi in phis]
         directions = self._directions
-        if rays > 1 and abs(theta) <= tau and not (bx0 <= x <= bx1 and inside_y):
-            # outside the grown box a hit point lies a cell or more from the
-            # pose, so its bearing is its ray's heading to far less than one
-            # ray spacing: only the rays toward the occupied box, and one to
-            # spare each side, can hit.  Beyond a turn either way, headings
-            # round by more, up to whole radians.  Seen from outside, the box
-            # spans less than pi around its centre's bearing.
-            ox0, oy0, ox1, oy1 = self._occupied
+        outside = not (ox0 <= x <= ox1 and oy0 <= y <= oy1)
+        if rays > 1 and abs(theta) <= tau and gap >= march and outside:
+            # only the rays toward the occupied box, and one to spare each
+            # side, can hit.  Nearer than a march step, a pose just outside the
+            # box can round into an edge cell itself; beyond a turn either way,
+            # headings round by up to whole radians.  Seen from outside, the
+            # box spans less than pi around its centre's bearing.
             mid = atan2(0.5 * (oy0 + oy1) - y, 0.5 * (ox0 + ox1) - x)
             devs = [
                 (atan2(cy - y, cx - x) - mid + pi) % tau - pi for cx in (ox0, ox1) for cy in (oy0, oy1)
@@ -306,44 +298,23 @@ class SensorUnit(SimulationUnit):
             span = max(devs) - low
             # the wedge's offset past the first ray, widened by one ray spacing
             # each side; the part past the fan's end wraps round to u - tau,
-            # below 0.  Offsets are compared, not divided by the spacing, which
-            # may underflow to 0.
+            # below 0, and the part before its start to u + tau.  Offsets are
+            # compared, not divided by the spacing, which may underflow to 0.
             u = (mid + low - (theta - 0.5 * fov)) % tau
             step = offsets[1]
-            first = bisect_left(offsets, u - step)
+            first, last = bisect_left(offsets, u - step), bisect_right(offsets, u + span + step)
             wrapped = min(first, bisect_right(offsets, u - tau + span + step))
-            directions = directions[:wrapped] + directions[first:bisect_right(offsets, u + span + step)]
-        best = last_k + 1
-        for cos_p, sin_p in directions:
-            # clip to the grown box, one slab per axis, spelled out on this hot path (cos is never 0)
-            s_in, s_out = gap, max_range
-            a, b = ax0 / cos_p, ax1 / cos_p
-            if a > b:
-                a, b = b, a
-            if a > s_in:
-                s_in = a
-            if b < s_out:
-                s_out = b
-            if sin_p:
-                a, b = ay0 / sin_p, ay1 / sin_p
-                if a > b:
-                    a, b = b, a
-                if a > s_in:
-                    s_in = a
-                if b < s_out:
-                    s_out = b
-            elif not inside_y:
-                continue
-            if s_in > s_out + march:
-                continue
-            k_in = max(0, floor((s_in - min_range) / march))
-            k_out = min(last_k, floor((s_out - min_range) / march))
-            for k in range(k_in, min(k_out + 1, best)):
-                s = min_range + k * march
+            directions = (directions[:wrapped] + directions[first:last]
+                          + directions[max(last, bisect_left(offsets, u + tau - step)):])
+        far = hypot(max(x - ox0, ox1 - x), max(y - oy0, oy1 - y))
+        k_in = max(0, floor((gap - min_range) / march))
+        k_out = min(last_k, floor((far - min_range) / march) + 1)
+        for k in range(k_in, k_out + 1):
+            s = min_range + k * march
+            for cos_p, sin_p in directions:
                 col = floor((x + s * cos_p - x0) / res)
                 if 0 <= col < width:
                     row = floor((y + s * sin_p - y0) / res)
                     if 0 <= row < height and cells[row * width + col]:
-                        best = k
-                        break
-        return best
+                        return k
+        return last_k + 1

@@ -5,9 +5,9 @@ what may vary in lock-step, how lock-step builds the copies of a varying
 instance, the interpolation of lock-step scoring, the artifacts a
 lock-stepped slice writes, its memory budget, and the halves a slice that
 does not run through splits into, their order and the files they leave,
-the replay's clock, the heading wrap, the sensor's clipping box,
-its reach, its table of ray directions and the wedge of rays it aims at
-the occupied box, pure pursuit's table of segments, the input memo of the
+the replay's clock, the heading wrap, the sensor's reach, its window of
+march indices, its table of ray directions and the wedge of rays it aims
+at the occupied box, pure pursuit's table of segments, the input memo of the
 sensor and pure pursuit, the positions ``assess_run`` measures, the
 master's exchange, the chunks the trace writer formats, and the name check
 of a unit's parameters.
@@ -70,6 +70,10 @@ REPLAY_FOLDS = "tests/test_simunit.py::test_time_base_folds_on_step_change"
 REPLAY_CURSOR = "tests/test_plan.py::test_replay_cursor_picks_the_row_bisect_picks"
 WRAPS = "tests/test_vehicle.py::test_heading_within_one_turn_wraps_as_the_loop_did"
 EDGE_POSES = "tests/test_units.py::test_sensor_edge_poses_match_full_march"
+WRAPS_AROUND = "tests/test_units.py::test_sensor_full_circle_wraps_around"
+NEAR_BOX = "tests/test_units.py::test_sensor_within_a_cell_of_the_occupied_box_matches_full_march"
+AT_A_CORNER = "tests/test_units.py::test_sensor_ray_aimed_at_a_cell_corner_matches_full_march"
+LAST_RAY = "tests/test_units.py::test_sensor_full_circle_sees_a_corner_through_its_last_ray"
 TURNED = "tests/test_units.py::test_sensor_turned_in_place_matches_full_march"
 NAME_CLASH = "tests/test_simunit.py::test_duplicate_port_rejected"
 STOPS = "tests/test_units.py::test_stops_within_lookahead_of_goal"
@@ -228,13 +232,27 @@ MUTANTS = {
         'theta = __import__("math").fmod(theta, 2.0 * pi)',
         (WRAPS,),
     ),
-    # rays are clipped to the occupied box itself, so a point that rounds into
-    # an edge cell from outside the box is never marched
-    "box-not-grown": Mutant(
+    # the window ends one index past the clearance, short of hits farther out
+    "window-ends-at-the-near-distance": Mutant(
         SENSING,
-        "box = (box[0] - res, box[1] - res, box[2] + res, box[3] + res)",
-        "box = box",
+        "far = hypot(max(x - ox0, ox1 - x), max(y - oy0, oy1 - y))",
+        "far = gap",
+        (WRAPS_AROUND,),
+    ),
+    # the window starts one index past the clearance, beyond a hit at the clearance
+    "window-starts-a-step-late": Mutant(
+        SENSING,
+        "k_in = max(0, floor((gap - min_range) / march))",
+        "k_in = max(0, floor((gap - min_range) / march) + 1)",
         (EDGE_POSES,),
+    ),
+    # no spare index: a ray whose first march point is the box's far corner,
+    # which rounds to a little past far, is never marched
+    "window-without-a-spare-index": Mutant(
+        SENSING,
+        "floor((far - min_range) / march) + 1)",
+        "floor((far - min_range) / march))",
+        (AT_A_CORNER,),
     ),
     # no slack for rounding: a pose whose clearance just exceeds max_range marches no ray
     "reach-without-slack": Mutant(
@@ -271,19 +289,34 @@ MUTANTS = {
         "u = (mid + low - (theta + 0.5 * fov)) % tau",
         (SEAMS,),
     ),
-    # a pose inside the grown box casts only the rays toward the occupied box's corners
-    "wedge-inside-the-grown-box": Mutant(
+    # a pose inside the occupied box casts only the rays toward its corners
+    "wedge-inside-the-occupied-box": Mutant(
         SENSING,
-        "if rays > 1 and abs(theta) <= tau and not (bx0 <= x <= bx1 and inside_y):",
-        "if rays > 1 and abs(theta) <= tau:",
+        "if rays > 1 and abs(theta) <= tau and gap >= march and outside:",
+        "if rays > 1 and abs(theta) <= tau and gap >= march:",
         (INSIDE_BOX,),
+    ),
+    # a pose just outside the occupied box that rounds into an edge cell casts
+    # only the rays toward the box, though every ray hits at the pose
+    "wedge-within-a-march-step": Mutant(
+        SENSING,
+        "abs(theta) <= tau and gap >= march and outside:",
+        "abs(theta) <= tau and outside:",
+        (NEAR_BOX,),
     ),
     # a heading of many turns, rounded by more than a ray spacing, still picks rays by its offsets
     "wedge-at-any-heading": Mutant(
         SENSING,
-        "if rays > 1 and abs(theta) <= tau and not",
-        "if rays > 1 and not",
+        "if rays > 1 and abs(theta) <= tau and gap",
+        "if rays > 1 and gap",
         (MANY_TURNS,),
+    ),
+    # the spare ray before the fan's first does not wrap round to its last
+    "wedge-wraps-past-the-end-only": Mutant(
+        SENSING,
+        "\n                          + directions[max(last, bisect_left(offsets, u + tau - step)):])",
+        ")",
+        (LAST_RAY,),
     ),
     # a step that only turns the sensor repeats the last result (theta is the last input)
     "pose-memo-ignores-heading": Mutant(

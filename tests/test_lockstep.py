@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldsim import dse
+from fieldsim import _shared, dse
 from fieldsim.cli import main
 from fieldsim.dse import (
     DseConfig,
@@ -895,13 +895,18 @@ def test_an_artifact_slice_over_the_budget_runs_its_points_alone(tmp_path, monke
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_failing_artifact_slice_leaves_the_files_of_the_points_before_the_failing_one(tmp_path, workers):
+def test_a_failing_artifact_slice_leaves_the_files_of_the_points_before_the_failing_one(
+    tmp_path, monkeypatch, workers
+):
     # I_z varies slowest, so points 2 and 3 fail at t=0.11.  Serially the one
     # slice fails and writes nothing, and so does its first half, points 0 to
     # 3; that half's first half, points 0 and 1, runs through in lock-step and
     # writes their files, and point 2 fails on its own.  On two workers the
     # first slice, points 0 to 3, goes the same way, and the second writes
-    # points 4 to 7.
+    # points 4 to 7.  Two CPUs, so that two workers cut two slices on a host
+    # of one CPU too.
+    monkeypatch.setattr(_shared.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     def config(bad_i_z):
         return sweep_config(tmp_path, replay_vehicle(), {
             "veh.I_z": [360.0, bad_i_z, 300.0, 400.0], "veh.mu": [0.3, 0.4],

@@ -95,6 +95,7 @@ def test_suite_pool_is_capped_at_the_run_count(tmp_path, field_map_path, monkeyp
             return map(fn, tasks)
 
     monkeypatch.setattr(_shared, "ProcessPoolExecutor", RecordingPool)
+    on_cpus(monkeypatch, 2)  # the cap at the CPUs would hide the cap at the runs on one CPU
     runs = [
         SafetyRun(run_id=name, map_path=str(field_map_path), speed=1.0, duration=0.1)
         for name in ("first", "second")

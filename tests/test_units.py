@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fieldsim.errors import ConfigError, ContractViolation
@@ -636,6 +636,96 @@ def test_sensor_64_m_from_the_origin_matches_full_march(x, y):
         for theta in [k * math.pi / 12 for k in range(-12, 13)]:
             seen += assert_matches_march(FAR_BLOCK, params, x, y, theta) >= 0.0
     assert seen > 0
+
+
+# one 0.5 m cell at [4, 4.5] x [0, 0.5] on a map from x = -1: floor puts the
+# point one ulp left of it, 3.9999999999999996, in the cell, since
+# (3.9999999999999996 + 1) / 0.5 rounds to 10
+EDGE_CELL = GridMap(12, 1, 0.5, -1.0, 0.0, tuple(int(i == 10) for i in range(12)))
+
+
+@st.composite
+def near_the_occupied_box(draw):
+    """A map, a sensor with min_range 0 and a pose outside the occupied box, within one cell of it."""
+    grid = draw(grid_maps())
+    assume(any(grid.cells))
+    x_lo, y_lo, x_hi, y_hi = grid._occupied_box
+    res = grid.resolution
+
+    def coord(lo, hi):
+        edge = draw(st.sampled_from([lo, hi]))
+        outward = math.inf if edge == hi else -math.inf
+        for _ in range(draw(st.integers(0, 3))):  # a few ulps outward
+            edge = math.nextafter(edge, outward)
+        return draw(st.just(edge) | st.floats(lo - res, hi + res))
+
+    x, y = coord(x_lo, x_hi), coord(y_lo, y_hi)
+    assume(not (x_lo <= x <= x_hi and y_lo <= y <= y_hi) and grid.box_distance(x, y) <= res)
+    params = {"min_range": 0.0, "max_range": draw(st.floats(0.05, 5.0)),
+              "fov": draw(st.sampled_from([1.0, math.pi, 2 * math.pi]) | st.floats(1e-3, 2 * math.pi)),
+              "ray_count": float(draw(st.integers(1, 64)))}
+    return grid, params, x, y, draw(headings)
+
+
+# the march point at the pose lies in the cell, so every ray hits at 0; the
+# fan faces away from the cell, so no ray is aimed at it
+@example(case=(EDGE_CELL, {"min_range": 0.0, "max_range": 2.0, "fov": 1.0, "ray_count": 3.0},
+               3.9999999999999996, 0.25, -math.pi))
+@settings(max_examples=300, deadline=None)
+@given(case=near_the_occupied_box())
+def test_sensor_within_a_cell_of_the_occupied_box_matches_full_march(case):
+    assert_matches_march(*case)
+
+
+@st.composite
+def aimed_at_a_corner(draw):
+    """A map, a sensor and a pose one of whose rays is aimed at an occupied cell's
+    corner, with a march point on the corner to rounding."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    res = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0))
+    x0, y0 = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    n = draw(st.integers(0, width * height - 1))
+    cells = tuple(int(m == n or rng.random() < density) for m in range(width * height))
+    grid = GridMap(width, height, res, x0, y0, cells)
+    # a corner of cell n, as GridMap works out its bounds
+    cx = x0 + (n % width) * res + draw(st.sampled_from([0.0, res]))
+    cy = y0 + (n // width) * res + draw(st.sampled_from([0.0, res]))
+    dist, phi = draw(st.floats(0.2, 6.0)), draw(st.floats(-math.pi, math.pi))
+    x, y = cx - dist * math.cos(phi), cy - dist * math.sin(phi)
+    march = 0.5 * res
+    k = draw(st.integers(0, min(8, int(dist / march))))  # the march point on the corner
+    rays = draw(st.sampled_from([1, 2, 3, 16, 64]))
+    fov = draw(st.sampled_from([1.0, math.pi, 2 * math.pi]) | st.floats(1e-3, 2 * math.pi))
+    i = draw(st.integers(0, rays - 1))  # the ray aimed at the corner
+    theta = phi + 0.5 * fov - i * (fov / (rays - 1)) if rays > 1 else phi
+    min_range = dist - k * march
+    params = {"min_range": min_range, "max_range": min_range + k * march + draw(st.floats(0.05, 3.0)),
+              "fov": fov, "ray_count": float(rays)}
+    return grid, params, x, y, theta
+
+
+# the ray's first march point is the occupied box's farthest corner, which
+# lies in the cell; no earlier point of the ray can hit first
+@example(case=(EDGE_CELL, {"min_range": 2.0, "max_range": 3.0, "ray_count": 1.0},
+               4.765366864730179, 1.8477590650225735, -5 * math.pi / 8))
+@settings(max_examples=300, deadline=None)
+@given(case=aimed_at_a_corner())
+def test_sensor_ray_aimed_at_a_cell_corner_matches_full_march(case):
+    assert_matches_march(*case)
+
+
+def test_sensor_full_circle_sees_a_corner_through_its_last_ray():
+    # a full circle's first and last rays share a bearing but round apart:
+    # the last, aimed at the cell's corner 3 m away, hits at min_range, and
+    # the first misses
+    cell = GridMap(1, 1, 0.25, -1.0, 0.0, (1,))
+    params = {"min_range": 3.0, "max_range": 4.0, "fov": 2 * math.pi, "ray_count": 5.0}
+    x, y, theta = -2.1480502970952697, 2.77163859753386, 5 * math.pi / 8
+    assert assert_matches_march(cell, params, x, y, theta) == 3.0
+    first = SensorUnit(cell, {**params, "ray_count": 1.0})
+    assert march_every_ray(first, cell, x, y, theta - math.pi) == -1.0
 
 
 def test_sensor_inside_the_occupied_box_casts_every_ray():
