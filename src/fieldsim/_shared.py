@@ -1,7 +1,11 @@
 """Plumbing shared by the co-simulation, sweep and safety layers.
 
-One name rule, one text reader, one CSV table reader, one JSON reader,
-one ordered process fan-out and one children-first graph walk.
+One name rule, one text reader, one CSV table reader, one JSON reader, one
+set of document checks, one ordered process fan-out and one children-first
+graph walk.  The document checks state a JSON document's shape after JSON
+Schema's ``required``, ``additionalProperties`` and ``type``: each returns
+the value it passes or raises :class:`ConfigError` with one text per rule,
+after a located prefix ``where`` that the caller builds from names only.
 """
 
 from __future__ import annotations
@@ -72,11 +76,61 @@ def read_json(source: str | Path | Mapping):
     """Decode a JSON file; an already-parsed document passes through."""
     if not isinstance(source, (str, Path)):
         return source
-    path = Path(source)
+    path = source if isinstance(source, Path) else Path(source)  # a copy would build its text again
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+
+
+def check_object(where: str, doc, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``doc`` when it is an object with every ``required`` key and no key beyond ``optional``."""
+    # one plain loop, the cheapest: a suite checks every connection of each run's loop twice
+    if isinstance(doc, dict):
+        found = 0  # required keys seen; an unknown key goes first, as it may be a misspelt one
+        for key in doc:
+            if key in required:
+                found += 1
+            elif key not in optional:
+                unknown = sorted(map(str, doc.keys() - {*required, *optional}))
+                raise ConfigError(f"{where}: unknown keys {', '.join(unknown)}")
+        if found == len(required):
+            return doc
+    *first, last = map(repr, required)
+    raise ConfigError(f"{where} needs {', '.join(first)} and {last}" if first else f"{where} needs a {last}")
+
+
+def check_kind(where: str, key: str, value, kind: type):
+    """``value`` when it is an instance of ``kind``: ``dict``, ``list`` or ``str``."""
+    if not isinstance(value, kind):
+        wanted = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ConfigError(f"{where}: {key!r} must be {wanted}, got {value!r}")
+    return value
+
+
+def check_names(where: str, key: str, value) -> tuple[str, ...]:
+    """A list of strings, as a tuple."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{where}: {key!r} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
+def check_flag(where: str, key: str, value) -> bool:
+    """JSON ``true`` or ``false``; no other value stands in for one."""
+    if value is not True and value is not False:
+        raise ConfigError(f"{where}: {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def check_number(where: str, key: str, value, finite: bool = True) -> float:
+    """A JSON number as a float; NaN, bools, integers past the floats and, if ``finite``, infinities fail."""
+    try:
+        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer past the floats
+        number = math.nan
+    if not math.isfinite(number) and (finite or math.isnan(number)):
+        raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
+    return number
 
 
 def worker_count(workers: int) -> int:

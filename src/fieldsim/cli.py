@@ -13,7 +13,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from ._shared import read_json
+from ._shared import check_flag, check_kind, read_json
 from .dse import (
     optimize,
     pareto_rank,
@@ -153,10 +153,9 @@ def _cmd_gsn(args) -> int:
 def _parse_event_states(text: str) -> dict[str, bool]:
     path = Path(text)
     if path.is_file():
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: event states must be a JSON object")
-        return {str(k): v for k, v in doc.items()}
+        where = str(path)
+        doc = check_kind(where, "event states", read_json(path), dict)
+        return {name: check_flag(where, name, value) for name, value in doc.items()}
     states: dict[str, bool] = {}
     for item in text.split(","):
         item = item.strip()

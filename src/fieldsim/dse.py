@@ -18,7 +18,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import fan_out, is_plain_name, read_csv_table, read_json, worker_count
+from ._shared import check_kind, check_object, fan_out, is_plain_name, read_csv_table, read_json, worker_count
 from .errors import ConfigError, SimulationError
 from .orchestrator import (
     MAX_RECORDED_VALUES,
@@ -176,17 +176,11 @@ def read_dse_config(path: str | Path) -> DseConfig:
     directory.
     """
     path = Path(path)
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: sweep config must be a JSON object")
+    tolerated = ("objectiveDefinitions", "externalScripts", "parameterConstraints")
+    doc = check_object(str(path), read_json(path), ("algorithm", "parameters", "scenarios"),
+                       ("multiModel", "scenarioFiles", *tolerated))
 
-    known = {"algorithm", "parameters", "scenarios", "multiModel", "scenarioFiles"}
-    tolerated = {"objectiveDefinitions", "externalScripts", "parameterConstraints"}
-    unknown = set(doc) - known - tolerated
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
-
-    algorithm = doc.get("algorithm")
+    algorithm = doc["algorithm"]
     if isinstance(algorithm, dict):
         algorithm = algorithm.get("type")
     if not isinstance(algorithm, str):
@@ -194,40 +188,31 @@ def read_dse_config(path: str | Path) -> DseConfig:
     if algorithm != "exhaustive":
         raise ConfigError(f"{path}: unsupported algorithm {algorithm!r}; only 'exhaustive'")
 
-    raw_params = doc.get("parameters")
-    if not isinstance(raw_params, dict) or not raw_params:
+    if not isinstance(doc["parameters"], dict) or not doc["parameters"]:
         raise ConfigError(f"{path}: 'parameters' must be a non-empty object")
     parameters: ParameterSpace = {}
     try:
-        for ref_text, values in raw_params.items():
+        for ref_text, values in doc["parameters"].items():
             ref = PortRef.parse(ref_text)  # normalises multi-segment references
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"parameter {ref_text!r} needs a non-empty value list")
             parameters[ref.render()] = [_parse_grid_value(ref_text, v) for v in values]
-        scenarios = _parse_scenarios(doc.get("scenarios"))
+        scenarios = _parse_scenarios(doc["scenarios"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    warnings = [f"key {key!r} is not interpreted; ignoring it" for key in sorted(tolerated & set(doc))]
+    warnings = [f"key {key!r} is not interpreted; ignoring it" for key in sorted(doc.keys() & tolerated)]
 
     def file_at(value, key: str) -> Path:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: {key} must be a file path string, got {value!r}")
         return path.parent / value
 
-    multi_model = None
-    if "multiModel" in doc:
-        multi_model = load_multimodel(file_at(doc["multiModel"], "'multiModel'"))
+    multi_model = load_multimodel(file_at(doc["multiModel"], "'multiModel'")) if "multiModel" in doc else None
 
     scenario_files: dict[str, tuple[Path, Path]] = {}
-    raw_files = doc.get("scenarioFiles", {})
-    if not isinstance(raw_files, dict):
-        raise ConfigError(f"{path}: 'scenarioFiles' must be an object")
-    for name, entry in raw_files.items():
-        if not isinstance(entry, dict) or set(entry) != {"inputs", "reference"}:
-            raise ConfigError(
-                f"{path}: scenarioFiles[{name!r}] needs exactly 'inputs' and 'reference'"
-            )
+    for name, entry in check_kind(str(path), "scenarioFiles", doc.get("scenarioFiles", {}), dict).items():
+        entry = check_object(f"{path}: scenarioFiles[{name!r}]", entry, ("inputs", "reference"))
         scenario_files[name] = (
             file_at(entry["inputs"], f"scenarioFiles[{name!r}].inputs"),
             file_at(entry["reference"], f"scenarioFiles[{name!r}].reference"),

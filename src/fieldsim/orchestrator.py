@@ -29,7 +29,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
-from ._shared import read_json
+from ._shared import check_kind, check_object, read_json
 from .errors import ConfigError, ContractViolation, SimulationError, UnknownUnitError
 from .simunit import PortDescriptor, PortDirection, PortKind, SimulationUnit, UnitRegistry
 from .simunit import _check_boolean, _check_real
@@ -91,54 +91,30 @@ class MultiModelConfig:
 
 
 def load_multimodel(source: str | Path | Mapping) -> MultiModelConfig:
-    """Build a config from a JSON file path or an already-parsed mapping."""
-    doc = read_json(source)
-    if not isinstance(doc, dict):
-        raise ConfigError("multi-model document must be a JSON object")
-
-    known = {"instances", "connections", "outputs", "step_size", "duration"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown multi-model keys: {', '.join(sorted(unknown))}")
-    for key in ("instances", "outputs", "duration"):
-        if key not in doc:
-            raise ConfigError(f"multi-model document missing key {key!r}")
+    """Build a config from a JSON file path, which a shape error names, or an already-parsed mapping."""
+    where = str(source) if isinstance(source, (str, Path)) else "multi-model document"
+    doc = check_object(where, read_json(source), ("instances", "outputs", "duration"),
+                       ("connections", "step_size"))
 
     instances: dict[str, InstanceSpec] = {}
-    if not isinstance(doc["instances"], dict):
-        raise ConfigError("'instances' must be an object")
-    for name, spec in doc["instances"].items():
-        if not isinstance(spec, dict) or "unit_type" not in spec:
-            raise ConfigError(f"instance {name!r} needs a 'unit_type'")
-        if not isinstance(spec["unit_type"], str):
-            raise ConfigError(
-                f"instance {name!r}: 'unit_type' must be a string, got {spec['unit_type']!r}"
-            )
-        params = spec.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"instance {name!r}: 'parameters' must be an object")
-        extra = set(spec) - {"unit_type", "parameters"}
-        if extra:
-            raise ConfigError(f"instance {name!r}: unknown keys {', '.join(sorted(extra))}")
-        instances[name] = InstanceSpec(spec["unit_type"], dict(params))
-
-    for key in ("connections", "outputs"):
-        if not isinstance(doc.get(key, []), list):
-            raise ConfigError(f"{key!r} must be a list")
+    for name, spec in check_kind(where, "instances", doc["instances"], dict).items():
+        at = f"{where}: instance {name!r}"
+        spec = check_object(at, spec, ("unit_type",), ("parameters",))
+        unit_type = check_kind(at, "unit_type", spec["unit_type"], str)
+        parameters = check_kind(at, "parameters", spec.get("parameters", {}), dict)
+        instances[name] = InstanceSpec(unit_type, dict(parameters))
 
     connections: list[Connection] = []
-    for item in doc.get("connections", []):
-        if not isinstance(item, dict) or set(item) != {"source", "sink"}:
-            raise ConfigError(f"connection {item!r} must have exactly 'source' and 'sink'")
+    at = f"{where}: connection"
+    for item in check_kind(where, "connections", doc.get("connections", []), list):
+        item = check_object(at, item, ("source", "sink"))
         connections.append(Connection(PortRef.parse(item["source"]), PortRef.parse(item["sink"])))
 
-    outputs = [PortRef.parse(text) for text in doc["outputs"]]
-    step_size = doc.get("step_size", DEFAULT_STEP_SIZE)
     return MultiModelConfig(
         instances=instances,
         connections=connections,
-        outputs=outputs,
-        step_size=step_size,
+        outputs=[PortRef.parse(text) for text in check_kind(where, "outputs", doc["outputs"], list)],
+        step_size=doc.get("step_size", DEFAULT_STEP_SIZE),
         duration=doc["duration"],
     )
 

@@ -16,7 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._shared import fan_out, is_plain_name, postorder, read_json
+from ._shared import check_flag, check_kind, check_names, check_number, check_object, fan_out
+from ._shared import is_plain_name, postorder, read_json
 from .errors import ConfigError, SimulationError
 from .orchestrator import MultiModelConfig, load_multimodel, run_cosim, validate_config, write_results_csv
 from .simunit import UnitRegistry, bits_key
@@ -72,34 +73,19 @@ class FaultTree:
         return [name for name, e in self.events.items() if e.gate == "basic"]
 
 
-def _names(owner: str, key: str, value) -> tuple[str, ...]:
-    """A JSON list of names as a tuple; any other shape is a ConfigError."""
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ConfigError(f"{owner}: {key!r} must be a list of names, got {value!r}")
-    return tuple(value)
-
-
 def read_fault_tree(source: str | Path | Mapping) -> FaultTree:
-    doc = read_json(source)
-    if not isinstance(doc, dict) or set(doc) != {"top", "events"}:
-        raise ConfigError("fault tree document needs exactly 'top' and 'events'")
-    if not isinstance(doc["events"], dict):
-        raise ConfigError("fault tree 'events' must be an object")
-    if not isinstance(doc["top"], str):
-        raise ConfigError(f"fault tree 'top' must be an event name, got {doc['top']!r}")
+    where = "fault tree document"
+    doc = check_object(where, read_json(source), ("top", "events"))
     events: dict[str, FtEvent] = {}
-    for name, entry in doc["events"].items():
-        if not isinstance(entry, dict) or "gate" not in entry:
-            raise ConfigError(f"event {name!r} needs a 'gate'")
-        extra = set(entry) - {"label", "gate", "children"}
-        if extra:
-            raise ConfigError(f"event {name!r}: unknown keys {', '.join(sorted(extra))}")
+    for name, entry in check_kind(where, "events", doc["events"], dict).items():
+        at = f"event {name!r}"
+        entry = check_object(at, entry, ("gate",), ("label", "children"))
         events[name] = FtEvent(
             label=entry.get("label", name),
             gate=entry["gate"],
-            children=_names(f"event {name!r}", "children", entry.get("children", [])),
+            children=check_names(at, "children", entry.get("children", [])),
         )
-    return FaultTree(top=doc["top"], events=events)
+    return FaultTree(top=check_kind(where, "top", doc["top"], str), events=events)
 
 
 def evaluate_fault_tree(tree: FaultTree, states: Mapping[str, bool]) -> bool:
@@ -198,34 +184,23 @@ def write_verdict(verdict: EvidenceVerdict, directory: str | Path) -> Path:
     return out
 
 
-def _flag(where: str, key: str, value) -> bool:
-    if value is not True and value is not False:
-        raise ConfigError(f"{where}: {key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _number(where: str, key: str, value) -> float:
-    """A JSON number; infinities pass, since a map with no obstacle measures one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-        raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
-    return float(value)
-
-
 def read_verdicts(evidence_dir: str | Path) -> dict[str, EvidenceVerdict]:
-    """Load every evidence/<run_id>/verdict.json below a directory."""
+    """Load every evidence/<run_id>/verdict.json below a directory; other keys are ignored."""
     evidence_dir = Path(evidence_dir)
     verdicts: dict[str, EvidenceVerdict] = {}
     if not evidence_dir.is_dir():
         return verdicts
     for verdict_file in sorted(evidence_dir.glob("*/verdict.json")):
+        where = str(verdict_file)
         try:
             doc = json.loads(verdict_file.read_text())
             verdict = EvidenceVerdict(
                 run_id=doc["run_id"],
-                passed=_flag(str(verdict_file), "passed", doc["passed"]),
+                passed=check_flag(where, "passed", doc["passed"]),
                 criterion=doc["criterion"],
-                measured=_number(str(verdict_file), "measured", doc["measured"]),
-                threshold=_number(str(verdict_file), "threshold", doc["threshold"]),
+                # a map with no occupied cell measures an infinite gap
+                measured=check_number(where, "measured", doc["measured"], finite=False),
+                threshold=check_number(where, "threshold", doc["threshold"], finite=False),
                 note=doc.get("note", ""),
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -304,28 +279,24 @@ class GsnGraph:
 
 
 def read_gsn(source: str | Path | Mapping) -> GsnGraph:
-    doc = read_json(source)
-    if not isinstance(doc, dict) or set(doc) != {"nodes"} or not isinstance(doc["nodes"], list):
-        raise ConfigError("goal structure document needs exactly a 'nodes' list")
+    where = "goal structure document"
+    doc = check_object(where, read_json(source), ("nodes",))
     nodes: list[GsnNode] = []
-    for entry in doc["nodes"]:
-        if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
-            raise ConfigError(f"node {entry!r} needs 'id' and 'kind'")
-        if not isinstance(entry["id"], str):
-            raise ConfigError(f"node 'id' must be a string, got {entry['id']!r}")
-        extra = set(entry) - {"id", "kind", "text", "children", "evidence_refs", "module_ref", "asserted"}
-        if extra:
-            raise ConfigError(f"node {entry['id']!r}: unknown keys {', '.join(sorted(extra))}")
-        owner = f"node {entry['id']!r}"
+    for entry in check_kind(where, "nodes", doc["nodes"], list):
+        node_id = entry.get("id") if isinstance(entry, dict) else None
+        at = f"node {node_id!r}" if isinstance(node_id, str) else "node"
+        check_object(
+            at, entry, ("id", "kind"), ("text", "children", "evidence_refs", "module_ref", "asserted")
+        )
         nodes.append(
             GsnNode(
-                node_id=entry["id"],
+                node_id=check_kind(at, "id", node_id, str),
                 kind=entry["kind"],
                 text=entry.get("text", ""),
-                children=_names(owner, "children", entry.get("children", [])),
-                evidence_refs=_names(owner, "evidence_refs", entry.get("evidence_refs", [])),
+                children=check_names(at, "children", entry.get("children", [])),
+                evidence_refs=check_names(at, "evidence_refs", entry.get("evidence_refs", [])),
                 module_ref=entry.get("module_ref"),
-                asserted=_flag(owner, "asserted", entry.get("asserted", False)),
+                asserted=check_flag(at, "asserted", entry.get("asserted", False)),
             )
         )
     return GsnGraph(nodes)
@@ -470,59 +441,37 @@ class SafetySuite:
 _REAL_FIELDS = ("speed", "decel", "margin", "duration", "step_size", "gap_threshold")
 
 
-def _real(where: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{where}: bad {key} {value!r}")
-    return float(value)
-
-
 def read_safety_suite(path: str | Path) -> SafetySuite:
     """Parse a suite document; fields a run leaves out keep the SafetyRun defaults."""
     path = Path(path)
-    doc = read_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
-        raise ConfigError(f"{path}: suite document needs a 'runs' list")
-    extra = set(doc) - {"runs", "map"}
-    if extra:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(extra))}")
-    default_map = doc.get("map")
-
+    doc = check_object(str(path), read_json(path), ("runs",), ("map",))
     runs: list[SafetyRun] = []
     seen: set[str] = set()
-    for entry in doc["runs"]:
-        if not isinstance(entry, dict) or "id" not in entry or "speed" not in entry:
-            raise ConfigError(f"{path}: every run needs 'id' and 'speed'")
-        run_id = entry["id"]
+    for entry in check_kind(str(path), "runs", doc["runs"], list):
+        run_id = entry.get("id") if isinstance(entry, dict) else None
+        where = f"{path}: run {run_id!r}" if isinstance(run_id, str) else f"{path}: run"
+        check_object(where, entry, ("id", "speed"), ("map", "sensor", "path", *_REAL_FIELDS))
         if not is_plain_name(run_id):
             raise ConfigError(f"{path}: bad run id {run_id!r}")
         if run_id in seen:
             raise ConfigError(f"{path}: duplicate run id {run_id!r}")
         seen.add(run_id)
-        where = f"{path}: run {run_id!r}"
-        unknown = set(entry) - {"id", "map", "sensor", "path", *_REAL_FIELDS}
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
-        map_name = entry.get("map", default_map)
+        map_name = entry.get("map", doc.get("map"))
         if not map_name:
             raise ConfigError(f"{where} names no map")
-        if not isinstance(map_name, str):
-            raise ConfigError(f"{where}: bad map {map_name!r}")
-        fields = {key: _real(where, key, entry[key]) for key in _REAL_FIELDS if key in entry}
+        check_kind(where, "map", map_name, str)
+        fields = {key: check_number(where, key, entry[key]) for key in _REAL_FIELDS if key in entry}
         if fields["speed"] < 0:
             raise ConfigError(f"{where}: bad speed {entry['speed']!r}")
         if "sensor" in entry:
-            sensor = entry["sensor"]
-            if not isinstance(sensor, dict):
-                raise ConfigError(f"{where}: bad sensor {sensor!r}")
-            fields["sensor"] = {k: _real(where, f"sensor.{k}", v) for k, v in sensor.items()}
+            sensor = check_kind(where, "sensor", entry["sensor"], dict)
+            fields["sensor"] = {k: check_number(where, f"sensor.{k}", v) for k, v in sensor.items()}
         if "path" in entry:
-            waypoints = entry["path"]
-            if not isinstance(waypoints, list) or not all(
-                isinstance(point, list) and len(point) == 2 for point in waypoints
-            ):
+            waypoints = check_kind(where, "path", entry["path"], list)
+            if not all(isinstance(point, list) and len(point) == 2 for point in waypoints):
                 raise ConfigError(f"{where}: bad path {waypoints!r}")
             fields["path"] = tuple(
-                tuple(_real(where, "path coordinate", c) for c in point) for point in waypoints
+                tuple(check_number(where, "path coordinate", c) for c in point) for point in waypoints
             )
         runs.append(SafetyRun(run_id=run_id, map_path=str(path.parent / map_name), **fields))
     return SafetySuite(runs=runs)

@@ -9,8 +9,9 @@ the replay's clock, the heading wrap, the sensor's reach, its window of
 march indices, its table of ray directions and the wedge of rays it aims
 at the occupied box, pure pursuit's table of segments, the input memo of the
 sensor and pure pursuit, the positions ``assess_run`` measures, the
-master's exchange, the chunks the trace writer formats, and the name check
-of a unit's parameters.
+master's exchange, the chunks the trace writer formats, the name check
+of a unit's parameters, and the document checks' rules for keys, flags and
+numbers.
 
 A mutant is a file under ``src/``, an exact old text, the new text that
 replaces it and a selection of tests.  For each mutant the script copies
@@ -51,6 +52,7 @@ SENSING = "fieldsim/units/sensing.py"
 SIMUNIT = "fieldsim/simunit.py"
 SAFETY = "fieldsim/safety.py"
 TRACES = "fieldsim/traces.py"
+SHARED = "fieldsim/_shared.py"
 LOCKSTEP = "tests/test_lockstep.py"
 SPLITS = f"{LOCKSTEP}::test_copies_split_only_when_a_step_gives_them_different_bits"
 REAR = f"{LOCKSTEP}::test_a_rear_force_past_the_least_cap_splits_a_class"
@@ -85,6 +87,9 @@ INSIDE_BOX = "tests/test_units.py::test_sensor_inside_the_occupied_box_casts_eve
 MANY_TURNS = "tests/test_units.py::test_sensor_at_a_heading_of_many_turns_matches_full_march"
 DELAYED = "tests/test_orchestrator.py::test_coupling_is_delayed_by_one_step"
 CSV_BYTES = "tests/test_traces.py::test_csv_bytes_are_the_per_value_format_real_join"
+SAMPLES_READ = "tests/test_shared.py::test_every_json_sample_passes_its_reader"
+CHECK_TEXTS = "tests/test_shared.py::test_a_check_rejects_with_one_text"
+INFINITE_SPEED = "tests/test_shared.py::test_a_suite_run_at_an_infinite_speed_is_rejected"
 
 
 class Mutant(NamedTuple):
@@ -380,6 +385,34 @@ MUTANTS = {
         "for name in [p.name for p in self.ports] + list(self.default_parameters):",
         "for name in [p.name for p in self.ports]:",
         (NAME_CLASH,),
+    ),
+    # a key outside the required ones is unknown even when it is optional
+    "check-object-ignores-optional": Mutant(
+        SHARED,
+        "elif key not in optional:",
+        "else:",
+        (SAMPLES_READ,),
+    ),
+    # an object that lacks a required key passes
+    "check-object-skips-required": Mutant(
+        SHARED,
+        "if found == len(required):",
+        "if found >= 0:",
+        (CHECK_TEXTS,),
+    ),
+    # an infinity passes where a finite number is asked for
+    "check-number-lets-infinity-through": Mutant(
+        SHARED,
+        "if not math.isfinite(number) and (finite or math.isnan(number)):",
+        "if math.isnan(number):",
+        (INFINITE_SPEED,),
+    ),
+    # 0 and 1 pass as flags, since they compare equal to false and true
+    "check-flag-takes-equal-numbers": Mutant(
+        SHARED,
+        "if value is not True and value is not False:",
+        "if value not in (True, False):",
+        (CHECK_TEXTS,),
     ),
 }
 

@@ -409,7 +409,7 @@ def test_ft_command_skips_empty_items_in_the_state_list(capsys):
     "events,fragment",
     [
         ("sensor_blind=maybe", "event state 'sensor_blind=maybe' must be true or false"),
-        ("states.json", "event states must be a JSON object"),
+        ("states.json", "states.json: 'event states' must be an object, got [['sensor_blind', True]]"),
     ],
     ids=["bad-state", "json-list"],
 )
@@ -449,25 +449,45 @@ def test_cosim_rejects_boolean_to_real_connection(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field,value,fragment",
+    "field,value,text",
     [
-        ("decel", "fast", "bad decel 'fast'"),
-        ("margin", None, "bad margin None"),
-        ("duration", True, "bad duration True"),
-        ("sensor", [], "bad sensor []"),
-        ("sensor", {"fov": "wide"}, "bad sensor.fov 'wide'"),
-        ("path", [[0.0, 0.0], [5.0]], "bad path"),
-        ("path", [[0.0, 0.0], [5.0, "x"]], "bad path coordinate 'x'"),
+        ("decel", "fast", "run 'a': 'decel' must be a number, got 'fast'"),
+        ("margin", None, "run 'a': 'margin' must be a number, got None"),
+        ("duration", True, "run 'a': 'duration' must be a number, got True"),
+        ("sensor", [], "run 'a': 'sensor' must be an object, got []"),
+        ("sensor", {"fov": "wide"}, "run 'a': 'sensor.fov' must be a number, got 'wide'"),
+        ("path", [[0.0, 0.0], [5.0]], "run 'a': bad path [[0.0, 0.0], [5.0]]"),
+        ("path", [[0.0, 0.0], [5.0, "x"]], "run 'a': 'path coordinate' must be a number, got 'x'"),
     ],
 )
-def test_safety_run_rejects_mistyped_fields(tmp_path, capsys, field, value, fragment):
+def test_safety_run_rejects_mistyped_fields(tmp_path, capsys, field, value, text):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"map": "field.map", "runs": [{"id": "a", "speed": 1.0, field: value}]}))
     code, _, stderr = run_cli(
         capsys, "safety-run", "--suite", suite, "--evidence-dir", tmp_path / "evidence"
     )
     assert code == 2
-    assert fragment in stderr
+    assert stderr == f"error: {suite}: {text}\n"
+
+
+def test_a_multimodel_with_an_unknown_key_names_its_file(tmp_path, capsys):
+    doc = json.loads((SAMPLES / "vehicle_replay.json").read_text())
+    doc["extra"] = 1
+    mm = tmp_path / "mm.json"
+    mm.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(
+        capsys, "cosim", "--config", mm, "--scenario-inputs", SAMPLES / "sin_cal_inputs.csv",
+        "--out", tmp_path / "o.csv",
+    )
+    assert (code, stdout, stderr) == (2, "", f"error: {mm}: unknown keys extra\n")
+    sweep = json.loads((SAMPLES / "dse_sweep.json").read_text())
+    sweep["multiModel"] = "mm.json"
+    (tmp_path / "sweep.json").write_text(json.dumps(sweep))
+    code, stdout, stderr = run_cli(
+        capsys, "dse", "sweep", "--config", tmp_path / "sweep.json", "--out", tmp_path / "t.csv"
+    )
+    assert (code, stdout, stderr) == (2, "", f"error: {mm}: unknown keys extra\n")
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "t.csv").exists()
 
 
 def test_a_suite_run_named_dot_dot_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -554,9 +574,9 @@ def test_gsn_command_rejects_string_children(tmp_path, capsys):
     "command,doc,fragment",
     [
         ("ft", {"top": ["t"], "events": {"t": {"gate": "basic"}}},
-         "fault tree 'top' must be an event name, got ['t']"),
+         "fault tree document: 'top' must be a string, got ['t']"),
         ("gsn", {"nodes": [{"id": ["G"], "kind": "goal"}]},
-         "node 'id' must be a string, got ['G']"),
+         "node: 'id' must be a string, got ['G']"),
         ("cosim", {"duration": 1.0, "instances": {"veh": {"unit_type": ["vehicle"]}},
                    "outputs": ["veh.x"]},
          "instance 'veh': 'unit_type' must be a string, got ['vehicle']"),

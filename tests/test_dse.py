@@ -399,7 +399,7 @@ def test_read_dse_config_records_tolerated_keys(tmp_path):
         (lambda d: d.update(scenarios=["a", 5]), "scenario name 5 is not a string"),
         (lambda d: d.update(scenarioFiles=[]), "'scenarioFiles' must be an object"),
         (lambda d: d.update(scenarioFiles={"sin1": {"inputs": "i.csv"}}),
-         r"scenarioFiles\['sin1'\] needs exactly 'inputs' and 'reference'"),
+         r"scenarioFiles\['sin1'\] needs 'inputs' and 'reference'$"),
     ],
 )
 def test_read_dse_config_rejections(tmp_path, mutate, fragment):
@@ -421,8 +421,10 @@ def test_read_dse_config_rejects_a_scenario_name_that_leaves_its_directory_or_fi
 
 
 def test_read_dse_config_rejects_a_document_that_is_not_an_object(tmp_path):
-    with pytest.raises(ConfigError, match="sweep config must be a JSON object"):
-        read_dse_config(write_config(tmp_path, [BASE_DOC]))
+    path = write_config(tmp_path, [BASE_DOC])
+    with pytest.raises(ConfigError) as caught:
+        read_dse_config(path)
+    assert str(caught.value) == f"{path} needs 'algorithm', 'parameters' and 'scenarios'"
 
 
 def test_read_dse_config_rejects_bad_json(tmp_path):

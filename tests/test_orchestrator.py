@@ -140,13 +140,19 @@ def test_load_multimodel_rejects_bad_json(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc,fragment",
+    "doc,text",
     [
-        ({"instances": {}, "outputs": []}, "missing key 'duration'"),
-        ({"instances": {}, "outputs": [], "duration": 1, "extra": 1}, "unknown multi-model keys"),
+        (
+            {"instances": {}, "outputs": []},
+            "multi-model document needs 'instances', 'outputs' and 'duration'",
+        ),
+        (
+            {"instances": {}, "outputs": [], "duration": 1, "extra": 1},
+            "multi-model document: unknown keys extra",
+        ),
         (
             {"instances": {"a": {}}, "outputs": [], "duration": 1},
-            "needs a 'unit_type'",
+            "multi-model document: instance 'a' needs a 'unit_type'",
         ),
         (
             {
@@ -154,7 +160,7 @@ def test_load_multimodel_rejects_bad_json(tmp_path):
                 "outputs": [],
                 "duration": 1,
             },
-            "unknown keys",
+            "multi-model document: instance 'a': unknown keys typo",
         ),
         (
             {
@@ -163,19 +169,23 @@ def test_load_multimodel_rejects_bad_json(tmp_path):
                 "outputs": [],
                 "duration": 1,
             },
-            "exactly 'source' and 'sink'",
+            "multi-model document: connection needs 'source' and 'sink'",
         ),
-        ([], "multi-model document must be a JSON object"),
-        ({"instances": [], "outputs": [], "duration": 1}, "'instances' must be an object"),
+        ([], "multi-model document needs 'instances', 'outputs' and 'duration'"),
+        (
+            {"instances": [], "outputs": [], "duration": 1},
+            "multi-model document: 'instances' must be an object, got []",
+        ),
         (
             {"instances": {"a": {"unit_type": "counter", "parameters": [1]}}, "outputs": [], "duration": 1},
-            "instance 'a': 'parameters' must be an object",
+            "multi-model document: instance 'a': 'parameters' must be an object, got [1]",
         ),
     ],
 )
-def test_load_multimodel_rejects_malformed(doc, fragment):
-    with pytest.raises(ConfigError, match=fragment):
+def test_load_multimodel_rejects_malformed(doc, text):
+    with pytest.raises(ConfigError) as caught:
         load_multimodel(doc)
+    assert str(caught.value) == text
 
 
 # --- validation -------------------------------------------------------------

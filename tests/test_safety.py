@@ -113,7 +113,7 @@ def test_fault_tree_rejects_cycles():
 def test_read_fault_tree_document_shape(tmp_path):
     path = tmp_path / "ft.json"
     path.write_text(json.dumps({"top": "a"}))
-    with pytest.raises(ConfigError, match="exactly 'top' and 'events'"):
+    with pytest.raises(ConfigError, match="^fault tree document needs 'top' and 'events'$"):
         read_fault_tree(path)
     path.write_text(json.dumps({"top": "a", "events": {"a": {"gate": "basic", "x": 1}}}))
     with pytest.raises(ConfigError, match="unknown keys"):
@@ -323,7 +323,7 @@ def test_read_gsn_document_shape(tmp_path):
     with pytest.raises(ConfigError, match="needs 'id' and 'kind'"):
         read_gsn(path)
     path.write_text(json.dumps({"nodes": [], "extra": 1}))
-    with pytest.raises(ConfigError, match="exactly a 'nodes' list"):
+    with pytest.raises(ConfigError, match="^goal structure document: unknown keys extra$"):
         read_gsn(path)
     path.write_text(json.dumps({"nodes": [{"id": "a", "kind": "goal", "zz": 1}]}))
     with pytest.raises(ConfigError, match="unknown keys"):
@@ -571,9 +571,9 @@ def test_read_safety_suite_defaults_and_overrides(tmp_path):
         ({"runs": [{"id": "a", "speed": 1.0}]}, "names no map"),
         ({"runs": [{"id": "a", "speed": 1.0, "zz": 1}], "map": "m"}, "unknown keys"),
         ({"runs": [{"id": "a", "speed": 1.0, "multi_model": "combine"}], "map": "m"}, "unknown keys multi_model"),
-        ({"runs": {}}, "'runs' list"),
-        ({"runs": [], "map": "m", "maps": "m"}, "unknown keys: maps"),
-        ({"runs": [{"id": "a", "speed": 1.0, "map": 5}]}, "bad map 5"),
+        ({"runs": {}}, r"suite\.json: 'runs' must be a list, got \{\}$"),
+        ({"runs": [], "map": "m", "maps": "m"}, r"suite\.json: unknown keys maps$"),
+        ({"runs": [{"id": "a", "speed": 1.0, "map": 5}]}, r"suite\.json: run 'a': 'map' must be a string, got 5$"),
         # a run id names a directory inside the evidence directory and a CSV field
         *(({"runs": [{"id": run_id, "speed": 1.0}], "map": "m"}, "bad run id")
           for run_id in ("", ".", "..", "a\\b", "a,b", "a\nb", "a\rb", 5)),

@@ -1,10 +1,13 @@
-"""Shared plumbing: deep graph walks, map reads and the capped fan-out."""
+"""Shared plumbing: deep graph walks, map reads, the document checks and the capped fan-out."""
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fieldsim import _shared
 from fieldsim.cli import main
@@ -18,9 +21,11 @@ from fieldsim.safety import (
     minimal_cut_sets,
     read_fault_tree,
     read_gsn,
+    read_safety_suite,
     run_safety_suite,
 )
 from fieldsim.dse import read_dse_config, run_sweep
+from fieldsim.orchestrator import load_multimodel
 from fieldsim.units import write_grid_map
 
 from conftest import build_blind_map, build_field_map
@@ -169,3 +174,117 @@ def test_a_suite_on_one_cpu_runs_here_whatever_the_worker_count(tmp_path, field_
     ]
     verdicts = run_safety_suite(SafetySuite(runs), tmp_path / "evidence", workers=100_000)
     assert [v.run_id for v in verdicts] == ["first", "second"]
+
+
+# --- document checks ---------------------------------------------------------
+
+OBJECT = {"a": 1, "b": [2]}
+
+
+@pytest.mark.parametrize(
+    "check,args,result",
+    [
+        (_shared.check_object, (OBJECT, ("a", "b")), OBJECT),
+        (_shared.check_object, (OBJECT, ("a",), ("b", "c")), OBJECT),
+        (_shared.check_kind, ("k", OBJECT, dict), OBJECT),
+        (_shared.check_kind, ("k", [], list), []),
+        (_shared.check_kind, ("k", "", str), ""),
+        (_shared.check_names, ("k", ["a", "b"]), ("a", "b")),
+        (_shared.check_names, ("k", []), ()),
+        (_shared.check_flag, ("k", True), True),
+        (_shared.check_flag, ("k", False), False),
+        (_shared.check_number, ("k", 2), 2.0),
+        (_shared.check_number, ("k", -0.5), -0.5),
+        (_shared.check_number, ("k", 1e308), 1e308),
+        (_shared.check_number, ("k", math.inf, False), math.inf),
+        (_shared.check_number, ("k", -math.inf, False), -math.inf),
+    ],
+)
+def test_a_check_returns_what_it_accepts(check, args, result):
+    out = check("w", *args)
+    assert out == result and type(out) is type(result)
+
+
+@pytest.mark.parametrize(
+    "check,args,text",
+    [
+        (_shared.check_object, ([], ("a", "b")), "w needs 'a' and 'b'"),
+        (_shared.check_object, (None, ("gate",)), "w needs a 'gate'"),
+        (_shared.check_object, ({"a": 1}, ("a", "b", "c")), "w needs 'a', 'b' and 'c'"),
+        (_shared.check_object, ({"a": 1, "z": 2, "y": 3, "b": 4}, ("a",), ("b",)), "w: unknown keys y, z"),
+        (_shared.check_kind, ("k", [], dict), "w: 'k' must be an object, got []"),
+        (_shared.check_kind, ("k", {}, list), "w: 'k' must be a list, got {}"),
+        (_shared.check_kind, ("k", 5, str), "w: 'k' must be a string, got 5"),
+        (_shared.check_names, ("k", "ab"), "w: 'k' must be a list of names, got 'ab'"),
+        (_shared.check_names, ("k", ["a", 1]), "w: 'k' must be a list of names, got ['a', 1]"),
+        (_shared.check_flag, ("k", 0), "w: 'k' must be true or false, got 0"),
+        (_shared.check_flag, ("k", "false"), "w: 'k' must be true or false, got 'false'"),
+        (_shared.check_number, ("k", True), "w: 'k' must be a number, got True"),
+        (_shared.check_number, ("k", "1"), "w: 'k' must be a number, got '1'"),
+        (_shared.check_number, ("k", None), "w: 'k' must be a number, got None"),
+        (_shared.check_number, ("k", math.inf), "w: 'k' must be a number, got inf"),
+        (_shared.check_number, ("k", -math.inf), "w: 'k' must be a number, got -inf"),
+        (_shared.check_number, ("k", math.nan), "w: 'k' must be a number, got nan"),
+        (_shared.check_number, ("k", math.nan, False), "w: 'k' must be a number, got nan"),
+        (_shared.check_number, ("k", 10**400, False), f"w: 'k' must be a number, got {10**400}"),
+    ],
+)
+def test_a_check_rejects_with_one_text(check, args, text):
+    with pytest.raises(ConfigError) as caught:
+        check("w", *args)
+    assert str(caught.value) == text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(value=JSON_VALUES)
+def test_a_check_of_any_json_value_returns_or_raises_a_config_error(value):
+    checks = [
+        lambda: _shared.check_object("w", value, ("a", "b"), ("c",)),
+        lambda: _shared.check_object("w", value, ("",)),
+        *(lambda kind=kind: _shared.check_kind("w", "k", value, kind) for kind in (dict, list, str)),
+        lambda: _shared.check_names("w", "k", value),
+        lambda: _shared.check_flag("w", "k", value),
+        lambda: _shared.check_number("w", "k", value),
+        lambda: _shared.check_number("w", "k", value, finite=False),
+    ]
+    for check in checks:
+        try:
+            check()
+        except ConfigError:
+            pass
+
+
+def test_a_suite_run_at_an_infinite_speed_is_rejected(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text('{"map": "m", "runs": [{"id": "a", "speed": 1e999}]}')
+    with pytest.raises(ConfigError) as caught:
+        read_safety_suite(path)
+    assert str(caught.value) == f"{path}: run 'a': 'speed' must be a number, got inf"
+
+
+def test_a_suite_run_at_a_speed_past_the_floats_is_rejected(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text('{"map": "m", "runs": [{"id": "a", "speed": 1%s}]}' % ("0" * 400))
+    with pytest.raises(ConfigError) as caught:
+        read_safety_suite(path)
+    assert str(caught.value) == f"{path}: run 'a': 'speed' must be a number, got 1{'0' * 400}"
+
+
+@pytest.mark.parametrize(
+    "read,sample",
+    [
+        (load_multimodel, "vehicle_replay.json"),
+        (read_dse_config, "dse_sweep.json"),
+        (read_safety_suite, "safety_suite.json"),
+        (read_fault_tree, "fault_tree.json"),
+        (read_gsn, "gsn_case.json"),
+    ],
+)
+def test_every_json_sample_passes_its_reader(read, sample):
+    read(SAMPLES / sample)

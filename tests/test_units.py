@@ -512,8 +512,8 @@ def assert_matches_march(grid, params, x, y, theta):
 
 
 # 8 x 8 map of 0.5 m cells at (6, 6) with a 2 x 2 block: occupied box
-# [7.5, 8.5]^2, grown by one cell to [7, 9]^2.  Away from the origin a
-# ray 1e-16 off an edge still rounds onto it.
+# [7.5, 8.5]^2, marched in 0.25 m steps.  Away from the origin a ray 1e-16
+# off an edge still rounds onto it.
 BLOCK = GridMap(8, 8, 0.5, 6.0, 6.0, tuple(
     1 if i in (3, 4) and j in (3, 4) else 0 for j in range(8) for i in range(8)
 ))
@@ -532,7 +532,9 @@ ONE_RAY = {"min_range": 0.5, "max_range": 3.0, "ray_count": 1.0}
         (ONE_RAY, 9.5, 7.5, -math.pi, 1.25),
         (ONE_RAY, 7.5, 9.5, 1.5 * math.pi, 1.25),
         (ONE_RAY, 7.5, 5.5, math.pi / 2, 2.0),
-        # on the grown box's edges
+        # a cell from the occupied box, where the wedge picks the rays and the
+        # window starts at the clearance: a ray along a side passes the box
+        # by, and one facing it hits
         (ONE_RAY, 7.0, 9.5, -math.pi / 2, -1.0),
         (ONE_RAY, 9.5, 7.0, math.pi, -1.0),
         (FULL_CIRCLE, 9.0, 8.0, math.pi, 0.75),
@@ -551,7 +553,8 @@ def test_sensor_full_circle_wraps_around():
 
 
 # rays aimed at the box: from (5, 8) BLOCK's centre lies at bearing 0 and
-# from (10.5, 8) at bearing pi, both outside the grown box
+# from (10.5, 8) at bearing pi, both over a cell from the occupied box, so
+# the wedge picks the rays
 SEAMS = [
     # the box straddles the first ray of the fan, then its last
     (5.0, 8.0, math.pi / 4, math.pi / 2),
@@ -607,14 +610,15 @@ def test_sensor_at_a_heading_of_many_turns_matches_full_march():
 
 
 @pytest.mark.parametrize("x, y", [
-    # on the grown box's edges and corner, where every ray is cast
+    # a cell from the occupied box's sides and corners, where the wedge casts
+    # only the rays toward the box and the window starts at the clearance
     (7.0, 8.0), (9.0, 7.6), (8.2, 7.0), (7.9, 9.0), (7.0, 7.0), (9.0, 9.0),
-    # one ulp outside them, where only the rays toward the box are
+    # one ulp farther out
     (math.nextafter(7.0, -math.inf), 8.0), (math.nextafter(9.0, math.inf), 7.6),
     (8.2, math.nextafter(7.0, -math.inf)), (7.9, math.nextafter(9.0, math.inf)),
     (math.nextafter(7.0, -math.inf), math.nextafter(7.0, -math.inf)),
 ])
-def test_sensor_on_and_just_off_the_grown_box_matches_full_march(x, y):
+def test_sensor_a_cell_and_an_ulp_more_from_the_occupied_box_matches_full_march(x, y):
     for params in (FULL_CIRCLE, ONE_RAY, {"min_range": 0.0, "max_range": 3.0, "ray_count": 2.0},
                    {"min_range": 0.1, "max_range": 3.0, "fov": 1.0, "ray_count": 64.0}):
         for theta in [k * math.pi / 8 for k in range(-8, 9)]:
@@ -622,7 +626,7 @@ def test_sensor_on_and_just_off_the_grown_box_matches_full_march(x, y):
 
 
 # BLOCK moved 64 m from the origin, where coordinates round to 1.4e-14 m:
-# occupied box [65.5, 66.5] x [-68.5, -67.5], grown to [65, 67] x [-69, -67]
+# occupied box [65.5, 66.5] x [-68.5, -67.5]
 FAR_BLOCK = GridMap(8, 8, 0.5, 64.0, -70.0, BLOCK.cells)
 
 
