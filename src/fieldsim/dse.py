@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from operator import add
 from pathlib import Path
+from sys import float_info
 from typing import Iterable, Mapping
 
 from ._shared import check_kind, check_object, fan_out, is_plain_name, read_csv_table, read_json, worker_count
@@ -126,7 +127,7 @@ def _parse_grid_value(name: str, value) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"parameter {name!r}: bad value {value!r}")
     if isinstance(value, (int, float)):
-        out = float(value)
+        out = float(value) if abs(value) <= float_info.max else math.inf  # float() overflows past it
     elif isinstance(value, str):
         text = value.strip()
         scale = 1.0

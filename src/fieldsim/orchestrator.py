@@ -23,15 +23,17 @@ its failing point by running each point of the slice alone.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from sys import float_info
 from typing import Callable, Iterator, Mapping
 
 from ._shared import check_kind, check_object, read_json
 from .errors import ConfigError, ContractViolation, SimulationError, UnknownUnitError
-from .simunit import PortDescriptor, PortDirection, PortKind, SimulationUnit, UnitRegistry
+from .simunit import PortDescriptor, PortDirection, PortKind, SimulationUnit, UnitRegistry, bits_key
 from .simunit import _check_boolean, _check_real
 from .traces import TimedTrace, write_trace_csv
 
@@ -104,16 +106,19 @@ def load_multimodel(source: str | Path | Mapping) -> MultiModelConfig:
         parameters = check_kind(at, "parameters", spec.get("parameters", {}), dict)
         instances[name] = InstanceSpec(unit_type, dict(parameters))
 
-    connections: list[Connection] = []
-    at = f"{where}: connection"
-    for item in check_kind(where, "connections", doc.get("connections", []), list):
-        item = check_object(at, item, ("source", "sink"))
-        connections.append(Connection(PortRef.parse(item["source"]), PortRef.parse(item["sink"])))
+    items = [check_object(f"{where}: connection", item, ("source", "sink"))
+             for item in check_kind(where, "connections", doc.get("connections", []), list)]
+    outputs = check_kind(where, "outputs", doc["outputs"], list)
+    try:
+        connections = [Connection(PortRef.parse(item["source"]), PortRef.parse(item["sink"])) for item in items]
+        outputs = [PortRef.parse(text) for text in outputs]
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
     return MultiModelConfig(
         instances=instances,
         connections=connections,
-        outputs=[PortRef.parse(text) for text in check_kind(where, "outputs", doc["outputs"], list)],
+        outputs=outputs,
         step_size=doc.get("step_size", DEFAULT_STEP_SIZE),
         duration=doc["duration"],
     )
@@ -135,12 +140,13 @@ def _build(
     diagnostics: list[str] = []
     n_steps = 0
 
+    # a bound on the value, not isfinite, which overflows on an integer past the floats
     step_ok = (isinstance(config.step_size, (int, float)) and not isinstance(config.step_size, bool)
-               and math.isfinite(config.step_size) and config.step_size > 0)
+               and 0 < config.step_size <= float_info.max)
     if not step_ok:
         diagnostics.append(f"step_size must be positive and finite, got {config.step_size!r}")
     duration_ok = (isinstance(config.duration, (int, float)) and not isinstance(config.duration, bool)
-                   and math.isfinite(config.duration) and config.duration >= 0)
+                   and 0 <= config.duration <= float_info.max)
     if not duration_ok:
         diagnostics.append(f"duration must be non-negative and finite, got {config.duration!r}")
     if step_ok and duration_ok:
@@ -245,7 +251,11 @@ def lockstep_cosim(
     raises :class:`ConfigError` before a second copy is built; run each
     config on its own instead.  With one config nothing varies, which is
     :func:`run_cosim`.  The loop reads ``_outputs``, writes ``_inputs``
-    and calls ``_advance`` of units and groups alike.
+    and calls ``_advance`` of units and groups alike.  One config whose
+    units all declare their state (``SimulationUnit._step_state``) is at
+    rest once two steps in a row leave every output and declared state
+    with the same bits: each later step would repeat the last, so the
+    loop yields that row object for the remaining steps and stops stepping.
 
     Returns the channels, the row times (``k * step_size``) and an
     iterator over the rows.  Each row is flat, ordered by channel and
@@ -313,11 +323,14 @@ def lockstep_cosim(
             for ref, read in zip(first.outputs, recorders)
         ]
     channels = [ref.render() for ref in first.outputs]
+    declared = [(unit, unit._step_state) for unit in units.values()]
+    rests = n == 1 and all(names is not None for _, names in declared)  # else the loop never rests
 
     def rows() -> Iterator[list[float]]:
         isfinite = math.isfinite
         bad = None  # (row, index, value) of the first non-finite recorded value
         phase, k = "record", 0
+        last = last_key = None  # the row before, and its key if it was taken
         try:
             for k in range(n_steps + 1):
                 if k:  # row 0 is the state before the first step
@@ -344,6 +357,17 @@ def lockstep_cosim(
                 if bad is None and not isfinite(sum(row)):
                     bad = next(((k, j, v) for j, v in enumerate(row) if not isfinite(v)), None)
                 yield row
+                key = None
+                if rests and row == last:
+                    values = [v for unit, names in declared
+                              for v in (*unit._outputs.values(), *[getattr(unit, a) for a in names])]
+                    try:
+                        key = bits_key(len(values))(*values)
+                    except struct.error:  # a value that does not pack is never at rest
+                        pass
+                    if key is not None and key == last_key:
+                        break  # at rest: every later step repeats this one
+                last, last_key = row, key
         except Exception as exc:
             if phase == "exchange":
                 raise SimulationError(
@@ -360,6 +384,8 @@ def lockstep_cosim(
                         f"recorded output {channels[j]} at t={k * h:.6g}: {error}"
                     ) from exc
             raise
+        for _ in range(k, n_steps):
+            yield row
         if bad is not None:
             k, j, v = bad
             raise SimulationError(f"recorded output {channels[j // n]} is {v!r} at t={k * h:.6g}")

@@ -7,7 +7,10 @@ latch input values with :meth:`SimulationUnit.set_input`, advance it with
 :meth:`SimulationUnit.do_step`, and read results with
 :meth:`SimulationUnit.get_output`; each call checks its arguments.
 Inputs are held constant over a step (zero-order hold); outputs must
-stay consistent with the state reached by the most recent step.
+stay consistent with the state reached by the most recent step.  A unit
+type may declare its state: its step then depends only on that state, its
+inputs, its outputs and the step size (caches are allowed), and a master
+may stop stepping a loop whose state repeats.
 
 Units are plain Python objects registered under a string type name, so
 models, controllers and test probes all plug in the same way.  A master
@@ -97,26 +100,6 @@ def bits_key(count: int) -> Callable[..., bytes]:
     return Struct(f"{count}d").pack
 
 
-def input_memo(inputs: Mapping[str, float]) -> Callable[[], bool]:
-    """A test of whether ``inputs`` hold, by :func:`bits_key`, what they held when it last said False.
-
-    A unit whose outputs depend only on its real inputs and on constants
-    fixed at construction returns early from a step that passes the test.
-    """
-    pack = bits_key(len(inputs))
-    last = None
-
-    def repeats() -> bool:
-        nonlocal last
-        key = pack(*inputs.values())
-        if key == last:
-            return True
-        last = key
-        return False
-
-    return repeats
-
-
 def _check_parameters(checks: Mapping[str, bool]) -> None:
     """Raise one violation listing, joined by ``; ``, each message whose check is true."""
     failed = [message for message, bad in checks.items() if bad]
@@ -140,11 +123,16 @@ class SimulationUnit:
     that takes the copies and returns a group offering the same three: an
     output holds one value per copy, an input one value for all.
 
+    ``_step_state`` names the attributes that, with the inputs, outputs
+    and ``h``, fix the next step, caches aside; ``None`` declares nothing,
+    and a loop holding such a unit never rests.
+
     Instances are not thread safe; the orchestrator drives each unit
     from a single thread.
     """
 
     _group = None  # a unit type whose copies do not step faster together has no group
+    _step_state: tuple[str, ...] | None = None
 
     def __init__(self, description: UnitDescription, parameters: Mapping[str, float] | None = None):
         self.description = description

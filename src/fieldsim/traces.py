@@ -53,13 +53,16 @@ class TimedTrace:
         if len(self.times) != len(self.values):
             raise ConfigError("times and values differ in length")
         arity = len(self.channels)
-        prev = None
+        prev = checked = None
         for t, row in zip(self.times, self.values):
             if not math.isfinite(t):
                 raise ConfigError(f"non-finite time {t!r}")
             if prev is not None and t <= prev:
                 raise ConfigError(f"times not strictly increasing at t={t!r}")
             prev = t
+            if row is checked:  # a row object shared by consecutive times is checked once
+                continue
+            checked = row
             if len(row) != arity:
                 raise ConfigError(f"row at t={t!r} has {len(row)} values, expected {arity}")
             for v in row:
@@ -77,15 +80,22 @@ class TimedTrace:
 def write_trace_csv(trace: TimedTrace, path: str | Path) -> None:
     """Write a trace as CSV: header ``time,<ch>,...``, LF line endings."""
     trace.validate()
-    line = ",".join(["%.17g"] * (1 + len(trace.channels))) + "\n"  # format_real's digits
+    row = ",%.17g" * len(trace.channels) + "\n"  # format_real's digits
+    line = "%.17g" + row
     times, values = trace.times, trace.values
+    rest = max(len(values) - 1, 0)  # the rows from here on are all the last row object
+    while rest and values[rest - 1] is values[-1]:
+        rest -= 1
     with open(path, "w", newline="\n") as out:
         out.write(",".join(["time"] + trace.channels) + "\n")
-        for lo in range(0, len(times), WRITE_CHUNK_ROWS):
-            hi = lo + WRITE_CHUNK_ROWS
+        for lo in range(0, rest, WRITE_CHUNK_ROWS):
+            hi = min(lo + WRITE_CHUNK_ROWS, rest)
             chunk = times[lo:hi]
             rows = zip(chunk, *zip(*values[lo:hi]))
             out.write(line * len(chunk) % tuple(chain.from_iterable(rows)))
+        for lo in range(rest, len(times), WRITE_CHUNK_ROWS):  # a loop at rest records them: format it once
+            chunk = times[lo:lo + WRITE_CHUNK_ROWS]
+            out.write(("%.17g" + row % tuple(values[-1])) * len(chunk) % tuple(chunk))
 
 
 def read_trace_csv(path: str | Path, expected_channels: Sequence[str] | None = None) -> TimedTrace:

@@ -20,7 +20,6 @@ from ..simunit import (
     SimulationUnit,
     UnitDescription,
     _check_parameters,
-    input_memo,
 )
 from ..traces import COMMAND_CHANNELS, TimedTrace
 
@@ -102,11 +101,13 @@ class PurePursuitUnit(SimulationUnit):
     commanded curvature is ``kappa = 2 * y_b / (x_b**2 + y_b**2)`` and
     ``delta_f = atan(kappa * wheelbase)``, so the sign of delta_f equals
     the sign of y_b.  Speed is ``cruise_speed`` until the vehicle is
-    within one lookahead of the final waypoint, then 0.  A step whose pose
-    has the bits of the last computed step's repeats that step's result.
-    Each segment's offsets, squared length and stations are taken once,
-    when the unit is built.
+    within one lookahead of the final waypoint, then 0.  Each segment's
+    offsets, squared length and stations are taken once, when the unit is
+    built.  The result depends on the pose alone: the unit declares no
+    state, and a master stops stepping it once its loop is at rest.
     """
+
+    _step_state = ()
 
     def __init__(self, path: Sequence[Sequence[float]], parameters: Mapping[str, float] | None = None):
         if len(path) < 2:
@@ -134,7 +135,6 @@ class PurePursuitUnit(SimulationUnit):
             dx, dy = x1 - x0, y1 - y0
             segments.append((x0, y0, dx, dy, dx * dx + dy * dy, stations[i], stations[i + 1] - stations[i]))
         self._segments = segments
-        self._repeats = input_memo(self._inputs)
         self._advance(0.0)
 
     def _nearest_station(self, x: float, y: float) -> float:
@@ -169,9 +169,6 @@ class PurePursuitUnit(SimulationUnit):
         return x0 + w * (x1 - x0), y0 + w * (y1 - y0)
 
     def _advance(self, h: float) -> None:
-        # the result depends on the pose alone, and on the sign of a zero in y or theta
-        if self._repeats():
-            return
         inputs = self._inputs
         x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
         p = self.parameters
@@ -216,6 +213,8 @@ class SupervisoryBrake(SimulationUnit):
     latch releases only at standstill with no detection left in range;
     passthrough resumes on the following step.
     """
+
+    _step_state = ("_latched",)
 
     def __init__(self, parameters: Mapping[str, float] | None = None):
         super().__init__(SUPERVISOR_DESCRIPTION, parameters)

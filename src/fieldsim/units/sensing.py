@@ -29,7 +29,6 @@ from ..simunit import (
     UnitDescription,
     _check_parameters,
     bits_key,
-    input_memo,
 )
 
 _IN = PortDirection.INPUT
@@ -197,10 +196,12 @@ class SensorUnit(SimulationUnit):
     The result is the one a march of every ray over every point gives, as
     long as coordinates are small enough that their rounding error stays
     far below one cell, and rays lie far more than ulp(coordinate) / march
-    rad apart.  A step whose pose has the bits of the last computed step's
-    repeats that step's result, and the rays' directions are kept until
-    the heading's bits change.
+    rad apart.  The rays' directions are kept until the heading's bits
+    change.  The result depends on the pose alone: the unit declares no
+    state, and a master stops stepping it once its loop is at rest.
     """
+
+    _step_state = ()
 
     def __init__(self, grid_map: GridMap, parameters: Mapping[str, float] | None = None):
         super().__init__(SENSOR_DESCRIPTION, parameters)
@@ -234,13 +235,9 @@ class SensorUnit(SimulationUnit):
         self._offsets = [i * (fov / (rays - 1)) for i in range(self._rays)] if rays > 1 else [0.0]
         # each ray's (cos(phi), sin(phi)), first ray first, at the heading whose bits_key is _heading
         self._heading, self._directions = None, []
-        self._repeats = input_memo(self._inputs)
         self._advance(0.0)
 
     def _advance(self, h: float) -> None:
-        # the result depends on the pose alone; parameters, map and box are fixed at construction
-        if self._repeats():
-            return
         inputs = self._inputs
         x, y, theta = inputs["x"], inputs["y"], inputs["theta"]
         best = -1.0

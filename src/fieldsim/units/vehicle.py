@@ -80,6 +80,8 @@ def _wrap(theta: float) -> float:
 class VehicleUnit(SimulationUnit):
     """Single-track vehicle model; see the module docstring for the equations."""
 
+    _step_state = ("x", "y", "theta", "v_y", "r")
+
     def __init__(self, parameters: Mapping[str, float] | None = None):
         explicit = set(parameters) if parameters else set()
         super().__init__(VEHICLE_DESCRIPTION, parameters)

@@ -7,9 +7,9 @@ lock-stepped slice writes, its memory budget, and the halves a slice that
 does not run through splits into, their order and the files they leave,
 the replay's clock, the heading wrap, the sensor's reach, its window of
 march indices, its table of ray directions and the wedge of rays it aims
-at the occupied box, pure pursuit's table of segments, the input memo of the
-sensor and pure pursuit, the positions ``assess_run`` measures, the
-master's exchange, the chunks the trace writer formats, the name check
+at the occupied box, pure pursuit's table of segments, the positions
+``assess_run`` measures, the master's exchange and its rest key, the chunks
+and the shared tail row the trace writer formats, the name check
 of a unit's parameters, and the document checks' rules for keys, flags and
 numbers.
 
@@ -76,10 +76,7 @@ WRAPS_AROUND = "tests/test_units.py::test_sensor_full_circle_wraps_around"
 NEAR_BOX = "tests/test_units.py::test_sensor_within_a_cell_of_the_occupied_box_matches_full_march"
 AT_A_CORNER = "tests/test_units.py::test_sensor_ray_aimed_at_a_cell_corner_matches_full_march"
 LAST_RAY = "tests/test_units.py::test_sensor_full_circle_sees_a_corner_through_its_last_ray"
-TURNED = "tests/test_units.py::test_sensor_turned_in_place_matches_full_march"
 NAME_CLASH = "tests/test_simunit.py::test_duplicate_port_rejected"
-STOPS = "tests/test_units.py::test_stops_within_lookahead_of_goal"
-ZERO_SIGN = "tests/test_units.py::test_pure_pursuit_tells_a_zero_from_a_negative_zero"
 ONCE = "tests/test_safety.py::test_assess_run_measures_each_run_of_one_position_once"
 ALONG_Y = "tests/test_safety.py::test_assess_run_measures_each_nearer_position_of_a_walk_along_y"
 SEAMS = "tests/test_units.py::test_sensor_sees_a_box_across_the_seam_of_its_fan"
@@ -87,6 +84,11 @@ INSIDE_BOX = "tests/test_units.py::test_sensor_inside_the_occupied_box_casts_eve
 MANY_TURNS = "tests/test_units.py::test_sensor_at_a_heading_of_many_turns_matches_full_march"
 DELAYED = "tests/test_orchestrator.py::test_coupling_is_delayed_by_one_step"
 CSV_BYTES = "tests/test_traces.py::test_csv_bytes_are_the_per_value_format_real_join"
+SHARED_TAIL = "tests/test_traces.py::test_csv_bytes_of_a_shared_tail_row_are_the_per_value_format_real_join"
+AT_REST = "tests/test_rest.py::test_a_loop_at_rest_records_its_row_to_the_end_without_stepping"
+ZERO_FLIP = "tests/test_rest.py::test_declared_state_that_flips_the_sign_of_a_zero_keeps_the_loop_stepping"
+UNRECORDED_OUTPUT = "tests/test_rest.py::test_an_unrecorded_output_that_changes_keeps_the_loop_stepping"
+HIDDEN_COUNTER = "tests/test_rest.py::test_a_hidden_step_counter_keeps_the_loop_stepping"
 SAMPLES_READ = "tests/test_shared.py::test_every_json_sample_passes_its_reader"
 CHECK_TEXTS = "tests/test_shared.py::test_a_check_rejects_with_one_text"
 INFINITE_SPEED = "tests/test_shared.py::test_a_suite_run_at_an_infinite_speed_is_rejected"
@@ -323,27 +325,6 @@ MUTANTS = {
         ")",
         (LAST_RAY,),
     ),
-    # a step that only turns the sensor repeats the last result (theta is the last input)
-    "pose-memo-ignores-heading": Mutant(
-        SIMUNIT,
-        "key = pack(*inputs.values())",
-        "key = pack(*list(inputs.values())[:-1], 0.0)",
-        (TURNED,),
-    ),
-    # a step that only moves along x repeats the last result (x is the first input)
-    "input-memo-ignores-x": Mutant(
-        SIMUNIT,
-        "key = pack(*inputs.values())",
-        "key = pack(0.0, *list(inputs.values())[1:])",
-        (STOPS,),
-    ),
-    # the memo compares values, so a pose that differs only in the sign of a zero repeats
-    "input-memo-ignores-zero-sign": Mutant(
-        SIMUNIT,
-        "key = pack(*inputs.values())",
-        "key = tuple(inputs.values())",
-        (ZERO_SIGN,),
-    ),
     # a row that moves only along y shares the clearance of the row before it
     "assess-run-compares-x-only": Mutant(
         SAFETY,
@@ -368,16 +349,51 @@ MUTANTS = {
     # each chunk after the first starts one row late
     "chunk-boundary-drops-a-row": Mutant(
         TRACES,
-        "for lo in range(0, len(times), WRITE_CHUNK_ROWS):",
-        "for lo in range(0, len(times), WRITE_CHUNK_ROWS + 1):",
+        "for lo in range(0, rest, WRITE_CHUNK_ROWS):",
+        "for lo in range(0, rest, WRITE_CHUNK_ROWS + 1):",
         (CSV_BYTES,),
     ),
     # each chunk but the last ends with the next chunk's first row
     "chunk-boundary-repeats-a-row": Mutant(
         TRACES,
-        "hi = lo + WRITE_CHUNK_ROWS",
-        "hi = lo + WRITE_CHUNK_ROWS + 1",
+        "hi = min(lo + WRITE_CHUNK_ROWS, rest)",
+        "hi = min(lo + WRITE_CHUNK_ROWS + 1, rest)",
         (CSV_BYTES,),
+    ),
+    # the tail of one shared row object starts at a row that is only equal to it
+    "csv-tail-takes-equal-rows": Mutant(
+        TRACES,
+        "while rest and values[rest - 1] is values[-1]:",
+        "while rest and values[rest - 1] == values[-1]:",
+        (SHARED_TAIL,),
+    ),
+    # the rest key compares values, so state that only flips the sign of a zero rests
+    "rest-key-compares-by-value": Mutant(
+        ORCHESTRATOR,
+        "key = bits_key(len(values))(*values)",
+        "key = tuple(values)",
+        (ZERO_FLIP,),
+    ),
+    # the rest key leaves out the outputs, so an unrecorded output that changes rests
+    "rest-key-leaves-out-outputs": Mutant(
+        ORCHESTRATOR,
+        "*unit._outputs.values(), ",
+        "*[0.0] * len(unit._outputs), ",
+        (UNRECORDED_OUTPUT,),
+    ),
+    # the rest key leaves out declared state, so a hidden step counter rests
+    "rest-key-leaves-out-declared-state": Mutant(
+        ORCHESTRATOR,
+        "*[getattr(unit, a) for a in names]",
+        "*[0.0 for a in names]",
+        (HIDDEN_COUNTER,),
+    ),
+    # a loop rests once its rows repeat, without a second step of the same key
+    "rest-after-one-unchanged-step": Mutant(
+        ORCHESTRATOR,
+        "if key is not None and key == last_key:",
+        "if key is not None:",
+        (AT_REST,),
     ),
     # a parameter may share a port's name
     "parameter-names-unchecked": Mutant(

@@ -490,6 +490,54 @@ def test_a_multimodel_with_an_unknown_key_names_its_file(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists() and not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.update(outputs=["vehx"]),
+    lambda doc: doc["connections"][0].update(sink="vehx"),
+])
+def test_a_multimodel_with_a_malformed_port_reference_names_its_file(tmp_path, capsys, change):
+    doc = json.loads((SAMPLES / "vehicle_replay.json").read_text())
+    change(doc)
+    mm = tmp_path / "mm.json"
+    mm.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(
+        capsys, "cosim", "--config", mm, "--scenario-inputs", SAMPLES / "sin_cal_inputs.csv",
+        "--out", tmp_path / "o.csv",
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {mm}: port reference 'vehx' must look like 'instance.port'\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+def test_a_cosim_duration_past_the_floats_exits_2(tmp_path, capsys):
+    doc = json.loads((SAMPLES / "vehicle_replay.json").read_text())
+    doc["duration"] = HUGE
+    mm = tmp_path / "mm.json"
+    mm.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(
+        capsys, "cosim", "--config", mm, "--scenario-inputs", SAMPLES / "sin_cal_inputs.csv",
+        "--out", tmp_path / "o.csv",
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: invalid multi-model configuration\n"
+                      f"  - duration must be non-negative and finite, got {HUGE}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_a_sweep_grid_value_past_the_floats_exits_2(tmp_path, capsys):
+    doc = json.loads((SAMPLES / "dse_sweep.json").read_text())
+    doc["multiModel"] = str(SAMPLES / "vehicle_replay.json")
+    doc["parameters"]["veh.mu"] = [0.3, HUGE]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(capsys, "dse", "sweep", "--config", path, "--out", tmp_path / "t.csv")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {path}: parameter 'veh.mu': non-finite value {HUGE}\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_a_suite_run_named_dot_dot_exits_2_and_writes_nothing(tmp_path, capsys):
     shutil.copy(SAMPLES / "field.map", tmp_path)
     suite = tmp_path / "suite.json"

@@ -87,6 +87,33 @@ def test_csv_bytes_are_the_per_value_format_real_join(tmp_path, channels, n_rows
     assert path.read_bytes() == format_real_join(trace)
 
 
+@pytest.mark.parametrize("channels", [["a.x", "b.y", "c"], []])
+@pytest.mark.parametrize("n_rows,shared_from", [
+    (1, 0), (2, 0), (2, 1), (7, 3), (WRITE_CHUNK_ROWS + 2, 0), (WRITE_CHUNK_ROWS + 2, 2),
+    (2 * WRITE_CHUNK_ROWS + 3, WRITE_CHUNK_ROWS - 1), (3 * WRITE_CHUNK_ROWS, 2 * WRITE_CHUNK_ROWS + 1),
+])
+def test_csv_bytes_of_a_shared_tail_row_are_the_per_value_format_real_join(
+    tmp_path, channels, n_rows, shared_from
+):
+    # a loop at rest records one row object from some row on; a row before
+    # it that is equal to it but is another object, and a row object shared
+    # before the tail, are formatted as any other row
+    times = [k if k % 2 else k + 0.25 for k in range(n_rows)]
+    values = [
+        [EDGE_VALUES[(k + 5 * j) % len(EDGE_VALUES)] for j in range(len(channels))]
+        for k in range(n_rows)
+    ]
+    tail = [EDGE_VALUES[j % len(EDGE_VALUES)] for j in range(len(channels))]  # -0.0, 0.0, ...
+    values[shared_from:] = [tail] * (n_rows - shared_from)
+    if shared_from >= 2:
+        values[shared_from - 1] = [-v if v == 0 else v for v in tail]  # == tail, other bytes
+        values[0] = values[1]
+    trace = TimedTrace(channels=channels, times=times, values=values)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == format_real_join(trace)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(finite, min_size=2, max_size=2), max_size=40))
 def test_csv_bytes_of_any_reals_are_the_per_value_format_real_join(rows):
@@ -186,6 +213,19 @@ def test_validate_catches_structural_problems():
         TimedTrace(["a"], [0.0, 1.0], [[1.0], [-math.inf]]).validate()
     with pytest.raises(ConfigError, match="no channel"):
         TimedTrace(["a"], [], []).column("b")
+
+
+def test_validate_checks_a_shared_row_and_every_time():
+    row = [1.0]
+    TimedTrace(["a"], [0.0, 1.0, 2.0], [[0.0], row, row]).validate()
+    with pytest.raises(ConfigError, match="non-finite value at t=1.0"):
+        TimedTrace(["a"], [0.0, 1.0, 2.0], [[0.0]] + [[math.inf]] * 2).validate()
+    with pytest.raises(ConfigError, match="row at t=0.0 has 2 values, expected 1"):
+        TimedTrace(["a"], [0.0, 1.0], [[1.0, 2.0]] * 2).validate()
+    with pytest.raises(ConfigError, match="strictly increasing at t=1.0"):
+        TimedTrace(["a"], [0.0, 1.0, 1.0], [row] * 3).validate()
+    with pytest.raises(ConfigError, match="non-finite time inf"):
+        TimedTrace(["a"], [0.0, math.inf], [row] * 2).validate()
 
 
 # --- scenario generation ----------------------------------------------------
